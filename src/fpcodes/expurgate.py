@@ -112,7 +112,8 @@ def expurgation_length(q: int, k: int, n: int) -> int:
     def holds(t: int) -> bool:
         return count * num**t <= den**t
 
-    guess = max(1, math.ceil(math.log(count) / -math.log1p(-float(base.numerator) / base.denominator)))
+    # float estimate of ln(count) / -ln(1-p); the exact search below settles it
+    guess = max(1, math.ceil(math.log(count) / -(math.log(num) - math.log(den))))
     t = max(1, guess - 2)
     while not holds(t):
         t += 1

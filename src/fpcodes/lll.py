@@ -10,6 +10,13 @@ expected number of resampling events is at most n(n-1)/(2*(2n-4)), which
 is under n/3, and the loop terminates with a matrix in which any column
 pair shares at most `lam` nonzero agreements.
 
+Violated pairs are tracked in an n x n bool array (n^2 bytes), filled once
+by the agreement kernel `core.agreement_exceeds` (a blocked B^T B product,
+shared with `verify.is_lambda_matrix`); an event refreshes the rows and
+columns of the two redrawn columns in O(w n), keeps the violated count
+up to date from them, and finds the next pair with one argmax, so no step
+loops over pairs in Python.
+
 Such a matrix is a strongly selective code for k when lam = floor((w-1)/(k-1)):
 in any k columns, some member has more nonzero rows than its k-1 partners
 can cover, so it owns a row where it is nonzero and the others differ.
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ceil_tol, substream
-from .core import CodeMatrix, ConstructionError, ParameterError
+from .core import CodeMatrix, ConstructionError, ParameterError, agreement_exceeds
 
 
 @dataclass(frozen=True)
@@ -120,18 +127,21 @@ def derived_params(k: int, q: int, n: int, seed: int) -> ConstructionParams:
     return ConstructionParams(k=k, q=q, n=n, w=w, lam=lam, t=t, seed=seed)
 
 
-def violation_probability(params: ConstructionParams) -> float:
-    """Upper bound on the probability that a fixed column pair is violated."""
-    lam, w, t, q = params.lam, params.w, params.t, params.q
-    if lam >= w:
-        return 0.0
+def _log_violation_probability(params: ConstructionParams) -> float:
     # log space: the (lam+1)-th powers overflow doubles for large lam
-    log_p = (lam + 1) * (
+    lam, w, t, q = params.lam, params.w, params.t, params.q
+    return (lam + 1) * (
         math.log(math.e * w / (lam + 1))
         - math.log(q - 1)
         + math.log((w - lam / 2) / (t - lam / 2))
     )
-    return math.exp(log_p)
+
+
+def violation_probability(params: ConstructionParams) -> float:
+    """Upper bound on the probability that a fixed column pair is violated."""
+    if params.lam >= params.w:
+        return 0.0
+    return math.exp(_log_violation_probability(params))
 
 
 def lll_satisfiability_check(params: ConstructionParams) -> bool:
@@ -145,13 +155,7 @@ def lll_satisfiability_check(params: ConstructionParams) -> bool:
         return True
     if params.lam >= params.w:
         return True
-    lam, w, t, q = params.lam, params.w, params.t, params.q
-    log_p = (lam + 1) * (
-        math.log(math.e * w / (lam + 1))
-        - math.log(q - 1)
-        + math.log((w - lam / 2) / (t - lam / 2))
-    )
-    return 1 + log_p + math.log(d) <= 0
+    return 1 + _log_violation_probability(params) + math.log(d) <= 0
 
 
 def resample_budget(n: int) -> int:
@@ -184,8 +188,9 @@ def sample_column(t: int, w: int, q: int, rng) -> np.ndarray:
 
 
 def _agreements_against(cols: np.ndarray, j: int) -> np.ndarray:
-    ref = cols[:, j : j + 1]
-    return np.count_nonzero((cols == ref) & (ref != 0), axis=0)
+    # nonzero agreements with column j can only sit on its w support rows
+    sub = cols[np.flatnonzero(cols[:, j])]
+    return np.count_nonzero(sub == sub[:, j : j + 1], axis=0)
 
 
 def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, ResampleLog]:
@@ -208,35 +213,29 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
     for j in range(n):
         cols[:, j] = sample_column(t, w, q, streams[j])
 
-    violated: set[tuple[int, int]] = set()
-    for a in range(n):
-        counts = _agreements_against(cols, a)
-        for b in range(a + 1, n):
-            if counts[b] > lam:
-                violated.add((a, b))
-
-    history = [(0, len(violated))]
+    bad = agreement_exceeds(cols, lam)
+    violated = int(np.count_nonzero(bad))
+    history = [(0, violated)]
     budget = resample_budget(n)
     events = 0
-    while violated:
+    while True:
+        a, b = divmod(int(bad.argmax()), n)  # lexicographically first violated pair
+        if not bad[a, b]:
+            break
         if events >= budget:
             log = ResampleLog(events, len(history), tuple(history))
             raise ConstructionError(f"resample budget of {budget} events exhausted", log=log)
-        a, b = min(violated)  # lexicographically first violated pair
         cols[:, a] = sample_column(t, w, q, streams[a])
         cols[:, b] = sample_column(t, w, q, streams[b])
         events += 1
         for x in (a, b):
-            counts = _agreements_against(cols, x)
-            for y in range(n):
-                if y == x:
-                    continue
-                pair = (x, y) if x < y else (y, x)
-                if counts[y] > lam:
-                    violated.add(pair)
-                else:
-                    violated.discard(pair)
-        history.append((events, len(violated)))
+            over = _agreements_against(cols, x) > lam
+            over[x] = False  # the diagonal is never stored
+            stale = np.count_nonzero(bad[x, x + 1 :]) + np.count_nonzero(bad[:x, x])
+            violated += int(np.count_nonzero(over) - stale)
+            bad[x, x + 1 :] = over[x + 1 :]
+            bad[:x, x] = over[:x]
+        history.append((events, violated))
 
     log = ResampleLog(events, len(history), tuple(history))
     return CodeMatrix(q, cols), log

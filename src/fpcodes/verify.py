@@ -1,10 +1,11 @@
 """Exhaustive property oracles.
 
-Each check enumerates every coalition, so runtime is combinatorial; a
-capacity guard refuses instances past about 1e9 elementary row checks.
-Per-column row masks are packed into Python integers, which turns the
-inner "is this coalition covering / blocking" loop into a few bitwise
-ops per coalition.
+Each coalition check enumerates every coalition, so runtime is
+combinatorial; a capacity guard refuses instances past about 1e9 elementary
+row checks.  Per-column row masks are packed into Python integers, which
+turns the inner "is this coalition covering / blocking" loop into a few
+bitwise ops per coalition.  The lambda-matrix check needs only column pairs
+and uses the agreement kernel shared with the local-lemma builder.
 
 Frameproof, for offset k: for every column c and every set G of k other
 columns there is a row where all of G differs from c (symbol 0 included).
@@ -20,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, CodeMatrix, ParameterError, binary_expand, complement, stack_rows
+from .core import (
+    CapacityError,
+    CodeMatrix,
+    ParameterError,
+    agreement_exceeds,
+    binary_expand,
+    complement,
+    stack_rows,
+)
 
 CHECK_BUDGET = 1_000_000_000
 
@@ -52,12 +61,9 @@ class VerificationReport:
         return self.passed
 
 
-def _column_masks_against(entries: np.ndarray, c: int, require_nonzero: bool = False) -> list[int]:
-    # mask[j] = rows where column j matches column c (optionally nonzero match only)
-    ref = entries[:, c : c + 1]
-    eq = entries == ref
-    if require_nonzero:
-        eq &= ref != 0
+def _column_masks_against(entries: np.ndarray, c: int) -> list[int]:
+    # mask[j] = rows where column j matches column c
+    eq = entries == entries[:, c : c + 1]
     packed = np.packbits(eq, axis=0, bitorder="little")
     nb, n = packed.shape
     flat = np.ascontiguousarray(packed.T).tobytes()
@@ -155,26 +161,27 @@ def is_lambda_matrix(matrix: CodeMatrix, lam: int, w: int) -> VerificationReport
     """Check constant column weight w and pairwise nonzero agreement <= lam.
 
     A weight failure is witnessed by the column alone; an agreement
-    failure carries both columns and the agreeing rows.
+    failure carries both columns and the agreeing rows.  Both witnesses are
+    the first failure: the lowest-index column of wrong weight, else the
+    lexicographically first pair (a, b), a < b.  Agreements come from the
+    shared kernel `core.agreement_exceeds` (one blocked B^T B product and an
+    n x n bool array, n^2 bytes), not from a pair loop.
     """
     if lam < 0 or w < 0:
         raise ParameterError(f"need lam >= 0 and w >= 0, got lam={lam}, w={w}")
-    n, t = matrix.n, matrix.t
+    n = matrix.n
     params = {"lam": lam, "w": w}
     entries = matrix.entries
     counts = np.count_nonzero(entries, axis=0)
-    for c in range(n):
-        if counts[c] != w:
-            return VerificationReport("lambda_matrix", params, False, Witness(c))
-    for a in range(n):
-        masks = _column_masks_against(entries, a, require_nonzero=True)
-        for b in range(a + 1, n):
-            m = masks[b]
-            if m.bit_count() > lam:
-                rows = tuple(i for i in range(t) if (m >> i) & 1)
-                return VerificationReport(
-                    "lambda_matrix", params, False, Witness(a, (b,), rows)
-                )
+    wrong = np.flatnonzero(counts != w)
+    if wrong.size:
+        return VerificationReport("lambda_matrix", params, False, Witness(int(wrong[0])))
+    bad = agreement_exceeds(entries, lam)
+    if bad.any():
+        a, b = divmod(int(bad.argmax()), n)
+        ref = entries[:, a]
+        rows = tuple(int(i) for i in np.flatnonzero((ref == entries[:, b]) & (ref != 0)))
+        return VerificationReport("lambda_matrix", params, False, Witness(a, (b,), rows))
     return VerificationReport("lambda_matrix", params, True, None)
 
 

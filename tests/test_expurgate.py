@@ -75,6 +75,15 @@ class TestExpurgationLength:
         if t > 1:
             assert count * base ** (t - 1) > 1
 
+    def test_large_alphabet_point_is_minimal(self):
+        # q=256, k=8: p is close to 1, so (1-p)^t falls fast and t is small
+        q, k, n = 256, 8, 10**6
+        t = expurgation_length(q, k, n)
+        assert t == 30
+        count = (k + 1) * math.comb(n + n // k, k)
+        base = 1 - exact_p(q, k)
+        assert count * base**t <= 1 < count * base ** (t - 1)
+
     def test_monotone_in_n(self):
         prev = 0
         for n in range(2, 60):

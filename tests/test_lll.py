@@ -10,6 +10,7 @@ from fpcodes._util import substream
 from fpcodes.core import CodeMatrix, ConstructionError, ParameterError
 from fpcodes.lll import (
     ConstructionParams,
+    ResampleLog,
     build_frameproof,
     build_lambda_matrix,
     build_strongly_selective,
@@ -25,6 +26,46 @@ from fpcodes.lll import (
 from fpcodes.verify import is_frameproof, is_lambda_matrix, is_strongly_selective
 
 mp.mp.dps = 50
+
+
+def reference_build(params):
+    """The builder as a Python pair loop over a set of violated pairs: the
+    reference the kernel-based `build_lambda_matrix` must match bit for bit."""
+    n, t, w, q, lam = params.n, params.t, params.w, params.q, params.lam
+    streams = [substream(params.seed, "col", j) for j in range(n)]
+    cols = np.zeros((t, n), dtype=np.uint16)
+    for j in range(n):
+        cols[:, j] = sample_column(t, w, q, streams[j])
+
+    def agreements(j):
+        ref = cols[:, j : j + 1]
+        return np.count_nonzero((cols == ref) & (ref != 0), axis=0)
+
+    violated = set()
+    for a in range(n):
+        counts = agreements(a)
+        for b in range(a + 1, n):
+            if counts[b] > lam:
+                violated.add((a, b))
+    history = [(0, len(violated))]
+    events = 0
+    while violated:
+        a, b = min(violated)
+        cols[:, a] = sample_column(t, w, q, streams[a])
+        cols[:, b] = sample_column(t, w, q, streams[b])
+        events += 1
+        for x in (a, b):
+            counts = agreements(x)
+            for y in range(n):
+                if y == x:
+                    continue
+                pair = (x, y) if x < y else (y, x)
+                if counts[y] > lam:
+                    violated.add(pair)
+                else:
+                    violated.discard(pair)
+        history.append((events, len(violated)))
+    return CodeMatrix(q, cols), ResampleLog(events, len(history), tuple(history))
 
 
 def mp_weight(k, n):
@@ -117,6 +158,19 @@ class TestSatisfiability:
             bad = ConstructionParams(k=2, q=q, n=n, w=w, lam=lam, t=t - 1, seed=0)
             assert lll_satisfiability_check(good)
             assert not lll_satisfiability_check(bad)
+
+    def test_derived_length_is_first_admissible_on_grid(self):
+        # admissible: at least 2w-(lam+1) rows and the local-lemma criterion
+        # holds; the derived t is admissible and t-1 is not
+        for k in range(2, 9):
+            for q in (2, 3, 4, 5, 7, 16, 17, 64, 255, 256):
+                for n in (k + 2, 10, 50, 100, 1000, 10**4, 10**5, 10**6):
+                    p = derived_params(k, q, n, seed=0)
+                    first = 2 * p.w - (p.lam + 1)
+                    assert p.t >= first and lll_satisfiability_check(p), (k, q, n)
+                    if p.t - 1 >= first:
+                        below = ConstructionParams(k=k, q=q, n=n, w=p.w, lam=p.lam, t=p.t - 1, seed=0)
+                        assert not lll_satisfiability_check(below), (k, q, n)
 
     def test_vacuous_for_tiny_n(self):
         p = ConstructionParams(k=2, q=2, n=2, w=3, lam=0, t=3, seed=0)
@@ -267,3 +321,32 @@ class TestBuild:
             build_frameproof(2, 3, 3, seed=0)  # n > k+1
         with pytest.raises(ParameterError):
             build_frameproof(1, 3, 10, seed=0)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("k,q,n", [(2, 3, 8), (3, 3, 20), (2, 2, 12), (3, 2, 40), (4, 3, 50)])
+    def test_derived_parameters_match_reference(self, k, q, n):
+        for seed in range(6):
+            params = derived_params(k, q, n, seed)
+            assert build_lambda_matrix(params) == reference_build(params), (k, q, n, seed)
+
+    @pytest.mark.parametrize("w,lam,n,q", [(3, 1, 200, 2), (4, 1, 300, 3), (5, 2, 300, 2)])
+    def test_threshold_length_matches_reference(self, w, lam, n, q):
+        # hand-built parameters at the admissibility threshold, where every
+        # seed below resamples at least once
+        t = derive_length(lam, w, n, q)
+        for seed in range(5):
+            params = ConstructionParams(k=2, q=q, n=n, w=w, lam=lam, t=t, seed=seed)
+            assert build_lambda_matrix(params) == reference_build(params), seed
+
+    def test_resampling_case_matches_reference(self):
+        # weight-1 columns over q=256 at the admissibility threshold: every
+        # pair sharing a (row, symbol) is violated, so the loop runs 30-50
+        # events at n=1000
+        t = derive_length(0, 1, 1000, 256)
+        params = ConstructionParams(k=2, q=256, n=1000, w=1, lam=0, t=t, seed=2002)
+        matrix, log = build_lambda_matrix(params)
+        ref_matrix, ref_log = reference_build(params)
+        assert 30 <= log.total_resamples <= 50
+        assert matrix == ref_matrix
+        assert log == ref_log

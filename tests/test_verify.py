@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpcodes.core import CapacityError, CodeMatrix, ParameterError, complement
+from fpcodes._util import substream
+from fpcodes.core import CapacityError, CodeMatrix, ParameterError, agreement_exceeds, complement
 from fpcodes.diagonal import build_diagonal
-from fpcodes.lll import build_frameproof, build_strongly_selective
+from fpcodes.lll import build_frameproof, build_strongly_selective, sample_column
 from fpcodes.verify import (
     check_binary_expansion,
     check_reduction_fp_to_ss,
@@ -127,6 +128,34 @@ class TestStronglySelective:
             assert (report.witness.column, report.witness.coalition) == witness
 
 
+@st.composite
+def agreement_codes(draw):
+    """Codes past one 64-bit word (t up to 130), alphabets up to the uint16
+    limit, n down to 1, and some columns forced to all zeros.  Symbols come
+    mostly from a small palette so that large alphabets still agree."""
+    q = draw(st.sampled_from([2, 3, 5, 256, 65535]))
+    t = draw(st.sampled_from([1, 2, 7, 64, 65, 130]))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = rng.choice(sorted({0, 1, q - 1}), size=(t, n))
+    entries = np.where(rng.random((t, n)) < 0.8, palette, rng.integers(0, q, size=(t, n))).astype(np.uint16)
+    entries[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0
+    return CodeMatrix(q, entries)
+
+
+def naive_lambda_witness(m, lam, w):
+    """Lexicographic scan: first column of wrong weight, else first pair."""
+    for c in range(m.n):
+        if int(np.count_nonzero(m.entries[:, c])) != w:
+            return (c, (), ())
+    for a in range(m.n):
+        for b in range(a + 1, m.n):
+            rows = nonzero_agreement_rows(m, a, b)
+            if len(rows) > lam:
+                return (a, (b,), tuple(rows))
+    return None
+
+
 class TestLambdaMatrix:
     def test_identity_is_0_1_matrix(self):
         assert is_lambda_matrix(identity(4), 0, 1).passed
@@ -159,17 +188,74 @@ class TestLambdaMatrix:
         matrix, params, _ = build_strongly_selective(2, 3, 10, seed=2)
         assert is_lambda_matrix(matrix, params.lam, params.w).passed
 
-    @given(code_matrices(), st.integers(0, 3), st.integers(0, 4))
+    @given(code_matrices(min_n=1), st.integers(0, 3), st.integers(0, 4))
     @settings(max_examples=80)
     def test_matches_naive(self, m, lam, w):
-        naive_ok = all(
-            sum(1 for i in range(m.t) if m.entries[i, j] != 0) == w for j in range(m.n)
-        ) and all(
-            len(nonzero_agreement_rows(m, a, b)) <= lam
-            for a in range(m.n)
-            for b in range(a + 1, m.n)
-        )
-        assert is_lambda_matrix(m, lam, w).passed == naive_ok
+        report = is_lambda_matrix(m, lam, w)
+        expect = naive_lambda_witness(m, lam, w)
+        assert report.passed == (expect is None)
+        if expect is not None:
+            assert (report.witness.column, report.witness.coalition, report.witness.rows) == expect
+
+
+class TestAgreementKernel:
+    @given(agreement_codes(), st.integers(0, 130))
+    @example(CodeMatrix(2, np.zeros((3, 1), dtype=np.uint16)), 0)
+    @example(CodeMatrix(65535, np.full((70, 2), 65534, dtype=np.uint16)), 69)
+    @example(CodeMatrix(65535, np.array([[65534, 0, 65534]] * 65, dtype=np.uint16)), 0)
+    @settings(max_examples=150)
+    def test_matches_naive(self, m, lam):
+        out = agreement_exceeds(m.entries, lam)
+        assert out.shape == (m.n, m.n) and out.dtype == bool
+        for a in range(m.n):
+            for b in range(m.n):
+                expect = a < b and len(nonzero_agreement_rows(m, a, b)) > lam
+                assert out[a, b] == expect, (a, b)
+
+    def test_spans_several_column_blocks(self):
+        # 300 columns cross two block edges; duplicate pairs straddle them
+        rng = np.random.default_rng(5)
+        entries = rng.integers(0, 4, size=(20, 300), dtype=np.uint16)
+        entries[:, 200] = entries[:, 100]
+        entries[:, 299] = entries[:, 0]
+        m = CodeMatrix(4, entries)
+        out = agreement_exceeds(entries, 12)
+        assert out[100, 200] and out[0, 299]
+        pairs = {(int(a), int(b)) for a, b in zip(*np.nonzero(out))}
+        naive = {
+            (a, b)
+            for a in range(300)
+            for b in range(a + 1, 300)
+            if len(nonzero_agreement_rows(m, a, b)) > 12
+        }
+        assert pairs == naive
+
+    @given(
+        st.integers(1, 6),
+        st.integers(0, 3),
+        st.integers(2, 8),
+        st.sampled_from([2, 3, 256, 65535]),
+        st.integers(0, 2**16),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=3),
+    )
+    @settings(max_examples=100)
+    def test_lambda_witness_matches_lexicographic_scan(self, w, extra, n, q, seed, planted):
+        # constant-weight columns with copied columns planted: the weights
+        # pass, so the witness is the first over-agreeing pair and its rows
+        t = w + extra + 1
+        rng = substream(seed, "plant")
+        entries = np.stack([sample_column(t, w, q, rng) for _ in range(n)], axis=1)
+        for src, dst in planted:
+            if src % n != dst % n:
+                entries[:, dst % n] = entries[:, src % n]
+        m = CodeMatrix(q, entries)
+        for lam in range(w + 1):
+            report = is_lambda_matrix(m, lam, w)
+            expect = naive_lambda_witness(m, lam, w)
+            assert report.passed == (expect is None)
+            if expect is not None:
+                wit = report.witness
+                assert (wit.column, wit.coalition, wit.rows) == expect
 
 
 class TestOracleSymmetry:
