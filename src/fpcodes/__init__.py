@@ -7,7 +7,6 @@ from .core import (
     CapacityError,
     CodeFormatError,
     CodeMatrix,
-    ColumnWeightProfile,
     ConstructionError,
     ParameterError,
     binary_expand,
@@ -43,7 +42,6 @@ __all__ = [
     "CapacityError",
     "CodeFormatError",
     "CodeMatrix",
-    "ColumnWeightProfile",
     "ConstructionError",
     "ConstructionParams",
     "ExpurgationParams",

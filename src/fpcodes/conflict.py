@@ -10,7 +10,6 @@ of size <= k gets at least one successful slot.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from ._util import substream
@@ -85,17 +84,16 @@ def guarantee_check(matrix: CodeMatrix, k: int, trials: int, seed: int, verify: 
 
 
 def exhaustive_guarantee(matrix: CodeMatrix, k: int):
-    """Simulate every active set of size exactly k.
+    """Does every active set of size exactly k succeed?
 
-    Returns (all_succeed, first_failing_set or None) with sets scanned in
-    lexicographic order; the exhaustive mirror of guarantee_check.
+    Returns (all_succeed, first_failing_set or None) with sets in
+    lexicographic order; the exhaustive mirror of guarantee_check.  A set
+    succeeds exactly when it passes the selectivity condition, so this is
+    the selectivity oracle (and its capacity guard), with `simulate` the
+    reference it is tested against.
     """
-    if not 1 <= k <= matrix.n:
-        raise ParameterError(f"need 1 <= k <= n={matrix.n}, got k={k}")
-    for group in itertools.combinations(range(matrix.n), k):
-        if not simulate(matrix, group).all_succeed:
-            return False, group
-    return True, None
+    report = is_strongly_selective(matrix, k)
+    return report.passed, None if report.passed else report.witness.coalition
 
 
 def trace_lines(matrix: CodeMatrix, active) -> list[str]:

@@ -23,10 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CapacityError, CodeMatrix, ConstructionError, ParameterError
+from .core import CodeMatrix, ConstructionError, ParameterError
+from .verify import _check_capacity, _framings
 
 MAX_REDRAWS = 50
-EVENT_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -173,40 +173,10 @@ def enumerate_bad_events(entries: np.ndarray, k: int) -> list[tuple[int, tuple[i
     Zero symbols count as agreement here, matching the framing notion.
     Pairs are reported with B in lexicographic order for each i.
     """
-    t, m = entries.shape
+    m = entries.shape[1]
     if not 1 <= k <= m - 1:
         raise ParameterError(f"need 1 <= k <= {m - 1}, got k={k}")
-    full = (1 << t) - 1
-    masks = _agreement_masks(entries)
-    events = []
-    for i in range(m):
-        row = masks[i]
-        others = [j for j in range(m) if j != i]
-        for group in itertools.combinations(others, k):
-            acc = 0
-            for j in group:
-                acc |= row[j]
-                if acc == full:
-                    break
-            if acc == full:
-                events.append((i, group))
-    return events
-
-
-def _agreement_masks(entries: np.ndarray) -> list[list[int]]:
-    # masks[a][b] = bitmask over rows where columns a and b hold equal symbols
-    t, m = entries.shape
-    eq = entries[:, :, None] == entries[:, None, :]
-    packed = np.packbits(eq, axis=0, bitorder="little")
-    nb = packed.shape[0]
-    flat = np.ascontiguousarray(np.moveaxis(packed, 0, 2)).tobytes()
-    out = []
-    for a in range(m):
-        base = a * m * nb
-        out.append(
-            [int.from_bytes(flat[base + b * nb : base + (b + 1) * nb], "little") for b in range(m)]
-        )
-    return out
+    return list(_framings(entries, k))
 
 
 def expurgate_run(q: int, k: int, n: int, seed: int = 0):
@@ -220,11 +190,7 @@ def expurgate_run(q: int, k: int, n: int, seed: int = 0):
     """
     params = expurgation_params(q, k, n, seed)
     m = n + params.ell
-    if math.comb(m - 1, k) * m > EVENT_BUDGET:
-        raise CapacityError(
-            f"event enumeration needs {math.comb(m - 1, k) * m} coalition checks, "
-            f"over the {EVENT_BUDGET} budget"
-        )
+    _check_capacity("bad-event", m * math.comb(m - 1, k))
     for attempt in range(MAX_REDRAWS):
         drawn = draw_matrix(params, attempt)
         bad = enumerate_bad_events(drawn, k)

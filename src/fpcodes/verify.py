@@ -1,16 +1,19 @@
 """Exhaustive property oracles.
 
-Each coalition check enumerates every coalition, so runtime is
-combinatorial; a capacity guard refuses instances past about 1e9 elementary
-row checks.  Per-column row masks are packed into Python integers, which
-turns the inner "is this coalition covering / blocking" loop into a few
-bitwise ops per coalition.  The lambda-matrix check needs only column pairs
-and uses the agreement kernel shared with the local-lemma builder.
-
 Frameproof, for offset k: for every column c and every set G of k other
 columns there is a row where all of G differs from c (symbol 0 included).
 Strongly selective, for size k: for every k-set G and every c in G there
 is a row where c is nonzero and the other members all differ from it.
+
+Both are one cover condition.  Pack, for column c, the rows where column j
+agrees with c into an int mask (for selectivity, only c's nonzero rows);
+G frames c, or blocks c, exactly when the OR of its members' masks covers
+every row that counts.  One generator, `_covers`, enumerates the covering
+coalitions for all the oracles and for the expurgation's bad events.
+Runtime is combinatorial, so a capacity guard counts the generator's
+last-member checks and refuses a scan of more than LEAF_BUDGET of them
+rather than subsample.  The lambda-matrix check needs only column pairs
+and uses the agreement kernel shared with the local-lemma builder.
 """
 
 from __future__ import annotations
@@ -31,7 +34,10 @@ from .core import (
     stack_rows,
 )
 
-CHECK_BUDGET = 1_000_000_000
+LEAF_BUDGET = 100_000_000
+# last-member checks per second of a passing scan (Python 3.11, one core of a
+# 2-core x86-64 VM); only the time estimate in a refusal depends on it
+LEAF_RATE = 8e6
 
 
 @dataclass(frozen=True)
@@ -61,22 +67,6 @@ class VerificationReport:
         return self.passed
 
 
-def _column_masks_against(entries: np.ndarray, c: int) -> list[int]:
-    # mask[j] = rows where column j matches column c
-    eq = entries == entries[:, c : c + 1]
-    packed = np.packbits(eq, axis=0, bitorder="little")
-    nb, n = packed.shape
-    flat = np.ascontiguousarray(packed.T).tobytes()
-    return [int.from_bytes(flat[j * nb : (j + 1) * nb], "little") for j in range(n)]
-
-
-def _nonzero_masks(entries: np.ndarray) -> list[int]:
-    packed = np.packbits(entries != 0, axis=0, bitorder="little")
-    nb, n = packed.shape
-    flat = np.ascontiguousarray(packed.T).tobytes()
-    return [int.from_bytes(flat[j * nb : (j + 1) * nb], "little") for j in range(n)]
-
-
 def coalition_covers(matrix: CodeMatrix, column: int, coalition) -> bool:
     """True when in every row some coalition member equals `column`'s symbol."""
     e = matrix.entries
@@ -98,29 +88,65 @@ def nonzero_agreement_rows(matrix: CodeMatrix, a: int, b: int):
     return [i for i in range(matrix.t) if e[i, a] == e[i, b] and e[i, a] != 0]
 
 
+def _pack(bits: np.ndarray) -> list[int]:
+    """Columns of a (t, n) bool array as ints, bit i set where row i is."""
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    nb = packed.shape[0]
+    flat = packed.T.tobytes()
+    return [int.from_bytes(flat[i : i + nb], "little") for i in range(0, len(flat), nb)]
+
+
+def _covers(masks: list[int], need: int, k: int, start: int = 0, acc: int = 0):
+    """Every increasing k-tuple of indices >= start into masks whose OR with
+    acc equals need, in lexicographic order.
+
+    Every mask and acc must lie within need.  Depth first, carrying the
+    prefix OR down; once a prefix covers need, every extension does.
+    """
+    if acc == need:
+        yield from itertools.combinations(range(start, len(masks)), k)
+    elif k == 1:
+        for i in range(start, len(masks)):
+            if acc | masks[i] == need:
+                yield (i,)
+    elif k > 1:
+        for i in range(start, len(masks) - k + 1):
+            for rest in _covers(masks, need, k - 1, i + 1, acc | masks[i]):
+                yield (i, *rest)
+
+
+def _check_capacity(what: str, leaves: int) -> None:
+    """Refuse a scan of more than LEAF_BUDGET last-member checks of `_covers`."""
+    if leaves > LEAF_BUDGET:
+        raise CapacityError(
+            f"{what} check needs ~{leaves} coalition checks (~{leaves / LEAF_RATE:.3g} s), "
+            f"over the {LEAF_BUDGET} budget"
+        )
+
+
+def _framings(entries: np.ndarray, k: int):
+    """Every (c, G), |G| = k, c not in G, where some member of G equals
+    column c in every row (symbol 0 included), in lexicographic order."""
+    t, n = entries.shape
+    full = (1 << t) - 1
+    for c in range(n):
+        # index i stands for column i below c and for column i+1 from c on
+        masks = _pack(entries == entries[:, c : c + 1])
+        del masks[c]
+        for hit in _covers(masks, full, k):
+            yield c, tuple(i + (i >= c) for i in hit)
+
+
 def is_frameproof(matrix: CodeMatrix, k: int) -> VerificationReport:
     """Exhaustive k-frameproof check; the witness is the first failure in
     lexicographic (column, coalition) order."""
-    n, t = matrix.n, matrix.t
+    n = matrix.n
     if not 1 <= k <= n - 1:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    cost = n * math.comb(n - 1, k) * t
-    if cost > CHECK_BUDGET:
-        raise CapacityError(f"frameproof check needs ~{cost} row checks, over {CHECK_BUDGET}")
-    entries = matrix.entries
-    full = (1 << t) - 1
+    _check_capacity("frameproof", n * math.comb(n - 1, k))
     params = {"k": k}
-    for c in range(n):
-        masks = _column_masks_against(entries, c)
-        others = [j for j in range(n) if j != c]
-        for group in itertools.combinations(others, k):
-            acc = 0
-            for j in group:
-                acc |= masks[j]
-                if acc == full:
-                    break
-            if acc == full:
-                return VerificationReport("frameproof", params, False, Witness(c, group))
+    for c, group in _framings(matrix.entries, k):
+        return VerificationReport("frameproof", params, False, Witness(c, group))
     return VerificationReport("frameproof", params, True, None)
 
 
@@ -129,31 +155,38 @@ def is_strongly_selective(matrix: CodeMatrix, k: int) -> VerificationReport:
 
     The witness reports the first failing (coalition, member): coalition
     sets are scanned in lexicographic order and members in index order
-    within each set.
+    within each set.  Sets are taken by their smallest member g; each
+    member c >= g is checked against its nonzero rows, and the first g
+    with a failure gives the least (set, member) over its members.
     """
-    n, t = matrix.n, matrix.t
+    n = matrix.n
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    cost = math.comb(n, k) * k * t
-    if cost > CHECK_BUDGET:
-        raise CapacityError(f"selectivity check needs ~{cost} row checks, over {CHECK_BUDGET}")
+    _check_capacity("selectivity", n * math.comb(n - 1, k - 1))
     entries = matrix.entries
     params = {"k": k}
-    nz = _nonzero_masks(entries)
-    if k == 1:
-        for c in range(n):
-            if nz[c] == 0:
-                return VerificationReport("strongly_selective", params, False, Witness(c, (c,)))
-        return VerificationReport("strongly_selective", params, True, None)
-    masks = [_column_masks_against(entries, c) for c in range(n)]
-    for group in itertools.combinations(range(n), k):
-        for c in group:
-            blocked = 0
-            for j in group:
-                if j != c:
-                    blocked |= masks[c][j]
-            if nz[c] & ~blocked == 0:
-                return VerificationReport("strongly_selective", params, False, Witness(c, group))
+    cols = []
+    for c in range(n):
+        # rows where column j holds column c's nonzero symbol; column c's own
+        # entry is its nonzero rows, and the rest index as in `_framings`
+        ref = entries[:, c : c + 1]
+        masks = _pack((entries == ref) & (ref != 0))
+        need = masks.pop(c)
+        cols.append((masks, need))
+    for g in range(n - k + 1):
+        failures = []
+        for c in range(g, n if k > 1 else g + 1):
+            masks, need = cols[c]
+            if c == g:
+                hit = next(_covers(masks, need, k - 1, g), None)
+            else:
+                rest = next(_covers(masks, need, k - 2, g + 1, masks[g]), None)
+                hit = None if rest is None else (g, *rest)
+            if hit is not None:
+                failures.append((tuple(sorted([c, *(i + (i >= c) for i in hit)])), c))
+        if failures:
+            group, c = min(failures)
+            return VerificationReport("strongly_selective", params, False, Witness(c, group))
     return VerificationReport("strongly_selective", params, True, None)
 
 

@@ -13,3 +13,18 @@ def code_matrices(draw, min_q=2, max_q=4, min_t=1, max_t=6, min_n=2, max_n=6):
     n = draw(st.integers(min_n, max_n))
     flat = draw(st.lists(st.integers(0, q - 1), min_size=t * n, max_size=t * n))
     return CodeMatrix(q, np.array(flat, dtype=np.uint16).reshape(t, n))
+
+
+@st.composite
+def wide_codes(draw):
+    """Codes of 65 to 130 rows (masks past one 64-bit word) with column c
+    planted as a row-by-row mix of columns a and b: {a, b} covers c, so any
+    set holding a and b frames c, and any set holding all three blocks c."""
+    q = draw(st.integers(2, 4))
+    t = draw(st.integers(65, 130))
+    n = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = rng.integers(0, q, size=(t, n), dtype=np.uint16)
+    a, b, c = draw(st.permutations(range(n)))[:3]
+    entries[:, c] = np.where(rng.random(t) < 0.5, entries[:, a], entries[:, b])
+    return CodeMatrix(q, entries)

@@ -1,9 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fpcodes.lll
+import fpcodes.verify
 from fpcodes.cli import main
 from fpcodes.core import ConstructionError, read_code
 
@@ -197,10 +200,33 @@ class TestBench:
         for r in rows:
             assert int(r[3]) >= int(r[7])
 
+    def test_capacity_skips_verification(self, capsys, monkeypatch):
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 10)
+        code, out, err = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
+        assert code == 0
+        assert "bench: verification skipped for q=3 k=2 n=10 (capacity)" in err
+        assert len(out.strip().split("\n")) == 2
+
     def test_bad_grid_exit_2(self, capsys):
         assert run(capsys, "bench", "--grid", "q=2;k=2")[0] == 2  # no n
         assert run(capsys, "bench", "--grid", "q=two;k=2;n=10")[0] == 2
         assert run(capsys, "bench", "--grid", "q=;k=2;n=10")[0] == 2
+
+
+def readme_commands():
+    """The `fpcodes ...` lines of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("fpcodes ")]
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["construct", "verify", "bounds", "simulate", "simulate", "bench"]
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_unknown_command_raises_systemexit():

@@ -22,6 +22,7 @@ from fpcodes.expurgate import (
     symbol_distribution,
 )
 from fpcodes.verify import is_frameproof
+from strategies import code_matrices, wide_codes
 
 mp.mp.dps = 50
 
@@ -193,14 +194,10 @@ def naive_bad_events(entries, k):
 
 class TestEnumerateBadEvents:
     @given(st.data())
-    @settings(max_examples=60)
+    @settings(max_examples=150)
     def test_matches_naive(self, data):
-        t = data.draw(st.integers(1, 4))
-        m = data.draw(st.integers(3, 6))
-        k = data.draw(st.integers(1, m - 1))
-        q = data.draw(st.integers(2, 3))
-        flat = data.draw(st.lists(st.integers(0, q - 1), min_size=t * m, max_size=t * m))
-        entries = np.array(flat, dtype=np.uint16).reshape(t, m)
+        entries = data.draw(st.one_of(code_matrices(max_n=8), wide_codes())).entries
+        k = data.draw(st.integers(1, entries.shape[1] - 1))
         assert enumerate_bad_events(entries, k) == naive_bad_events(entries, k)
 
     def test_duplicate_columns_always_bad(self):

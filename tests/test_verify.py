@@ -20,7 +20,7 @@ from fpcodes.verify import (
     nonzero_agreement_rows,
     selective_row_exists,
 )
-from strategies import code_matrices
+from strategies import code_matrices, wide_codes
 
 
 def mat(q, rows):
@@ -29,6 +29,13 @@ def mat(q, rows):
 
 def identity(n):
     return CodeMatrix(2, np.eye(n, dtype=np.uint16))
+
+
+def zero_last(n):
+    """Identity on n-1 columns, then a zero column.  Only sets holding column
+    n-1 fail, so the first failing k-set is (0, ..., k-2, n-1); for k >= 2
+    it turns up while the sets whose smallest member is 0 are scanned."""
+    return CodeMatrix(2, np.eye(n - 1, n, dtype=np.uint16))
 
 
 def naive_frameproof(m, k):
@@ -78,11 +85,10 @@ class TestFrameproof:
         with pytest.raises(CapacityError):
             is_frameproof(big, 60)
 
-    @given(code_matrices(), st.integers(1, 3))
-    @settings(max_examples=120)
+    @given(st.one_of(code_matrices(max_n=8), wide_codes()), st.integers(1, 8))
+    @settings(max_examples=200)
     def test_matches_naive(self, m, k):
-        if k > m.n - 1:
-            k = m.n - 1
+        k = 1 + (k - 1) % (m.n - 1)  # any k from 1 to n-1
         report = is_frameproof(m, k)
         ok, witness = naive_frameproof(m, k)
         assert report.passed == ok
@@ -116,15 +122,17 @@ class TestStronglySelective:
         with pytest.raises(CapacityError):
             is_strongly_selective(big, 45)
 
-    @given(code_matrices(), st.integers(1, 3))
-    @settings(max_examples=120)
+    @given(st.one_of(code_matrices(max_n=8), wide_codes()), st.integers(1, 8))
+    @example(zero_last(6), 4)
+    @example(zero_last(6), 2)
+    @example(zero_last(3), 1)
+    @settings(max_examples=200)
     def test_matches_naive(self, m, k):
-        if k > m.n:
-            k = m.n
+        k = 1 + (k - 1) % m.n  # any k from 1 to n
         report = is_strongly_selective(m, k)
         ok, witness = naive_selective(m, k)
         assert report.passed == ok
-        if not ok and k > 1:
+        if not ok:
             assert (report.witness.column, report.witness.coalition) == witness
 
 
