@@ -41,6 +41,9 @@ class CodeFormatError(ValueError):
         self.line = line
 
 
+MAX_Q = 1 << 16  # largest alphabet: symbols are stored as uint16
+
+
 @dataclass(frozen=True, eq=False)
 class CodeMatrix:
     """Immutable t x n matrix over {0, ..., q-1}, one codeword per column."""
@@ -56,7 +59,7 @@ class CodeMatrix:
             raise ParameterError(f"entries must be 2-dimensional, got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.q):
             raise ParameterError(f"entries must lie in [0, {self.q - 1}]")
-        if self.q > np.iinfo(np.uint16).max + 1:
+        if self.q > MAX_Q:
             raise ParameterError("alphabet size exceeds uint16 storage")
         arr = np.ascontiguousarray(arr, dtype=np.uint16)
         arr.setflags(write=False)
@@ -171,17 +174,41 @@ def binary_expand(matrix: CodeMatrix) -> CodeMatrix:
     return CodeMatrix(2, out)
 
 
+IO_BLOCK = 1 << 16  # symbols per row block of the text reader and writer
+
+SPACE, NEWLINE, ZERO = 32, 10, 48
+
+
 def write_code(matrix: CodeMatrix) -> bytes:
     """Serialize to the plain text format.
 
     First line is "q t n"; each of the t following lines holds n
-    space-separated symbols; the file ends with a single newline.  The
-    output is byte-exact: re-serializing a parsed code reproduces it.
+    space-separated symbols (an empty line when n = 0); the file ends with
+    a single newline.  The output is byte-exact: re-serializing a parsed
+    code reproduces it.  Rows are formatted IO_BLOCK symbols at a time,
+    each block scattered into one uint8 buffer.
     """
-    lines = [f"{matrix.q} {matrix.t} {matrix.n}"]
-    for row in matrix.entries:
-        lines.append(" ".join(str(int(s)) for s in row))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    q, t, n = matrix.q, matrix.t, matrix.n
+    header = f"{q} {t} {n}\n".encode("ascii")
+    if n == 0:
+        return header + b"\n" * t
+    parts = [header]
+    width = len(str(q - 1))
+    step = max(1, IO_BLOCK // n)
+    for r0 in range(0, t, step):
+        symbols = matrix.entries[r0 : r0 + step].ravel()
+        lengths = np.ones(symbols.size, dtype=np.int64)
+        for d in range(1, width):
+            lengths += symbols >= 10**d
+        seps = np.cumsum(lengths + 1) - 1  # the space or newline after each symbol
+        out = np.full(seps[-1] + 1, SPACE, dtype=np.uint8)
+        out[seps[n - 1 :: n]] = NEWLINE
+        out[seps - 1] = symbols % 10 + ZERO
+        for d in range(1, width):
+            longer = lengths > d
+            out[seps[longer] - 1 - d] = symbols[longer] // 10**d % 10 + ZERO
+        parts.append(out.tobytes())
+    return b"".join(parts)
 
 
 def _parse_canonical_int(token: str, what: str, line: int) -> int:
@@ -193,46 +220,107 @@ def _parse_canonical_int(token: str, what: str, line: int) -> int:
     return int(token)
 
 
+def _parse_row(raw: str, n: int, q: int, line: int) -> list[int]:
+    """The n symbols of one row, token by token; the source of every row
+    error message."""
+    tokens = raw.split(" ") if raw else []
+    if len(tokens) != n or "" in tokens:
+        raise CodeFormatError(f"expected {n} symbols, got {raw!r}", line)
+    row = []
+    for tok in tokens:
+        s = _parse_canonical_int(tok, "symbol", line)
+        if s >= q:
+            raise CodeFormatError(f"symbol {s} out of range [0, {q - 1}]", line)
+        row.append(s)
+    return row
+
+
+def _parse_block(block: np.ndarray, rows: int, n: int, q: int) -> np.ndarray | None:
+    """The (rows, n) symbols of `block`, the bytes of `rows` whole lines, or
+    None when any of those lines breaks the format (the caller then re-reads
+    them with `_parse_row` for the error).
+
+    A well-formed block is n canonical integers below q per line, each
+    followed by one separator: a space, or a newline after the n-th.
+    """
+    if n == 0:
+        return np.zeros((rows, 0), dtype=np.uint16) if block.size == rows else None
+    seps = np.flatnonzero(block - np.uint8(ZERO) >= 10)  # every byte but a digit
+    if seps.size != rows * n:
+        return None
+    grid = block[seps].reshape(rows, n)
+    if (grid[:, :-1] != SPACE).any() or (grid[:, -1] != NEWLINE).any():
+        return None
+    lengths = np.diff(seps, prepend=-1) - 1
+    widest = int(lengths.max())
+    if lengths.min() < 1 or widest > len(str(q - 1)):
+        return None
+    if ((block[seps - lengths] == ZERO) & (lengths > 1)).any():
+        return None
+    # cast to uint32 before scaling: 5-digit values overflow uint8 and uint16
+    values = (block[seps - 1] - np.uint8(ZERO)).astype(np.uint32)
+    for d in range(1, widest):
+        digits = np.where(lengths > d, block[np.maximum(seps - 1 - d, 0)] - np.uint8(ZERO), 0)
+        values += digits.astype(np.uint32) * 10**d
+    if values.max() >= q:
+        return None
+    return values.reshape(rows, n)
+
+
 def read_code(data: bytes) -> CodeMatrix:
     """Parse the text format produced by `write_code`, strictly.
 
-    Any deviation (missing trailing newline, blank lines, extra spaces,
-    wrong token counts, non-canonical integers, out-of-range symbols)
-    raises CodeFormatError with the offending 1-based line number.
+    Any deviation (missing trailing newline, blank lines when n >= 1, extra
+    spaces, wrong token counts, non-canonical integers, out-of-range
+    symbols, an alphabet above MAX_Q) raises CodeFormatError with the
+    offending 1-based line number.  Rows are checked and converted IO_BLOCK
+    symbols at a time on the byte buffer; a block that fails is re-read
+    line by line by `_parse_row`, so the first bad line and its message are
+    those of a plain token-by-token reader.
     """
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise CodeFormatError(f"not ASCII text: {exc.reason}", 1) from None
-    if "\r" in text:
-        raise CodeFormatError("carriage returns are not allowed", text[: text.index("\r")].count("\n") + 1)
-    if not text.endswith("\n"):
-        raise CodeFormatError("missing trailing newline", max(1, text.count("\n") + 1))
-    lines = text.split("\n")[:-1]
-    if not lines:
-        raise CodeFormatError("empty input", 1)
+    if not data.isascii():
+        try:
+            data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise CodeFormatError(f"not ASCII text: {exc.reason}", 1) from None
+    cr = data.find(b"\r")
+    if cr >= 0:
+        raise CodeFormatError("carriage returns are not allowed", data.count(b"\n", 0, cr) + 1)
+    if not data.endswith(b"\n"):
+        raise CodeFormatError("missing trailing newline", data.count(b"\n") + 1)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == NEWLINE)  # ends[i]: the newline closing line i + 1
 
-    header = lines[0].split(" ")
-    if len(header) != 3 or any(tok == "" for tok in header):
-        raise CodeFormatError(f"header must be 'q t n', got {lines[0]!r}", 1)
+    def line(i: int) -> str:
+        return data[ends[i - 2] + 1 if i > 1 else 0 : ends[i - 1]].decode("ascii")
+
+    header = line(1).split(" ")
+    if len(header) != 3 or "" in header:
+        raise CodeFormatError(f"header must be 'q t n', got {line(1)!r}", 1)
     q = _parse_canonical_int(header[0], "alphabet size", 1)
     t = _parse_canonical_int(header[1], "length", 1)
     n = _parse_canonical_int(header[2], "codeword count", 1)
     if q < 2:
         raise CodeFormatError(f"alphabet size {q} must be at least 2", 1)
+    if q > MAX_Q:
+        raise CodeFormatError(f"alphabet size {q} exceeds {MAX_Q}", 1)
 
-    if len(lines) - 1 < t:
-        raise CodeFormatError(f"expected {t} symbol rows, found {len(lines) - 1}", len(lines) + 1)
-    entries = np.zeros((t, n), dtype=np.uint16)
-    for i, raw in enumerate(lines[1 : t + 1], start=2):
-        tokens = raw.split(" ")
-        if len(tokens) != n or any(tok == "" for tok in tokens):
-            raise CodeFormatError(f"expected {n} symbols, got {raw!r}", i)
-        for j, tok in enumerate(tokens):
-            s = _parse_canonical_int(tok, "symbol", i)
-            if s >= q:
-                raise CodeFormatError(f"symbol {s} out of range [0, {q - 1}]", i)
-            entries[i - 2, j] = s
-    if len(lines) - 1 > t:
-        raise CodeFormatError(f"expected {t} symbol rows, found {len(lines) - 1}", t + 2)
+    found = ends.size - 1
+    if found < t:
+        raise CodeFormatError(f"expected {t} symbol rows, found {found}", found + 2)
+    if 2 * n * t > len(data):
+        # a row of n symbols takes 2n bytes, so some row is malformed: find
+        # it before sizing an array by the header
+        for i in range(2, t + 2):
+            _parse_row(line(i), n, q, i)
+    entries = np.empty((t, n), dtype=np.uint16)
+    step = max(1, IO_BLOCK // max(n, 1))
+    for r0 in range(0, t, step):
+        r1 = min(r0 + step, t)
+        values = _parse_block(buf[ends[r0] + 1 : ends[r1] + 1], r1 - r0, n, q)
+        if values is None:
+            values = [_parse_row(line(i), n, q, i) for i in range(r0 + 2, r1 + 2)]
+        entries[r0:r1] = values
+    if found > t:
+        raise CodeFormatError(f"expected {t} symbol rows, found {found}", t + 2)
     return CodeMatrix(q, entries)

@@ -107,6 +107,14 @@ class TestVerify:
         assert code == 2
         assert "line" in err
 
+    @pytest.mark.parametrize("data", [b"70000 1 1\n5\n", b"100000 1 1\n70000\n"])
+    def test_oversized_alphabet_exit_2(self, tmp_path, capsys, data):
+        path = tmp_path / "big.code"
+        path.write_bytes(data)
+        code, _, err = run(capsys, "verify", "--in", str(path), "--property", "fp", "--k", "1")
+        assert code == 2
+        assert err.startswith("error: line 1: alphabet size")
+
     def test_capacity_exit_2(self, tmp_path, capsys):
         path = tmp_path / "wide.code"
         path.write_bytes(b"2 1 120\n" + b" ".join([b"0"] * 120) + b"\n")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fpcodes import core
 from fpcodes.core import (
     CodeFormatError,
     CodeMatrix,
@@ -126,52 +127,183 @@ class TestTransforms:
                 assert int(block[:, j].sum()) == 1
 
 
+def reference_write_code(matrix):
+    """The per-symbol writer `write_code` replaced, kept as the byte-exact
+    reference."""
+    lines = [f"{matrix.q} {matrix.t} {matrix.n}"]
+    for row in matrix.entries:
+        lines.append(" ".join(str(int(s)) for s in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _reference_int(token, what, line):
+    if not token or not token.isascii() or not token.isdigit():
+        raise CodeFormatError(f"{what} {token!r} is not a nonnegative integer", line)
+    if token != str(int(token)):
+        raise CodeFormatError(f"{what} {token!r} has leading zeros", line)
+    return int(token)
+
+
+def reference_read_code(data):
+    """The token-by-token reader the row-block `read_code` replaced, with its
+    two rule changes: q above 65536 is a line-1 error, and an empty row is
+    the row of a code with n = 0."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CodeFormatError(f"not ASCII text: {exc.reason}", 1) from None
+    if "\r" in text:
+        raise CodeFormatError("carriage returns are not allowed", text[: text.index("\r")].count("\n") + 1)
+    if not text.endswith("\n"):
+        raise CodeFormatError("missing trailing newline", max(1, text.count("\n") + 1))
+    lines = text.split("\n")[:-1]
+    header = lines[0].split(" ")
+    if len(header) != 3 or any(tok == "" for tok in header):
+        raise CodeFormatError(f"header must be 'q t n', got {lines[0]!r}", 1)
+    q = _reference_int(header[0], "alphabet size", 1)
+    t = _reference_int(header[1], "length", 1)
+    n = _reference_int(header[2], "codeword count", 1)
+    if q < 2:
+        raise CodeFormatError(f"alphabet size {q} must be at least 2", 1)
+    if q > 65536:
+        raise CodeFormatError(f"alphabet size {q} exceeds 65536", 1)
+    if len(lines) - 1 < t:
+        raise CodeFormatError(f"expected {t} symbol rows, found {len(lines) - 1}", len(lines) + 1)
+    rows = []
+    for i, raw in enumerate(lines[1 : t + 1], start=2):
+        tokens = raw.split(" ") if raw else []
+        if len(tokens) != n or any(tok == "" for tok in tokens):
+            raise CodeFormatError(f"expected {n} symbols, got {raw!r}", i)
+        row = []
+        for tok in tokens:
+            s = _reference_int(tok, "symbol", i)
+            if s >= q:
+                raise CodeFormatError(f"symbol {s} out of range [0, {q - 1}]", i)
+            row.append(s)
+        rows.append(row)
+    if len(lines) - 1 > t:
+        raise CodeFormatError(f"expected {t} symbol rows, found {len(lines) - 1}", t + 2)
+    return CodeMatrix(q, np.array(rows, dtype=np.uint16).reshape(t, n))
+
+
+def outcome(reader, data):
+    """The code `reader` returns for `data`, or the (line, message) of its
+    CodeFormatError."""
+    try:
+        return reader(data)
+    except CodeFormatError as err:
+        return err.line, str(err)
+
+
+@st.composite
+def edited_files(draw):
+    """A valid code file, q up to 65536, after one to three edits: a byte
+    substituted, inserted or deleted, or a run of digits inserted."""
+    q = draw(st.sampled_from([2, 3, 10, 11, 100, 101, 1000, 65535, 65536]))
+    m = draw(code_matrices(min_q=q, max_q=q, min_t=0, max_t=5, min_n=0, max_n=5))
+    data = bytearray(write_code(m))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        piece = draw(st.one_of(st.sampled_from([bytes([c]) for c in b" \n-0123456789\r\xff"]),
+                               st.text("0123456789", min_size=2, max_size=10).map(str.encode)))
+        kind = draw(st.sampled_from(["substitute", "insert", "delete"]))
+        if kind == "insert":
+            data[i:i] = piece
+        elif i < len(data):
+            data[i : i + 1] = piece[:1] if kind == "substitute" else b""
+    return bytes(data)
+
+
+# input -> (line, message) of the CodeFormatError read_code raises
+MALFORMED = {
+    b"": (1, "missing trailing newline"),
+    b"3 2 4": (1, "missing trailing newline"),
+    b"3 2 4\n1 0 2 0\n0 1 0 2": (3, "missing trailing newline"),  # on the last row
+    b"3 x 4\n": (1, "length 'x' is not a nonnegative integer"),
+    b"03 2 4\n1 0 2 0\n0 1 0 2\n": (1, "alphabet size '03' has leading zeros"),
+    b"3 2\n": (1, "header must be 'q t n', got '3 2'"),
+    b"3 2 4 9\n": (1, "header must be 'q t n', got '3 2 4 9'"),
+    b"1 1 1\n0\n": (1, "alphabet size 1 must be at least 2"),
+    b"70000 1 1\n5\n": (1, "alphabet size 70000 exceeds 65536"),
+    b"100000 1 1\n70000\n": (1, "alphabet size 100000 exceeds 65536"),
+    b"65537 1 1\n0\n": (1, "alphabet size 65537 exceeds 65536"),
+    b"3 2 4\n1 0 2 0\n": (3, "expected 2 symbol rows, found 1"),
+    b"3 1 4\n1 0 2 0\n0 1 0 2\n": (3, "expected 1 symbol rows, found 2"),
+    b"3 2 4\n1 0 2\n0 1 0 2\n": (2, "expected 4 symbols, got '1 0 2'"),
+    b"3 2 4\n1 0 2 0 0\n0 1 0 2\n": (2, "expected 4 symbols, got '1 0 2 0 0'"),
+    b"2 1 100000000000\n0\n": (2, "expected 100000000000 symbols, got '0'"),  # n too big to allocate
+    b"3 2 4\n1 0 3 0\n0 1 0 2\n": (2, "symbol 3 out of range [0, 2]"),
+    b"12 1 3\n1 123 2\n": (2, "symbol 123 out of range [0, 11]"),
+    b"65536 1 1\n4294967296\n": (2, "symbol 4294967296 out of range [0, 65535]"),  # 2**32
+    b"12 1 3\n1 011 2\n": (2, "symbol '011' has leading zeros"),
+    b"12 1 3\n1 01 2\n": (2, "symbol '01' has leading zeros"),
+    b"3 2 4\n1 0 -1 0\n0 1 0 2\n": (2, "symbol '-1' is not a nonnegative integer"),
+    b"3 1 4\n1 0-1 0\n": (2, "expected 4 symbols, got '1 0-1 0'"),
+    b"3 2 4\n1  0 2 0\n0 1 0 2\n": (2, "expected 4 symbols, got '1  0 2 0'"),
+    b"1000 1 3\n5  7\n": (2, "expected 3 symbols, got '5  7'"),  # empty token, right token count
+    b"3 2 4\n1 0 2 0 \n0 1 0 2\n": (2, "expected 4 symbols, got '1 0 2 0 '"),
+    b"3 2 4\n1 0 2 0\n\n0 1 0 2\n": (3, "expected 4 symbols, got ''"),  # blank line
+    b"3 2 0\n\n1\n": (3, "expected 0 symbols, got '1'"),
+    b"3 2 4\r\n1 0 2 0\n0 1 0 2\n": (1, "carriage returns are not allowed"),
+}
+
+
 class TestTextFormat:
     def test_write_exact_bytes(self):
         m = mat(3, [[1, 0, 2, 0], [0, 1, 0, 2]])
         assert write_code(m) == b"3 2 4\n1 0 2 0\n0 1 0 2\n"
 
-    @given(code_matrices(max_q=12, max_t=8, max_n=8))
+    @given(st.sampled_from([2, 3, 10, 11, 1000, 65536]).flatmap(
+        lambda q: code_matrices(min_q=q, max_q=q, min_t=0, max_t=8, min_n=0, max_n=8)))
     def test_round_trip_bit_exact(self, m):
         data = write_code(m)
+        assert data == reference_write_code(m)
         back = read_code(data)
         assert back == m
         assert write_code(back) == data
+
+    @pytest.mark.parametrize("q", [2, 11, 1000, 65536])
+    def test_round_trip_across_row_blocks(self, q):
+        # 40 x 3000 spans two row blocks; symbols of every width up to q's
+        rng = np.random.default_rng(q)
+        widths = rng.integers(0, len(str(q - 1)), size=(40, 3000))
+        entries = np.minimum(rng.integers(1, 10, size=(40, 3000)) * 10**widths, q - 1)
+        m = CodeMatrix(q, entries)
+        data = write_code(m)
+        assert data == reference_write_code(m)
+        assert read_code(data) == m
+
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    def test_zero_columns_round_trip(self, t):
+        m = CodeMatrix(3, np.zeros((t, 0), dtype=np.uint16))
+        data = write_code(m)
+        assert data == b"3 %d 0\n" % t + b"\n" * t
+        assert read_code(data) == m
 
     def test_reads_minimal_code(self):
         m = read_code(b"2 1 1\n0\n")
         assert (m.q, m.t, m.n) == (2, 1, 1)
 
-    @pytest.mark.parametrize(
-        "data,line",
-        [
-            (b"", 1),
-            (b"3 2 4", 1),                      # no trailing newline
-            (b"3 2 4\n1 0 2 0\n0 1 0 2", 3),    # newline missing on last row
-            (b"3 x 4\n", 1),                    # non-integer length
-            (b"03 2 4\n1 0 2 0\n0 1 0 2\n", 1), # leading zero
-            (b"3 2\n", 1),                      # short header
-            (b"3 2 4 9\n", 1),                  # long header
-            (b"1 1 1\n0\n", 1),                 # q too small
-            (b"3 2 4\n1 0 2 0\n", 3),           # missing row
-            (b"3 1 4\n1 0 2 0\n0 1 0 2\n", 3),  # extra row
-            (b"3 2 4\n1 0 2\n0 1 0 2\n", 2),    # short row
-            (b"3 2 4\n1 0 2 0 0\n0 1 0 2\n", 2),# long row
-            (b"3 2 4\n1 0 3 0\n0 1 0 2\n", 2),  # symbol out of range
-            (b"3 2 4\n1 0 -1 0\n0 1 0 2\n", 2), # negative symbol
-            (b"3 2 4\n1  0 2 0\n0 1 0 2\n", 2), # double space
-            (b"3 2 4\n1 0 2 0 \n0 1 0 2\n", 2), # trailing space
-            (b"3 2 4\n1 0 2 0\n\n0 1 0 2\n", 3),# blank line
-            (b"3 2 4\r\n1 0 2 0\n0 1 0 2\n", 1),# CRLF
-        ],
-    )
+    @pytest.mark.parametrize("data,line", [(data, line) for data, (line, _) in MALFORMED.items()])
     def test_malformed_inputs(self, data, line):
         with pytest.raises(CodeFormatError) as err:
             read_code(data)
         assert err.value.line == line
+        assert str(err.value) == f"line {line}: {MALFORMED[data][1]}"
 
     def test_non_ascii_rejected(self):
         with pytest.raises(CodeFormatError):
             read_code("3 2 4 \n".encode("utf-8"))
         with pytest.raises(CodeFormatError):
             read_code(b"\xff\xfe3 2 4\n")
+
+    @given(edited_files())
+    def test_matches_reference_reader(self, data):
+        assert outcome(read_code, data) == outcome(reference_read_code, data)
+
+    @given(edited_files(), st.integers(1, 12))
+    def test_matches_reference_reader_small_blocks(self, data, block):
+        # a few symbols per row block, so that edits land on block edges
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "IO_BLOCK", block)
+            assert outcome(read_code, data) == outcome(reference_read_code, data)
