@@ -6,15 +6,23 @@ A transmission succeeds iff no other active station uses the same channel
 in the same slot (pure collision channel: no capture, no noise).  A
 k-strongly-selective schedule guarantees every station in any active set
 of size <= k gets at least one successful slot.
+
+`simulate` runs the schedule for one active set and is the reference the
+two checks are tested against.  `guarantee_check` tests sampled sets in
+numpy batches, and `exhaustive_guarantee` is the selectivity oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._util import substream
 from .core import CodeMatrix, ParameterError, column_weight
 from .verify import is_strongly_selective
+
+GATHER_BLOCK = 1 << 18  # symbols gathered per batch of sampled active sets
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,12 +53,10 @@ def simulate(matrix: CodeMatrix, active) -> ScheduleOutcome:
     for s in stations:
         if not 0 <= s < matrix.n:
             raise ParameterError(f"station {s} out of range [0, {matrix.n})")
-    entries = matrix.entries
     success = {s: None for s in stations}
-    for i in range(matrix.t):
+    for i, row in enumerate(matrix.entries[:, stations].tolist()):
         users: dict[int, list[int]] = {}
-        for s in stations:
-            sym = int(entries[i, s])
+        for s, sym in zip(stations, row):
             if sym:
                 users.setdefault(sym, []).append(s)
         for txs in users.values():
@@ -60,13 +66,41 @@ def simulate(matrix: CodeMatrix, active) -> ScheduleOutcome:
     return ScheduleOutcome(frozenset(stations), success, matrix.t, attempts)
 
 
+def _sets_succeed(entries: np.ndarray, sets: np.ndarray) -> bool:
+    """Does every station of every active set in `sets`, an (m, s) array
+    of station indices, get a slot where it transmits alone?
+
+    Member j of a set is alone in slot i when its symbol there is nonzero
+    and differs from every other member's.  The sets' symbols are gathered
+    as rows x m x s blocks of at most GATHER_BLOCK symbols (one block
+    unless a single set's column is longer) and tested one member position
+    at a time.
+    """
+    m, s = sets.shape
+    found = np.zeros((m, s), dtype=bool)
+    step = max(1, GATHER_BLOCK // sets.size)
+    for r0 in range(0, entries.shape[0], step):
+        g = entries[r0 : r0 + step, sets]
+        for j in range(s):
+            alone = g[..., j] != 0
+            for other in range(s):
+                if other != j:
+                    alone &= g[..., other] != g[..., j]
+            found[:, j] |= alone.any(axis=0)
+    return bool(found.all())
+
+
 def guarantee_check(matrix: CodeMatrix, k: int, trials: int, seed: int, verify: bool = False) -> bool:
     """Sample random active sets of size <= k; True iff all stations always succeed.
 
     With verify=True the selectivity oracle is run first and a failing
     matrix raises ParameterError; otherwise the precondition is trusted.
     Per-trial RNG streams are derived counter-style from the seed, so
-    trials are order-independent and could run in parallel.
+    trials are order-independent and could run in parallel.  The sets are
+    checked in batches (`_sets_succeed`), one chunk of trials at a time:
+    chunks double from one trial up to GATHER_BLOCK gathered symbols, and
+    the first chunk holding a failing set ends the check.  The verdict is
+    that of running `simulate` on every set, its reference.
     """
     if k < 1 or k > matrix.n:
         raise ParameterError(f"need 1 <= k <= n={matrix.n}, got k={k}")
@@ -74,12 +108,18 @@ def guarantee_check(matrix: CodeMatrix, k: int, trials: int, seed: int, verify: 
         raise ParameterError(f"trials={trials} must be positive")
     if verify and not is_strongly_selective(matrix, k).passed:
         raise ParameterError(f"matrix is not {k}-strongly selective")
-    for trial in range(trials):
-        rng = substream(seed, "trial", trial)
-        size = rng.randint(1, k)
-        active = rng.sample(range(matrix.n), size)
-        if not simulate(matrix, active).all_succeed:
+    widest = max(1, GATHER_BLOCK // max(1, matrix.t * k))
+    start, chunk = 0, 1
+    while start < trials:
+        stop = min(start + chunk, trials)
+        by_size: dict[int, list[list[int]]] = {}
+        for trial in range(start, stop):
+            rng = substream(seed, "trial", trial)
+            size = rng.randint(1, k)
+            by_size.setdefault(size, []).append(rng.sample(range(matrix.n), size))
+        if not all(_sets_succeed(matrix.entries, np.array(sets)) for sets in by_size.values()):
             return False
+        start, chunk = stop, min(2 * chunk, widest)
     return True
 
 
@@ -106,11 +146,10 @@ def trace_lines(matrix: CodeMatrix, active) -> list[str]:
     for s in stations:
         if not 0 <= s < matrix.n:
             raise ParameterError(f"station {s} out of range [0, {matrix.n})")
-    entries = matrix.entries
     lines = []
-    for i in range(matrix.t):
+    for i, row in enumerate(matrix.entries[:, stations].tolist()):
         for channel in range(1, matrix.q):
-            txs = [s for s in stations if int(entries[i, s]) == channel]
+            txs = [s for s, sym in zip(stations, row) if sym == channel]
             if not txs:
                 outcome = "idle"
             elif len(txs) == 1:

@@ -9,6 +9,7 @@ about how they treat it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ class CodeFormatError(ValueError):
 
 
 MAX_Q = 1 << 16  # largest alphabet: symbols are stored as uint16
+MAX_N = sys.maxsize // 2  # most uint16 columns numpy can shape, even with no rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +213,21 @@ def write_code(matrix: CodeMatrix) -> bytes:
     return b"".join(parts)
 
 
-def _parse_canonical_int(token: str, what: str, line: int) -> int:
-    # canonical base-10: digits only, no sign, no leading zeros (except "0")
+def _canonical(token: str, what: str, line: int) -> str:
+    """`token`, checked to be canonical base-10: digits only, no sign, no
+    leading zeros (except "0").  Messages quote the text, never int(token):
+    Python refuses to convert integers of more than 4300 digits."""
     if not token or not token.isascii() or not token.isdigit():
         raise CodeFormatError(f"{what} {token!r} is not a nonnegative integer", line)
-    if token != str(int(token)):
+    if len(token) > 1 and token[0] == "0":
         raise CodeFormatError(f"{what} {token!r} has leading zeros", line)
-    return int(token)
+    return token
+
+
+def _at_most(token: str, bound: int) -> bool:
+    """Is the canonical integer `token` at most `bound`?  Compared by width
+    first, so an over-wide token is never converted."""
+    return len(token) <= len(str(bound)) and int(token) <= bound
 
 
 def _parse_row(raw: str, n: int, q: int, line: int) -> list[int]:
@@ -226,13 +236,10 @@ def _parse_row(raw: str, n: int, q: int, line: int) -> list[int]:
     tokens = raw.split(" ") if raw else []
     if len(tokens) != n or "" in tokens:
         raise CodeFormatError(f"expected {n} symbols, got {raw!r}", line)
-    row = []
     for tok in tokens:
-        s = _parse_canonical_int(tok, "symbol", line)
-        if s >= q:
-            raise CodeFormatError(f"symbol {s} out of range [0, {q - 1}]", line)
-        row.append(s)
-    return row
+        if not _at_most(_canonical(tok, "symbol", line), q - 1):
+            raise CodeFormatError(f"symbol {tok} out of range [0, {q - 1}]", line)
+    return [int(tok) for tok in tokens]
 
 
 def _parse_block(block: np.ndarray, rows: int, n: int, q: int) -> np.ndarray | None:
@@ -273,7 +280,8 @@ def read_code(data: bytes) -> CodeMatrix:
     Any deviation (missing trailing newline, blank lines when n >= 1, extra
     spaces, wrong token counts, non-canonical integers, out-of-range
     symbols, an alphabet above MAX_Q) raises CodeFormatError with the
-    offending 1-based line number.  Rows are checked and converted IO_BLOCK
+    offending 1-based line number; so does a codeword count above MAX_N
+    in a code with no rows.  Rows are checked and converted IO_BLOCK
     symbols at a time on the byte buffer; a block that fails is re-read
     line by line by `_parse_row`, so the first bad line and its message are
     those of a plain token-by-token reader.
@@ -297,17 +305,25 @@ def read_code(data: bytes) -> CodeMatrix:
     header = line(1).split(" ")
     if len(header) != 3 or "" in header:
         raise CodeFormatError(f"header must be 'q t n', got {line(1)!r}", 1)
-    q = _parse_canonical_int(header[0], "alphabet size", 1)
-    t = _parse_canonical_int(header[1], "length", 1)
-    n = _parse_canonical_int(header[2], "codeword count", 1)
+    q_text = _canonical(header[0], "alphabet size", 1)
+    t_text = _canonical(header[1], "length", 1)
+    n_text = _canonical(header[2], "codeword count", 1)
+    if not _at_most(q_text, MAX_Q):
+        raise CodeFormatError(f"alphabet size {q_text} exceeds {MAX_Q}", 1)
+    q = int(q_text)
     if q < 2:
         raise CodeFormatError(f"alphabet size {q} must be at least 2", 1)
-    if q > MAX_Q:
-        raise CodeFormatError(f"alphabet size {q} exceeds {MAX_Q}", 1)
 
     found = ends.size - 1
-    if found < t:
-        raise CodeFormatError(f"expected {t} symbol rows, found {found}", found + 2)
+    if not _at_most(t_text, found):
+        raise CodeFormatError(f"expected {t_text} symbol rows, found {found}", found + 2)
+    t = int(t_text)
+    if not _at_most(n_text, MAX_N):
+        # no row holds that many symbols, and no array that many columns
+        if t:
+            raise CodeFormatError(f"expected {n_text} symbols, got {line(2)!r}", 2)
+        raise CodeFormatError(f"codeword count {n_text} exceeds {MAX_N}", 1)
+    n = int(n_text)
     if 2 * n * t > len(data):
         # a row of n symbols takes 2n bytes, so some row is malformed: find
         # it before sizing an array by the header

@@ -1,4 +1,6 @@
-"""Hypothesis strategies shared across test modules."""
+"""Hypothesis strategies and code families shared across test modules."""
+
+import itertools
 
 import numpy as np
 from hypothesis import strategies as st
@@ -28,3 +30,15 @@ def wide_codes(draw):
     a, b, c = draw(st.permutations(range(n)))[:3]
     entries[:, c] = np.where(rng.random(t) < 0.5, entries[:, a], entries[:, b])
     return CodeMatrix(q, entries)
+
+
+def kautz_singleton(p, m, points):
+    """Kautz-Singleton code over GF(p), p prime: one column per polynomial
+    of degree < m (p**m columns), its values at x = 0, ..., points-1 as
+    rows, each symbol shifted up by one so that q = p + 1 and no entry is
+    0.  Two distinct polynomials agree at most m-1 times, so the code is a
+    (m-1)-agreement, weight-`points` lambda matrix and strongly k-selective
+    whenever (m-1)(k-1) <= points-1."""
+    coeffs = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64).T  # m x p**m
+    powers = np.array([[pow(x, i, p) for i in range(m)] for x in range(points)], dtype=np.int64)
+    return CodeMatrix(p + 1, (powers @ coeffs) % p + 1)

@@ -115,6 +115,14 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: line 1: alphabet size")
 
+    def test_over_wide_symbol_exit_2(self, tmp_path, capsys):
+        # 5000 digits: more than int() converts, so the message quotes the text
+        path = tmp_path / "wide.code"
+        path.write_bytes(b"2 1 1\n" + b"1" * 5000 + b"\n")
+        code, _, err = run(capsys, "verify", "--in", str(path), "--property", "fp", "--k", "1")
+        assert code == 2
+        assert err.startswith("error: line 2: symbol 1111")
+
     def test_capacity_exit_2(self, tmp_path, capsys):
         path = tmp_path / "wide.code"
         path.write_bytes(b"2 1 120\n" + b" ".join([b"0"] * 120) + b"\n")

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpcodes import conflict
+from fpcodes._util import substream
 from fpcodes.conflict import exhaustive_guarantee, guarantee_check, simulate, trace_lines
 from fpcodes.core import CapacityError, CodeMatrix, ParameterError, column_weight
 from fpcodes.diagonal import build_diagonal
 from fpcodes.lll import build_strongly_selective
-from fpcodes.verify import selective_row_exists
-from strategies import code_matrices
+from fpcodes.verify import is_lambda_matrix, is_strongly_selective, selective_row_exists
+from strategies import code_matrices, kautz_singleton, wide_codes
 
 
 def mat(q, rows):
@@ -24,6 +26,33 @@ def simulated_guarantee(m, k):
         if not simulate(m, group).all_succeed:
             return False, group
     return True, None
+
+
+def simulated_guarantee_check(m, k, trials, seed):
+    """Reference for guarantee_check: the loop it replaced, `simulate` on
+    each trial's set, drawn from the same substreams in the same order."""
+    for trial in range(trials):
+        rng = substream(seed, "trial", trial)
+        size = rng.randint(1, k)
+        if not simulate(m, rng.sample(range(m.n), size)).all_succeed:
+            return False
+    return True
+
+
+def with_duplicate(m, src, dst):
+    """`m` with column dst overwritten by a copy of column src."""
+    entries = m.entries.copy()
+    entries[:, dst] = entries[:, src]
+    return CodeMatrix(m.q, entries)
+
+
+# codes over q = 65535 with few distinct symbols, so that sets collide
+near_uint16_codes = st.integers(1, 6).flatmap(lambda t: st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.sampled_from([0, 1, 65533, 65534]), min_size=t * n, max_size=t * n).map(
+        lambda flat: CodeMatrix(65535, np.array(flat, dtype=np.uint16).reshape(t, n)))))
+
+any_code = st.one_of(code_matrices(max_n=8), code_matrices(min_t=0, max_t=3, max_n=4), wide_codes(),
+                     near_uint16_codes)
 
 
 class TestSimulate:
@@ -104,6 +133,31 @@ class TestGuarantee:
         with pytest.raises(ParameterError):
             guarantee_check(m, 2, trials=0, seed=0)
 
+    @given(any_code, st.data(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_matches_simulate(self, m, data, trials, seed):
+        # any k, and often n <= k + 1: sets up to the whole code
+        k = data.draw(st.one_of(st.integers(1, m.n), st.sampled_from([m.n, max(1, m.n - 1)])))
+        assert guarantee_check(m, k, trials, seed) == simulated_guarantee_check(m, k, trials, seed)
+
+    @given(any_code, st.integers(1, 8), st.integers(1, 40), st.integers(0, 99), st.integers(1, 12))
+    @settings(max_examples=100)
+    def test_matches_simulate_small_blocks(self, m, k, trials, seed, block):
+        # a few symbols per gathered block: row slabs and one-trial chunks
+        k = 1 + (k - 1) % m.n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conflict, "GATHER_BLOCK", block)
+            assert guarantee_check(m, k, trials, seed) == simulated_guarantee_check(m, k, trials, seed)
+
+    @pytest.mark.parametrize("k,duplicate", [(2, False), (3, False), (3, True), (2, True)])
+    def test_matches_simulate_on_built_code(self, k, duplicate):
+        matrix, _, _ = build_strongly_selective(3, 3, 12, seed=4)
+        if duplicate:
+            matrix = with_duplicate(matrix, 0, 5)
+        want = simulated_guarantee_check(matrix, k, 400, 9)
+        assert want is not duplicate
+        assert guarantee_check(matrix, k, 400, 9) == want
+
 
 class TestExhaustive:
     def test_selective_code_all_sets_succeed(self):
@@ -155,3 +209,29 @@ class TestTrace:
     def test_collision_line(self):
         m = mat(2, [[1, 1]])
         assert trace_lines(m, {0, 1}) == ["0\t1\t0,1\tcollision"]
+
+
+class TestKautzSingleton:
+    """Known answers (Kautz and Singleton 1964): the polynomial codes of
+    `strategies.kautz_singleton` are (m-1, L) lambda matrices, strongly
+    k-selective for every k with (m-1)(k-1) <= L-1; up to 961 columns,
+    past what the naive helpers reach."""
+
+    @pytest.mark.parametrize("p,m,points", [(31, 2, 31), (31, 2, 12), (7, 3, 7), (5, 2, 5)])
+    def test_known_answers(self, p, m, points):
+        code = kautz_singleton(p, m, points)
+        assert (code.q, code.t, code.n) == (p + 1, points, p**m)
+        assert is_lambda_matrix(code, m - 1, points).passed
+        assert is_strongly_selective(code, 2).passed
+        top = (points - 1) // (m - 1) + 1
+        for k in range(1, top + 1):
+            assert guarantee_check(code, k, trials=100, seed=k)
+        assert simulated_guarantee_check(code, top, 100, top)
+
+    def test_planted_duplicate_fails(self):
+        code = kautz_singleton(7, 2, 7)
+        dup = with_duplicate(code, 0, 1)
+        assert not is_lambda_matrix(dup, 1, 7).passed
+        assert guarantee_check(code, 7, trials=2000, seed=3)
+        assert not guarantee_check(dup, 7, trials=2000, seed=3)
+        assert not simulated_guarantee_check(dup, 7, 2000, 3)

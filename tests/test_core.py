@@ -146,8 +146,9 @@ def _reference_int(token, what, line):
 
 def reference_read_code(data):
     """The token-by-token reader the row-block `read_code` replaced, with its
-    two rule changes: q above 65536 is a line-1 error, and an empty row is
-    the row of a code with n = 0."""
+    three rule changes: q above 65536 is a line-1 error, an empty row is
+    the row of a code with n = 0, and with no rows n above MAX_N is a
+    line-1 error."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -169,6 +170,8 @@ def reference_read_code(data):
         raise CodeFormatError(f"alphabet size {q} exceeds 65536", 1)
     if len(lines) - 1 < t:
         raise CodeFormatError(f"expected {t} symbol rows, found {len(lines) - 1}", len(lines) + 1)
+    if t == 0 and n > core.MAX_N:
+        raise CodeFormatError(f"codeword count {n} exceeds {core.MAX_N}", 1)
     rows = []
     for i, raw in enumerate(lines[1 : t + 1], start=2):
         tokens = raw.split(" ") if raw else []
@@ -214,6 +217,8 @@ def edited_files(draw):
     return bytes(data)
 
 
+WIDE = b"1" * 5000  # past the 4300 digits Python converts with int()
+
 # input -> (line, message) of the CodeFormatError read_code raises
 MALFORMED = {
     b"": (1, "missing trailing newline"),
@@ -245,6 +250,13 @@ MALFORMED = {
     b"3 2 4\n1 0 2 0\n\n0 1 0 2\n": (3, "expected 4 symbols, got ''"),  # blank line
     b"3 2 0\n\n1\n": (3, "expected 0 symbols, got '1'"),
     b"3 2 4\r\n1 0 2 0\n0 1 0 2\n": (1, "carriage returns are not allowed"),
+    # tokens too long for int(): rejected by their width, quoted as text
+    b"2 1 1\n" + WIDE + b"\n": (2, f"symbol {WIDE.decode()} out of range [0, 1]"),
+    WIDE + b" 1 1\n0\n": (1, f"alphabet size {WIDE.decode()} exceeds 65536"),
+    b"2 " + WIDE + b" 1\n0\n": (3, f"expected {WIDE.decode()} symbol rows, found 1"),
+    b"2 1 " + WIDE + b"\n0\n": (2, f"expected {WIDE.decode()} symbols, got '0'"),
+    b"2 0 " + WIDE + b"\n": (1, f"codeword count {WIDE.decode()} exceeds {core.MAX_N}"),
+    f"2 0 {core.MAX_N + 1}\n".encode(): (1, f"codeword count {core.MAX_N + 1} exceeds {core.MAX_N}"),
 }
 
 
