@@ -14,7 +14,6 @@ from .core import (
     complement,
     read_code,
     stack_rows,
-    weight_profile,
     write_code,
 )
 from .diagonal import build_diagonal
@@ -68,7 +67,6 @@ __all__ = [
     "p_qk",
     "read_code",
     "stack_rows",
-    "weight_profile",
     "write_code",
 ]
 

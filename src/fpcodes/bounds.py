@@ -26,9 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._util import ceil_tol
 from .core import ParameterError
 from .expurgate import corollary_length, expurgation_length, p_qk
-from .lll import derive_lambda, derive_length, derive_weight
+from .lll import derive_weight, derived_params
 
 DIAG_LOWER_COEFF = (15 + math.sqrt(33)) / 24  # ~0.86436
 
@@ -59,10 +60,7 @@ def ss_debonis_order(q: int, k: int, n: int) -> float:
 def lll_lambda_length(q: int, k: int, n: int) -> int:
     """Integer length of the resampling construction for target k."""
     _check_triple(q, k, n)
-    if n < 3:
-        raise ParameterError(f"n={n} must be at least 3")
-    w = derive_weight(k, n)
-    return derive_length(derive_lambda(w, k), w, n, q)
+    return derived_params(k, q, n, 0).t
 
 
 def ss_theorem35(q: int, k: int, n: int) -> float:
@@ -72,8 +70,6 @@ def ss_theorem35(q: int, k: int, n: int) -> float:
     with r = (w-1)/(k-1).
     """
     _check_triple(q, k, n)
-    if n < 3:
-        raise ParameterError(f"n={n} must be at least 3")
     w = derive_weight(k, n)
     r = (w - 1) / (k - 1)
     first = 2 * w - r
@@ -86,20 +82,25 @@ def ss_theorem35(q: int, k: int, n: int) -> float:
     return 1 + max(first, second)
 
 
+def _weight_optimized_length(q: int, r: int, n: int) -> float:
+    """Corollary 3.7's length with r = k-1; Theorem 3.8 is the same at r = k."""
+    log2en = math.log(2 * math.e * n)
+    first = 2 * r * log2en - math.log(n)
+    second = (
+        math.log(n) / 2
+        + math.e**2 * r**2 / (q - 1) * log2en
+        + 7 * math.e**2 * r / (2 * (q - 1))
+    )
+    return max(first, second)
+
+
 def ss_corollary37(q: int, k: int, n: int) -> float:
     """Weight-optimized selective length, additive constant dropped.
 
     max(2(k-1) ln(2en) - ln n, ln(n)/2 + e^2 (k-1)^2/(q-1) ln(2en) + 7 e^2 (k-1)/(2(q-1)))
     """
     _check_triple(q, k, n)
-    log2en = math.log(2 * math.e * n)
-    first = 2 * (k - 1) * log2en - math.log(n)
-    second = (
-        math.log(n) / 2
-        + math.e**2 * (k - 1) ** 2 / (q - 1) * log2en
-        + 7 * math.e**2 * (k - 1) / (2 * (q - 1))
-    )
-    return max(first, second)
+    return _weight_optimized_length(q, k - 1, n)
 
 
 def fp_theorem38(q: int, k: int, n: int) -> float:
@@ -108,14 +109,7 @@ def fp_theorem38(q: int, k: int, n: int) -> float:
     max(2k ln(2en) - ln n, ln(n)/2 + e^2 k^2/(q-1) ln(2en) + 7 e^2 k/(2(q-1)))
     """
     _check_triple(q, k, n)
-    log2en = math.log(2 * math.e * n)
-    first = 2 * k * log2en - math.log(n)
-    second = (
-        math.log(n) / 2
-        + math.e**2 * k**2 / (q - 1) * log2en
-        + 7 * math.e**2 * k / (2 * (q - 1))
-    )
-    return max(first, second)
+    return _weight_optimized_length(q, k, n)
 
 
 def fp_bounds_theorem310(q: int, k: int, n: int) -> tuple[int, int]:
@@ -125,7 +119,7 @@ def fp_bounds_theorem310(q: int, k: int, n: int) -> tuple[int, int]:
     if k < 1 or n < 1:
         raise ParameterError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
     upper = -(-n // (q - 1))
-    lower = math.ceil(min(n, DIAG_LOWER_COEFF * k * k) / q - 1e-9)
+    lower = ceil_tol(min(n, DIAG_LOWER_COEFF * k * k) / q)
     return upper, lower
 
 
@@ -134,7 +128,8 @@ def stinson_41(q: int, k: int, n: int) -> float:
 
     ln(k!/(k!-1)) is computed as -log1p(-1/k!) with 1/k! = exp(-lgamma(k+1)),
     which underflows to 0 for k around 170 and beyond; the term then
-    contributes 0, the correct limit.
+    contributes 0, the correct limit.  ((q-1)/q)^k underflows too at large
+    k, and then the bound is not representable: that is a ParameterError.
     """
     if q < 2 or k < 2 or n < 2:
         raise ParameterError(f"need q >= 2, k >= 2, n >= 2, got q={q}, k={k}, n={n}")
@@ -142,7 +137,10 @@ def stinson_41(q: int, k: int, n: int) -> float:
     tail = -math.log1p(-inv_fact) if inv_fact > 0 else 0.0
     numerator = -k * (math.log(n) + tail)
     denominator = math.log1p(-((q - 1) / q) ** k)
-    return numerator / denominator
+    value = numerator / denominator if denominator else math.inf
+    if not math.isfinite(value):
+        raise ParameterError("stinson_41 overflows for these parameters")
+    return value
 
 
 def shangguan_42(q: int, k: int, n: int) -> float:
@@ -233,7 +231,7 @@ class BoundReport:
                 lines.append(f"{key} {value}")
             else:
                 if ceil_reals:
-                    lines.append(f"{key} {math.ceil(value - 1e-9)}")
+                    lines.append(f"{key} {ceil_tol(value)}")
                 else:
                     lines.append(f"{key} {value:.6g}")
         return "\n".join(lines) + "\n"

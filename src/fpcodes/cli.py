@@ -43,21 +43,17 @@ def _emit(args, matrix, sidecar: dict) -> int:
 def cmd_construct(args) -> int:
     start = time.perf_counter()
     sidecar = {"subcommand": args.kind, "q": args.q, "n": args.n, "seed": args.seed}
+    if args.kind != "diagonal" and args.k is None:
+        raise ParameterError(f"construct {args.kind} requires --k")
     if args.kind == "diagonal":
         matrix = diagonal.build_diagonal(args.q, args.n)
     elif args.kind in ("lll-fp", "lll-ss"):
-        if args.k is None:
-            raise ParameterError(f"construct {args.kind} requires --k")
         builder = lll.build_frameproof if args.kind == "lll-fp" else lll.build_strongly_selective
         matrix, params, log = builder(args.k, args.q, args.n, args.seed)
         sidecar.update(k=args.k, w=params.w, lam=params.lam, resamples=log.total_resamples)
-    elif args.kind == "expurgate":
-        if args.k is None:
-            raise ParameterError("construct expurgate requires --k")
+    else:
         matrix, params, info = expurgate.expurgate_run(args.q, args.k, args.n, args.seed)
         sidecar.update(k=args.k, ell=params.ell, **info)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown construction {args.kind!r}")
     sidecar["t"] = matrix.t
     sidecar["wall_time_s"] = round(time.perf_counter() - start, 6)
     return _emit(args, matrix, sidecar)
@@ -80,13 +76,11 @@ def _print_report(report) -> None:
 def cmd_verify(args) -> int:
     with open(args.infile, "rb") as fh:
         matrix = read_code(fh.read())
+    if args.property in ("fp", "ss") and args.k is None:
+        raise ParameterError(f"--property {args.property} requires --k")
     if args.property == "fp":
-        if args.k is None:
-            raise ParameterError("--property fp requires --k")
         report = verify.is_frameproof(matrix, args.k)
     elif args.property == "ss":
-        if args.k is None:
-            raise ParameterError("--property ss requires --k")
         report = verify.is_strongly_selective(matrix, args.k)
     else:
         if args.lam is None or args.w is None:
@@ -135,10 +129,15 @@ def _parse_grid(text: str) -> dict:
         if not term:
             continue
         key, sep, vals = term.partition("=")
+        key = key.strip()
         if not sep or not vals:
             raise ParameterError(f"bad grid term {term!r}, expected key=v1,v2,...")
+        if key not in ("q", "k", "n", "seed"):
+            raise ParameterError(f"unknown grid key {key!r}, expected q, k, n or seed")
+        if key in grid:
+            raise ParameterError(f"grid key {key!r} given twice")
         try:
-            grid[key.strip()] = [int(v) for v in vals.split(",")]
+            grid[key] = [int(v) for v in vals.split(",")]
         except ValueError:
             raise ParameterError(f"non-integer value in grid term {term!r}") from None
     return grid
@@ -222,10 +221,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, CapacityError, CodeFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParameterError, CapacityError, CodeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

@@ -87,31 +87,11 @@ class CodeMatrix:
         return f"CodeMatrix(q={self.q}, t={self.t}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class ColumnWeightProfile:
-    """Per-column nonzero counts of a code matrix."""
-
-    weights: tuple[int, ...]
-
-    @property
-    def is_constant(self) -> bool:
-        return len(set(self.weights)) <= 1
-
-    @property
-    def max_weight(self) -> int:
-        return max(self.weights) if self.weights else 0
-
-
 def column_weight(matrix: CodeMatrix, j: int) -> int:
     """Number of nonzero entries in column j.  No negative indexing."""
     if not 0 <= j < matrix.n:
         raise IndexError(f"column index {j} out of range [0, {matrix.n})")
     return int(np.count_nonzero(matrix.entries[:, j]))
-
-
-def weight_profile(matrix: CodeMatrix) -> ColumnWeightProfile:
-    counts = np.count_nonzero(matrix.entries, axis=0)
-    return ColumnWeightProfile(tuple(int(c) for c in counts))
 
 
 AGREEMENT_BLOCK = 128

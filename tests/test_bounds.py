@@ -108,6 +108,12 @@ class TestHighPrecisionAgreement:
             assert math.isfinite(val) and val > 0
             assert val == pytest.approx(want, rel=1e-9)
 
+    def test_stinson_unrepresentable_raises(self):
+        # ((q-1)/q)^k underflows: the quotient is inf at k=1074, a division by zero at 1075
+        for k in (1074, 1075):
+            with pytest.raises(ParameterError, match="stinson_41 overflows"):
+                stinson_41(2, k, 2000)
+
     def test_shangguan(self):
         for q, k, n in self.GRID:
             if q > k:

@@ -63,6 +63,11 @@ class TestConstruct:
         code, _, _ = run(capsys, "construct", "lll-fp", "--q", "3", "--n", "20")  # missing --k
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["lll-fp", "lll-ss", "expurgate"])
+    def test_missing_k_message(self, capsys, kind):
+        code, out, err = run(capsys, "construct", kind, "--q", "3", "--n", "10")
+        assert (code, out, err) == (2, "", f"error: construct {kind} requires --k\n")
+
     def test_construction_failure_exit_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise ConstructionError("nope")
@@ -136,6 +141,47 @@ class TestVerify:
         assert code == 2
 
 
+    @pytest.mark.parametrize("prop", ["fp", "ss"])
+    def test_missing_k_message(self, tmp_path, capsys, prop):
+        path = tmp_path / "d.code"
+        path.write_bytes(b"3 2 4\n1 0 2 0\n0 1 0 2\n")
+        code, out, err = run(capsys, "verify", "--in", str(path), "--property", prop)
+        assert (code, out, err) == (2, "", f"error: --property {prop} requires --k\n")
+
+    @pytest.mark.parametrize("partial", [["--lam", "0"], ["--w", "1"], []])
+    def test_lambda_missing_lam_or_w_message(self, tmp_path, capsys, partial):
+        path = tmp_path / "d.code"
+        path.write_bytes(b"3 2 4\n1 0 2 0\n0 1 0 2\n")
+        code, out, err = run(capsys, "verify", "--in", str(path), "--property", "lambda", *partial)
+        assert (code, out, err) == (2, "", "error: --property lambda requires --lam and --w\n")
+
+    def test_strongly_selective_pass(self, tmp_path, capsys):
+        path = tmp_path / "d.code"
+        path.write_bytes(b"3 2 4\n1 0 2 0\n0 1 0 2\n")
+        code, out, _ = run(capsys, "verify", "--in", str(path), "--property", "ss", "--k", "2")
+        assert (code, out) == (0, "property strongly_selective\nk 2\npassed true\n")
+
+    def test_strongly_selective_refutation(self, tmp_path, capsys):
+        path = tmp_path / "dup.code"
+        path.write_bytes(b"2 1 3\n1 1 0\n")
+        code, out, _ = run(capsys, "verify", "--in", str(path), "--property", "ss", "--k", "2")
+        assert code == 1
+        assert out == (
+            "property strongly_selective\nk 2\npassed false\n"
+            "witness_column 0\nwitness_coalition 0,1\n"
+        )
+
+    def test_lambda_refutation_prints_rows(self, tmp_path, capsys):
+        path = tmp_path / "twin.code"
+        path.write_bytes(b"2 2 2\n1 1\n1 1\n")
+        code, out, _ = run(capsys, "verify", "--in", str(path), "--property", "lambda", "--lam", "1", "--w", "2")
+        assert code == 1
+        assert out == (
+            "property lambda_matrix\nlam 1\nw 2\npassed false\n"
+            "witness_column 0\nwitness_coalition 1\nwitness_rows 0,1\n"
+        )
+
+
 class TestBounds:
     def test_report_values(self, capsys):
         code, out, _ = run(capsys, "bounds", "--q", "2", "--k", "2", "--n", "100")
@@ -153,6 +199,11 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--q", "2", "--k", "5", "--n", "4")
         assert code == 2
 
+
+    def test_unrepresentable_stinson_exit_2(self, capsys):
+        code, out, err = run(capsys, "bounds", "--q", "2", "--k", "1100", "--n", "2000")
+        assert (code, out) == (2, "")
+        assert err == "error: stinson_41 overflows for these parameters\n"
 
 class TestSimulate:
     def test_active_mode(self, tmp_path, capsys):
@@ -227,6 +278,8 @@ class TestBench:
         assert run(capsys, "bench", "--grid", "q=2;k=2")[0] == 2  # no n
         assert run(capsys, "bench", "--grid", "q=two;k=2;n=10")[0] == 2
         assert run(capsys, "bench", "--grid", "q=;k=2;n=10")[0] == 2
+        assert run(capsys, "bench", "--grid", "q=3;k=2;n=10;sede=4")[0] == 2  # unknown key
+        assert run(capsys, "bench", "--grid", "q=3;k=2;n=10;q=2")[0] == 2  # repeated key
 
 
 def readme_commands():

@@ -13,7 +13,6 @@ from fpcodes.core import (
     complement,
     read_code,
     stack_rows,
-    weight_profile,
     write_code,
 )
 from strategies import code_matrices
@@ -71,19 +70,6 @@ class TestWeights:
         with pytest.raises(IndexError):
             column_weight(m, -1)
 
-    def test_weight_profile(self):
-        m = mat(3, [[0, 1, 1], [2, 0, 1]])
-        p = weight_profile(m)
-        assert p.weights == (1, 1, 2)
-        assert not p.is_constant
-        assert p.max_weight == 2
-        assert weight_profile(mat(2, [[1, 1]])).is_constant
-
-    @given(code_matrices())
-    def test_profile_matches_column_weight(self, m):
-        p = weight_profile(m)
-        assert p.weights == tuple(column_weight(m, j) for j in range(m.n))
-
 
 class TestTransforms:
     def test_complement_maps_symbols(self):
@@ -118,7 +104,7 @@ class TestTransforms:
         assert e.q == 2
         assert e.t == m.q * m.t
         # every expanded column has weight t: one unit block per original row
-        assert weight_profile(e).weights == (m.t,) * m.n
+        assert (np.count_nonzero(e.entries, axis=0) == m.t).all()
         # block i row m.entries[i, j] must hold the 1
         for i in range(m.t):
             block = e.entries[i * m.q : (i + 1) * m.q, :]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpcodes.core import ParameterError, weight_profile
+from fpcodes.core import ParameterError
 from fpcodes.diagonal import build_diagonal
 from fpcodes.verify import is_frameproof, is_strongly_selective
 
@@ -27,7 +27,7 @@ def test_length_is_ceiling():
 def test_columns_weight_one_unique_slots():
     for q, n in [(3, 7), (4, 10), (2, 6), (5, 13)]:
         m = build_diagonal(q, n)
-        assert weight_profile(m).weights == (1,) * n
+        assert (np.count_nonzero(m.entries, axis=0) == 1).all()
         slots = set()
         for j in range(n):
             rows = np.nonzero(m.entries[:, j])[0]
