@@ -154,10 +154,14 @@ def cmd_bench(args) -> int:
     for q, k, n, seed in cells:
         matrix, params, _ = lll.build_frameproof(k, q, n, seed)
         try:
-            if not verify.is_frameproof(matrix, k).passed:
-                raise ConstructionError(f"bench cell q={q} k={k} n={n} seed={seed} failed verification")
+            report = verify.is_frameproof(matrix, k)
         except CapacityError:
-            print(f"bench: verification skipped for q={q} k={k} n={n} (capacity)", file=sys.stderr)
+            # lam = floor((w-1)/k), so lam k <= w-1 and a lambda matrix is strongly
+            # (k+1)-selective, hence k-frameproof: the pair check certifies it
+            print(f"bench: q={q} k={k} n={n} certified by the lambda-matrix check (capacity)", file=sys.stderr)
+            report = verify.is_lambda_matrix(matrix, params.lam, params.w)
+        if not report.passed:
+            raise ConstructionError(f"bench cell q={q} k={k} n={n} seed={seed} failed verification")
         upper, lower = bounds_mod.fp_bounds_theorem310(q, k, n)
         if matrix.t < lower:
             raise ConstructionError(

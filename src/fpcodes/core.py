@@ -97,21 +97,20 @@ def column_weight(matrix: CodeMatrix, j: int) -> int:
 AGREEMENT_BLOCK = 128
 
 
-def agreement_exceeds(entries: np.ndarray, lam: int) -> np.ndarray:
-    """(n, n) bool array, True at a < b when columns a and b hold the same
-    nonzero symbol in more than `lam` rows; the diagonal and the lower
-    triangle stay False.
+def agreement_pairs(entries: np.ndarray, lam: int):
+    """Every column pair (a, b), a < b, that holds the same nonzero symbol
+    in more than `lam` rows, in lexicographic order.
 
     The nonzero agreement counts are B^T B, where B has one float32 0/1 row
     per (row, nonzero symbol) pair that occurs in at least two columns
     (pairs held by a single column add nothing off the diagonal), so B has
     at most min(t(q-1), nnz/2) rows whatever the alphabet.  The product is
-    taken in blocks of AGREEMENT_BLOCK columns against the columns before
-    them, so beyond B and the n^2-byte result only one (n, block) float32
-    slab is live.  Counts are at most t, exact in float32 for t < 2^24.
+    taken for AGREEMENT_BLOCK columns a at a time against the columns from
+    the block on, so beyond B only one (block, n) slab is live, however
+    many pairs are violated.  Counts are at most t, exact in float32 for
+    t < 2^24.
     """
     n = entries.shape[1]
-    out = np.zeros((n, n), dtype=bool)
     rows, cols = np.nonzero(entries)
     keys = (rows.astype(np.int64) << 16) | entries[rows, cols]
     _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
@@ -120,11 +119,13 @@ def agreement_exceeds(entries: np.ndarray, lam: int) -> np.ndarray:
     keep = shared[inv]
     b = np.zeros((int(shared.sum()), n), dtype=np.float32)
     b[index[inv[keep]], cols[keep]] = 1.0
-    for j0 in range(0, n, AGREEMENT_BLOCK):
-        j1 = min(j0 + AGREEMENT_BLOCK, n)
-        np.greater(b[:, :j1].T @ b[:, j0:j1], lam, out=out[:j1, j0:j1])
-        out[j0:j1, j0:j1][np.tril_indices(j1 - j0)] = False
-    return out
+    for a0 in range(0, n, AGREEMENT_BLOCK):
+        over = b[:, a0 : a0 + AGREEMENT_BLOCK].T @ b[:, a0:] > lam
+        # the leading square holds the diagonal: keep its strict upper triangle
+        over[:, :AGREEMENT_BLOCK] = np.triu(over[:, :AGREEMENT_BLOCK], 1)
+        for i in np.flatnonzero(over):
+            a, c = divmod(int(i), n - a0)
+            yield a0 + a, a0 + c
 
 
 def complement(matrix: CodeMatrix) -> CodeMatrix:

@@ -27,6 +27,8 @@ from .core import CodeMatrix, ConstructionError, ParameterError
 from .verify import _check_capacity, _framings
 
 MAX_REDRAWS = 50
+# relative error allowed for the float length in `expurgation_length`: 3x its 10 * 2^-53 bound
+LENGTH_REL_ERR = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,11 @@ def symbol_distribution(q: int, k: int) -> tuple[float, ...]:
 def expurgation_length(q: int, k: int, n: int) -> int:
     """Smallest t with (k+1) C(n+ell, k) (1-p)^t <= 1, ell = floor(n/k).
 
-    Evaluated in exact rational arithmetic so the returned t is the true
-    minimum, not a float approximation.
+    That t is max(1, ceil(x)) for x = ln(count) / -ln(1-p).  The float x is
+    within 10 units of 2^-53 of the real one, relative (an ulp or two from
+    each logarithm, the rounding of p or 1-p, the division), so where no
+    integer lies within LENGTH_REL_ERR x of it the ceiling is exact; else
+    the exact rational test picks t among the candidates in that range.
     """
     if k < 2:
         raise ParameterError(f"k={k} must be at least 2")
@@ -104,21 +109,20 @@ def expurgation_length(q: int, k: int, n: int) -> int:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
     ell = n // k
     count = (k + 1) * math.comb(n + ell, k)
-    base = 1 - _p_fraction(q, k)
+    p = _p_fraction(q, k)
+    base = 1 - p
     if not 0 < base < 1:
         raise ParameterError(f"degenerate survival probability for q={q}, k={k}")
-    num, den = base.numerator, base.denominator
-
-    def holds(t: int) -> bool:
-        return count * num**t <= den**t
-
-    # float estimate of ln(count) / -ln(1-p); the exact search below settles it
-    guess = max(1, math.ceil(math.log(count) / -(math.log(num) - math.log(den))))
-    t = max(1, guess - 2)
-    while not holds(t):
+    if p <= 0.5:
+        rate = -math.log1p(-float(p))
+    else:  # 1-p <= 1/2, scaled by 2^e into (1/2, 2) so that no q underflows it
+        e = base.denominator.bit_length() - base.numerator.bit_length()
+        rate = e * math.log(2) - math.log(base * 2**e)
+    x = math.log(count) / rate
+    err = x * LENGTH_REL_ERR
+    t, hi = (max(1, math.ceil(v)) for v in (x - err, x + err))
+    while t < hi and count * base.numerator**t > base.denominator**t:
         t += 1
-    while t > 1 and holds(t - 1):
-        t -= 1
     return t
 
 

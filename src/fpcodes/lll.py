@@ -10,12 +10,12 @@ expected number of resampling events is at most n(n-1)/(2*(2n-4)), which
 is under n/3, and the loop terminates with a matrix in which any column
 pair shares at most `lam` nonzero agreements.
 
-Violated pairs are tracked in an n x n bool array (n^2 bytes), filled once
-by the agreement kernel `core.agreement_exceeds` (a blocked B^T B product,
-shared with `verify.is_lambda_matrix`); an event refreshes the rows and
-columns of the two redrawn columns in O(w n), keeps the violated count
-up to date from them, and finds the next pair with one argmax, so no step
-loops over pairs in Python.
+Violated pairs are kept in a set, filled once by the agreement kernel
+`core.agreement_pairs` (a blocked B^T B product, shared with
+`verify.is_lambda_matrix`); an event drops the pairs that touch the two
+redrawn columns and re-adds those still violated, found in O(w n) from the
+columns' support rows.  At admissible parameters the set holds a few dozen
+pairs at most, so memory stays O(t n).
 
 Such a matrix is a strongly selective code for k when lam = floor((w-1)/(k-1)):
 in any k columns, some member has more nonzero rows than its k-1 partners
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ceil_tol, substream
-from .core import CodeMatrix, ConstructionError, ParameterError, agreement_exceeds
+from .core import CodeMatrix, ConstructionError, ParameterError, agreement_pairs
 
 
 @dataclass(frozen=True)
@@ -213,29 +213,24 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
     for j in range(n):
         cols[:, j] = sample_column(t, w, q, streams[j])
 
-    bad = agreement_exceeds(cols, lam)
-    violated = int(np.count_nonzero(bad))
-    history = [(0, violated)]
+    bad = set(agreement_pairs(cols, lam))
+    history = [(0, len(bad))]
     budget = resample_budget(n)
     events = 0
-    while True:
-        a, b = divmod(int(bad.argmax()), n)  # lexicographically first violated pair
-        if not bad[a, b]:
-            break
+    while bad:
         if events >= budget:
             log = ResampleLog(events, len(history), tuple(history))
             raise ConstructionError(f"resample budget of {budget} events exhausted", log=log)
+        a, b = min(bad)  # lexicographically first violated pair
         cols[:, a] = sample_column(t, w, q, streams[a])
         cols[:, b] = sample_column(t, w, q, streams[b])
         events += 1
+        bad = {p for p in bad if a not in p and b not in p}
         for x in (a, b):
-            over = _agreements_against(cols, x) > lam
-            over[x] = False  # the diagonal is never stored
-            stale = np.count_nonzero(bad[x, x + 1 :]) + np.count_nonzero(bad[:x, x])
-            violated += int(np.count_nonzero(over) - stale)
-            bad[x, x + 1 :] = over[x + 1 :]
-            bad[:x, x] = over[:x]
-        history.append((events, violated))
+            for y in np.flatnonzero(_agreements_against(cols, x) > lam).tolist():
+                if y != x:
+                    bad.add((min(x, y), max(x, y)))
+        history.append((events, len(bad)))
 
     log = ResampleLog(events, len(history), tuple(history))
     return CodeMatrix(q, cols), log

@@ -28,7 +28,7 @@ from .core import (
     CapacityError,
     CodeMatrix,
     ParameterError,
-    agreement_exceeds,
+    agreement_pairs,
     binary_expand,
     complement,
     stack_rows,
@@ -197,21 +197,20 @@ def is_lambda_matrix(matrix: CodeMatrix, lam: int, w: int) -> VerificationReport
     failure carries both columns and the agreeing rows.  Both witnesses are
     the first failure: the lowest-index column of wrong weight, else the
     lexicographically first pair (a, b), a < b.  Agreements come from the
-    shared kernel `core.agreement_exceeds` (one blocked B^T B product and an
-    n x n bool array, n^2 bytes), not from a pair loop.
+    shared kernel `core.agreement_pairs`, which stops at the first block of
+    columns that holds a violated pair, not from a pair loop.
     """
     if lam < 0 or w < 0:
         raise ParameterError(f"need lam >= 0 and w >= 0, got lam={lam}, w={w}")
-    n = matrix.n
     params = {"lam": lam, "w": w}
     entries = matrix.entries
     counts = np.count_nonzero(entries, axis=0)
     wrong = np.flatnonzero(counts != w)
     if wrong.size:
         return VerificationReport("lambda_matrix", params, False, Witness(int(wrong[0])))
-    bad = agreement_exceeds(entries, lam)
-    if bad.any():
-        a, b = divmod(int(bad.argmax()), n)
+    pair = next(agreement_pairs(entries, lam), None)
+    if pair is not None:
+        a, b = pair
         ref = entries[:, a]
         rows = tuple(int(i) for i in np.flatnonzero((ref == entries[:, b]) & (ref != 0)))
         return VerificationReport("lambda_matrix", params, False, Witness(a, (b,), rows))

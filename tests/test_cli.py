@@ -267,12 +267,21 @@ class TestBench:
         for r in rows:
             assert int(r[3]) >= int(r[7])
 
-    def test_capacity_skips_verification(self, capsys, monkeypatch):
+    def test_capacity_certifies_by_lambda_check(self, capsys, monkeypatch):
+        _, full, _ = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
         monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 10)
         code, out, err = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
         assert code == 0
-        assert "bench: verification skipped for q=3 k=2 n=10 (capacity)" in err
-        assert len(out.strip().split("\n")) == 2
+        assert "bench: q=3 k=2 n=10 certified by the lambda-matrix check (capacity)" in err
+        assert out == full
+
+    def test_failed_certificate_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 10)
+        failed = fpcodes.verify.VerificationReport("lambda_matrix", {}, False, fpcodes.verify.Witness(0))
+        monkeypatch.setattr(fpcodes.verify, "is_lambda_matrix", lambda *args: failed)
+        code, out, err = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
+        assert code == 3
+        assert "failed verification" in err
 
     def test_bad_grid_exit_2(self, capsys):
         assert run(capsys, "bench", "--grid", "q=2;k=2")[0] == 2  # no n

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpcodes.expurgate
 from fpcodes.core import CapacityError, ConstructionError, ParameterError
 from fpcodes.expurgate import (
     ExpurgationParams,
@@ -57,6 +58,34 @@ class TestPqk:
             p_qk(3, 1)
 
 
+def reference_length(q, k, n):
+    """The exact search `expurgation_length` used before its float fast path:
+    walk from a float guess with the rational test, one t at a time."""
+    ell = n // k
+    count = (k + 1) * math.comb(n + ell, k)
+    base = 1 - exact_p(q, k)
+    num, den = base.numerator, base.denominator
+
+    def holds(t):
+        return count * num**t <= den**t
+
+    guess = max(1, math.ceil(math.log(count) / -(math.log(num) - math.log(den))))
+    t = max(1, guess - 2)
+    while not holds(t):
+        t += 1
+    while t > 1 and holds(t - 1):
+        t -= 1
+    return t
+
+
+# (q, k, n) whose real-valued length ln(count) / -ln(1-p) lies within 1e-4 of
+# an integer (78.0000035, 151.000029, 576.00004, 33.999936, 69.999926)
+NEAR_INTEGER = [(4, 5, 70), (6, 8, 284), (2, 7, 141), (6, 5, 52), (8, 7, 325)]
+LENGTH_GRID = [
+    (q, k, n) for q in (2, 3, 4, 9, 256) for k in (2, 3, 5, 8) for n in (k, k + 1, 10, 37, 300)
+] + NEAR_INTEGER
+
+
 class TestExpurgationLength:
     def test_frozen_values(self):
         assert expurgation_length(3, 2, 10) == 10
@@ -84,6 +113,25 @@ class TestExpurgationLength:
         count = (k + 1) * math.comb(n + n // k, k)
         base = 1 - exact_p(q, k)
         assert count * base**t <= 1 < count * base ** (t - 1)
+
+    def test_matches_exact_search_on_grid(self):
+        for q, k, n in LENGTH_GRID:
+            assert expurgation_length(q, k, n) == reference_length(q, k, n), (q, k, n)
+
+    def test_exact_walk_inside_a_wide_bound(self, monkeypatch):
+        # a 3% bound puts several candidates in reach of every estimate, so
+        # the rational test, not the float ceiling, picks each answer
+        monkeypatch.setattr(fpcodes.expurgate, "LENGTH_REL_ERR", 0.03)
+        for q, k, n in LENGTH_GRID:
+            assert expurgation_length(q, k, n) == reference_length(q, k, n), (q, k, n)
+
+    def test_large_k_binary_matches_high_precision(self):
+        # the exact search takes seconds to minutes here (multi-megabit powers)
+        for q, k, n in [(2, 60, 2000), (2, 200, 2000)]:
+            count = (k + 1) * math.comb(n + n // k, k)
+            p = exact_p(q, k)
+            x = mp.log(count) / -mp.log(1 - mp.mpf(p.numerator) / p.denominator)
+            assert expurgation_length(q, k, n) == int(mp.ceil(x)), (q, k, n)
 
     def test_monotone_in_n(self):
         prev = 0

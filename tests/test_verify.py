@@ -1,12 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fpcodes.core
 from fpcodes._util import substream
-from fpcodes.core import CapacityError, CodeMatrix, ParameterError, agreement_exceeds, complement
+from fpcodes.core import CapacityError, CodeMatrix, ParameterError, agreement_pairs, complement
 from fpcodes.diagonal import build_diagonal
 from fpcodes.lll import build_frameproof, build_strongly_selective, sample_column
 from fpcodes.verify import (
@@ -196,6 +198,18 @@ class TestLambdaMatrix:
         matrix, params, _ = build_strongly_selective(2, 3, 10, seed=2)
         assert is_lambda_matrix(matrix, params.lam, params.w).passed
 
+    def test_check_stays_below_n_squared_bytes(self):
+        # n = 6000 (t = 124): an n x n bool array alone would be 36 MB; the
+        # blocked kernel keeps B and one (block, n) slab, about 15 MB
+        matrix, params, _ = build_strongly_selective(3, 3, 6000, seed=0)
+        tracemalloc.start()
+        try:
+            assert is_lambda_matrix(matrix, params.lam, params.w).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6000**2 // 2
+
     @given(code_matrices(min_n=1), st.integers(0, 3), st.integers(0, 4))
     @settings(max_examples=80)
     def test_matches_naive(self, m, lam, w):
@@ -206,6 +220,16 @@ class TestLambdaMatrix:
             assert (report.witness.column, report.witness.coalition, report.witness.rows) == expect
 
 
+def naive_pairs(m, lam):
+    """Every pair a < b with more than lam nonzero agreements, lexicographically."""
+    return [
+        (a, b)
+        for a in range(m.n)
+        for b in range(a + 1, m.n)
+        if len(nonzero_agreement_rows(m, a, b)) > lam
+    ]
+
+
 class TestAgreementKernel:
     @given(agreement_codes(), st.integers(0, 130))
     @example(CodeMatrix(2, np.zeros((3, 1), dtype=np.uint16)), 0)
@@ -213,12 +237,16 @@ class TestAgreementKernel:
     @example(CodeMatrix(65535, np.array([[65534, 0, 65534]] * 65, dtype=np.uint16)), 0)
     @settings(max_examples=150)
     def test_matches_naive(self, m, lam):
-        out = agreement_exceeds(m.entries, lam)
-        assert out.shape == (m.n, m.n) and out.dtype == bool
-        for a in range(m.n):
-            for b in range(m.n):
-                expect = a < b and len(nonzero_agreement_rows(m, a, b)) > lam
-                assert out[a, b] == expect, (a, b)
+        assert list(agreement_pairs(m.entries, lam)) == naive_pairs(m, lam)
+
+    @given(agreement_codes(), st.integers(0, 3), st.integers(1, 7))
+    @settings(max_examples=150)
+    def test_matches_naive_at_block_edges(self, m, lam, block):
+        # blocks of 1-7 columns put block edges inside n <= 6, so the flat
+        # index of each block's upper triangle is split at every offset
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+            assert list(agreement_pairs(m.entries, lam)) == naive_pairs(m, lam)
 
     def test_spans_several_column_blocks(self):
         # 300 columns cross two block edges; duplicate pairs straddle them
@@ -227,16 +255,25 @@ class TestAgreementKernel:
         entries[:, 200] = entries[:, 100]
         entries[:, 299] = entries[:, 0]
         m = CodeMatrix(4, entries)
-        out = agreement_exceeds(entries, 12)
-        assert out[100, 200] and out[0, 299]
-        pairs = {(int(a), int(b)) for a, b in zip(*np.nonzero(out))}
-        naive = {
-            (a, b)
-            for a in range(300)
-            for b in range(a + 1, 300)
-            if len(nonzero_agreement_rows(m, a, b)) > 12
-        }
-        assert pairs == naive
+        pairs = list(agreement_pairs(entries, 12))
+        assert (0, 299) in pairs and (100, 200) in pairs
+        assert pairs == naive_pairs(m, 12)
+
+    def test_most_pairs_violate(self, monkeypatch):
+        # 40 copies of one weight-6 column around two columns that agree with
+        # it in at most lam = 2 rows: 780 of the 861 pairs violate, the first
+        # is (1, 3), and blocks of 5 columns split the copies at every offset
+        monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", 5)
+        entries = np.zeros((12, 42), dtype=np.uint16)
+        entries[:6] = 1
+        entries[:, 0] = [0] * 6 + [1] * 6
+        entries[:, 2] = [1, 1, 2, 2, 2, 2] + [0] * 6
+        m = CodeMatrix(3, entries)
+        expect = naive_pairs(m, 2)
+        assert len(expect) == 780 and expect[0] == (1, 3)
+        assert list(agreement_pairs(entries, 2)) == expect
+        wit = is_lambda_matrix(m, 2, 6).witness
+        assert (wit.column, wit.coalition, wit.rows) == naive_lambda_witness(m, 2, 6) == (1, (3,), tuple(range(6)))
 
     @given(
         st.integers(1, 6),
