@@ -17,7 +17,7 @@ from .core import (
     write_code,
 )
 from .diagonal import build_diagonal
-from .expurgate import ExpurgationParams, build_expurgated, expurgation_length, p_qk
+from .expurgate import ExpurgationParams, expurgation_length, p_qk
 from .lll import (
     ConstructionParams,
     ResampleLog,
@@ -51,7 +51,6 @@ __all__ = [
     "binary_expand",
     "bound_report",
     "build_diagonal",
-    "build_expurgated",
     "build_frameproof",
     "build_lambda_matrix",
     "build_strongly_selective",

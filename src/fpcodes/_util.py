@@ -1,8 +1,10 @@
-"""Shared helpers: tolerant ceiling and reproducible RNG substreams."""
+"""Shared helpers: tolerant ceiling, float range of q, reproducible RNG substreams."""
 
 import hashlib
 import math
 import random
+
+from .core import ParameterError
 
 # Absolute nudge applied before ceiling so that values sitting a hair above
 # an integer because of float roundoff do not get bumped to the next one.
@@ -14,6 +16,14 @@ def ceil_tol(x: float) -> int:
     if not math.isfinite(x):
         raise OverflowError(f"cannot take ceiling of {x!r}")
     return math.ceil(x - CEIL_TOL)
+
+
+def check_float_q(q: int) -> None:
+    """Refuse q above 2^53, the last exact float integer, in the real-valued
+    length formulas: past it ln(1 - p) loses its digits (1 - 1/q rounds to 1
+    from 2^54) and from 2^1024 q overflows a float."""
+    if q > 2**53:
+        raise ParameterError(f"q={q} exceeds 2^53, beyond float precision for the length formulas")
 
 
 def substream(seed: int, *path) -> random.Random:

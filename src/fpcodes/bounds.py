@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import ceil_tol
+from ._util import ceil_tol, check_float_q
 from .core import ParameterError
 from .expurgate import corollary_length, expurgation_length, p_qk
 from .lll import derive_weight, derived_params
@@ -45,6 +45,7 @@ def _check_triple(q: int, k: int, n: int):
         raise ParameterError(f"k={k} must be at least 2")
     if n <= k:
         raise ParameterError(f"need n > k, got n={n}, k={k}")
+    check_float_q(q)
 
 
 def ss_debonis_order(q: int, k: int, n: int) -> float:
@@ -118,6 +119,7 @@ def fp_bounds_theorem310(q: int, k: int, n: int) -> tuple[int, int]:
         raise ParameterError(f"q={q} must be at least 2")
     if k < 1 or n < 1:
         raise ParameterError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    check_float_q(q)
     upper = -(-n // (q - 1))
     lower = ceil_tol(min(n, DIAG_LOWER_COEFF * k * k) / q)
     return upper, lower
@@ -133,6 +135,7 @@ def stinson_41(q: int, k: int, n: int) -> float:
     """
     if q < 2 or k < 2 or n < 2:
         raise ParameterError(f"need q >= 2, k >= 2, n >= 2, got q={q}, k={k}, n={n}")
+    check_float_q(q)
     inv_fact = math.exp(-math.lgamma(k + 1))
     tail = -math.log1p(-inv_fact) if inv_fact > 0 else 0.0
     numerator = -k * (math.log(n) + tail)
@@ -239,7 +242,6 @@ class BoundReport:
 
 def bound_report(q: int, k: int, n: int) -> BoundReport:
     """Evaluate every bound at (q, k, n), flagging inapplicable regimes."""
-    _check_triple(q, k, n)
     entries: dict = {}
     flags: dict = {}
 

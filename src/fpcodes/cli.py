@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
         return 0
     if args.k is None:
         raise ParameterError("simulate needs --active or --k with --trials")
-    ok = conflict.guarantee_check(matrix, args.k, args.trials, args.seed, verify=args.verify)
+    ok = conflict.guarantee_check(matrix, args.k, args.trials, args.seed)
     print(f"guarantee {'true' if ok else 'false'}")
     return 0 if ok else 1
 
@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="guarantee mode: max active set size")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verify", action="store_true", help="oracle-check selectivity first")
     p.add_argument("--trace", action="store_true", help="print per-slot channel trace")
     p.set_defaults(func=cmd_simulate)
 

@@ -44,15 +44,20 @@ class ScheduleOutcome:
         return all(slot is not None for slot in self.success_slot.values())
 
 
+def _stations(matrix: CodeMatrix, active) -> list[int]:
+    stations = sorted(set(active))
+    for s in stations:
+        if not 0 <= s < matrix.n:
+            raise ParameterError(f"station {s} out of range [0, {matrix.n})")
+    return stations
+
+
 def simulate(matrix: CodeMatrix, active) -> ScheduleOutcome:
     """Run the schedule for one active set; deterministic.
 
     An empty active set yields an empty outcome.
     """
-    stations = sorted(set(active))
-    for s in stations:
-        if not 0 <= s < matrix.n:
-            raise ParameterError(f"station {s} out of range [0, {matrix.n})")
+    stations = _stations(matrix, active)
     success = {s: None for s in stations}
     for i, row in enumerate(matrix.entries[:, stations].tolist()):
         users: dict[int, list[int]] = {}
@@ -72,31 +77,29 @@ def _sets_succeed(entries: np.ndarray, sets: np.ndarray) -> bool:
 
     Member j of a set is alone in slot i when its symbol there is nonzero
     and differs from every other member's.  The sets' symbols are gathered
-    as rows x m x s blocks of at most GATHER_BLOCK symbols (one block
-    unless a single set's column is longer) and tested one member position
-    at a time.
+    in one rows x m x s block, which the caller keeps within GATHER_BLOCK
+    symbols unless a single set's columns are longer, and tested one
+    member position at a time.
     """
-    m, s = sets.shape
-    found = np.zeros((m, s), dtype=bool)
-    step = max(1, GATHER_BLOCK // sets.size)
-    for r0 in range(0, entries.shape[0], step):
-        g = entries[r0 : r0 + step, sets]
-        for j in range(s):
-            alone = g[..., j] != 0
-            for other in range(s):
-                if other != j:
-                    alone &= g[..., other] != g[..., j]
-            found[:, j] |= alone.any(axis=0)
-    return bool(found.all())
+    g = entries[:, sets]
+    for j in range(sets.shape[1]):
+        alone = g[..., j] != 0
+        for other in range(sets.shape[1]):
+            if other != j:
+                alone &= g[..., other] != g[..., j]
+        if not alone.any(axis=0).all():
+            return False
+    return True
 
 
-def guarantee_check(matrix: CodeMatrix, k: int, trials: int, seed: int, verify: bool = False) -> bool:
+def guarantee_check(matrix: CodeMatrix, k: int, trials: int, seed: int) -> bool:
     """Sample random active sets of size <= k; True iff all stations always succeed.
 
-    With verify=True the selectivity oracle is run first and a failing
-    matrix raises ParameterError; otherwise the precondition is trusted.
-    Per-trial RNG streams are derived counter-style from the seed, so
-    trials are order-independent and could run in parallel.  The sets are
+    It reports what the sampled sets do and assumes nothing of the code;
+    the exhaustive check is `verify.is_strongly_selective`, and a code that
+    passes it makes every set of size <= k succeed.  Per-trial RNG streams
+    are derived counter-style from the seed, so trials are
+    order-independent and could run in parallel.  The sets are
     checked in batches (`_sets_succeed`), one chunk of trials at a time:
     chunks double from one trial up to GATHER_BLOCK gathered symbols, and
     the first chunk holding a failing set ends the check.  The verdict is
@@ -106,8 +109,6 @@ def guarantee_check(matrix: CodeMatrix, k: int, trials: int, seed: int, verify: 
         raise ParameterError(f"need 1 <= k <= n={matrix.n}, got k={k}")
     if trials < 1:
         raise ParameterError(f"trials={trials} must be positive")
-    if verify and not is_strongly_selective(matrix, k).passed:
-        raise ParameterError(f"matrix is not {k}-strongly selective")
     widest = max(1, GATHER_BLOCK // max(1, matrix.t * k))
     start, chunk = 0, 1
     while start < trials:
@@ -142,10 +143,7 @@ def trace_lines(matrix: CodeMatrix, active) -> list[str]:
     One line per (slot, channel) pair: slot, channel, the transmitting
     stations as a comma list (or -), and idle/success/collision.
     """
-    stations = sorted(set(active))
-    for s in stations:
-        if not 0 <= s < matrix.n:
-            raise ParameterError(f"station {s} out of range [0, {matrix.n})")
+    stations = _stations(matrix, active)
     lines = []
     for i, row in enumerate(matrix.entries[:, stations].tolist()):
         for channel in range(1, matrix.q):

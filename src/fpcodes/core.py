@@ -46,6 +46,12 @@ MAX_Q = 1 << 16  # largest alphabet: symbols are stored as uint16
 MAX_N = sys.maxsize // 2  # most uint16 columns numpy can shape, even with no rows
 
 
+def _check_alphabet(q: int) -> None:
+    """Refuse an alphabet a code cannot store, before any work is done for it."""
+    if q > MAX_Q:
+        raise ParameterError(f"q={q} exceeds {MAX_Q}, the largest alphabet a code stores")
+
+
 @dataclass(frozen=True, eq=False)
 class CodeMatrix:
     """Immutable t x n matrix over {0, ..., q-1}, one codeword per column."""
@@ -56,13 +62,14 @@ class CodeMatrix:
     def __post_init__(self):
         if self.q < 2:
             raise ParameterError(f"alphabet size q={self.q} must be at least 2")
+        _check_alphabet(self.q)
         arr = np.asarray(self.entries)
         if arr.ndim != 2:
             raise ParameterError(f"entries must be 2-dimensional, got shape {arr.shape}")
+        if arr.dtype.kind not in "biu":  # bool or integer; no silent truncation of floats
+            raise ParameterError(f"entries must be integers, got dtype {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.q):
             raise ParameterError(f"entries must lie in [0, {self.q - 1}]")
-        if self.q > MAX_Q:
-            raise ParameterError("alphabet size exceeds uint16 storage")
         arr = np.ascontiguousarray(arr, dtype=np.uint16)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)

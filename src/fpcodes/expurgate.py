@@ -23,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CodeMatrix, ConstructionError, ParameterError
+from ._util import check_float_q
+from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet
 from .verify import _check_capacity, _framings
 
 MAX_REDRAWS = 50
@@ -33,18 +34,16 @@ LENGTH_REL_ERR = 2.0**-48
 
 @dataclass(frozen=True)
 class ExpurgationParams:
-    """Resolved parameters of one expurgation run.
+    """Resolved parameters of one expurgation run: t is the length drawn.
 
-    ell is the column surplus, t the derived length, mu the symbol
-    distribution (index = symbol).
+    The column surplus `ell` and the symbol distribution `mu` (index =
+    symbol) follow from (q, k, n) and are derived, not stored.
     """
 
     k: int
     q: int
     n: int
-    ell: int
     t: int
-    mu: tuple[float, ...]
     seed: int
 
     def __post_init__(self):
@@ -52,12 +51,19 @@ class ExpurgationParams:
             raise ParameterError(f"k={self.k} must be at least 2")
         if self.q < 2:
             raise ParameterError(f"q={self.q} must be at least 2")
+        _check_alphabet(self.q)
         if self.n < self.k:
             raise ParameterError(f"need n >= k, got n={self.n}, k={self.k}")
-        if len(self.mu) != self.q:
-            raise ParameterError(f"mu must have q={self.q} entries, got {len(self.mu)}")
-        if any(p < 0 for p in self.mu) or abs(sum(self.mu) - 1.0) > 1e-12:
-            raise ParameterError("mu must be a probability distribution")
+
+    @property
+    def ell(self) -> int:
+        """Column surplus floor(n/k)."""
+        return self.n // self.k
+
+    @property
+    def mu(self) -> tuple[float, ...]:
+        """Draw distribution, `symbol_distribution(q, k)`."""
+        return symbol_distribution(self.q, self.k)
 
 
 def _p_fraction(q: int, k: int) -> Fraction:
@@ -131,28 +137,17 @@ def corollary_length(q: int, k: int, n: int) -> float:
 
     Real-valued; callers that need an integer length take the ceiling.
     """
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
+    p = p_qk(q, k)
+    check_float_q(q)
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
-    p = p_qk(q, k)
     log_count = k * math.log(n * (k + 1) / k) + math.log(k + 1) - math.lgamma(k + 1)
     return log_count / -math.log1p(-p)
 
 
 def expurgation_params(q: int, k: int, n: int, seed: int = 0) -> ExpurgationParams:
     """Resolve (q, k, n, seed) into a full parameter record."""
-    return ExpurgationParams(
-        k=k,
-        q=q,
-        n=n,
-        ell=n // k,
-        t=expurgation_length(q, k, n),
-        mu=symbol_distribution(q, k),
-        seed=seed,
-    )
+    return ExpurgationParams(k=k, q=q, n=n, t=expurgation_length(q, k, n), seed=seed)
 
 
 def draw_matrix(params: ExpurgationParams, attempt: int = 0) -> np.ndarray:
@@ -207,8 +202,3 @@ def expurgate_run(q: int, k: int, n: int, seed: int = 0):
     raise ConstructionError(
         f"no draw with at most {params.ell} bad events in {MAX_REDRAWS} attempts"
     )
-
-
-def build_expurgated(q: int, k: int, n: int, seed: int = 0) -> CodeMatrix:
-    """Draw, count bad events, delete one column per event, keep n columns."""
-    return expurgate_run(q, k, n, seed)[0]

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ceil_tol, substream
-from .core import CodeMatrix, ConstructionError, ParameterError, agreement_pairs
+from ._util import ceil_tol, check_float_q, substream
+from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet, agreement_pairs
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,16 @@ class ConstructionParams:
 class ResampleLog:
     """Progress record of one build.
 
-    total_resamples counts pair-resampling events (each event redraws both
-    columns of one violated pair).  rounds = total_resamples + 1 snapshots
-    were taken; history[i] = (events so far, violated pairs remaining) with
-    history[0] the state right after the initial draw.
+    history[i] = (events so far, violated pairs remaining), one snapshot
+    per event, with history[0] the state right after the initial draw.
     """
 
-    total_resamples: int
-    rounds: int
     history: tuple[tuple[int, int], ...]
+
+    @property
+    def total_resamples(self) -> int:
+        """Pair-resampling events; each redraws both columns of one violated pair."""
+        return len(self.history) - 1
 
 
 def derive_lambda(w: int, k: int) -> int:
@@ -107,6 +108,7 @@ def derive_length(lam: int, w: int, n: int, q: int) -> int:
     """
     if q < 2:
         raise ParameterError(f"q={q} must be at least 2")
+    check_float_q(q)
     if n < 3:
         raise ParameterError(f"n={n} must be at least 3")
     if not 0 <= lam < w:
@@ -137,23 +139,15 @@ def _log_violation_probability(params: ConstructionParams) -> float:
     )
 
 
-def violation_probability(params: ConstructionParams) -> float:
-    """Upper bound on the probability that a fixed column pair is violated."""
-    if params.lam >= params.w:
-        return 0.0
-    return math.exp(_log_violation_probability(params))
-
-
 def lll_satisfiability_check(params: ConstructionParams) -> bool:
     """True when e * P * D <= 1 for P the pair violation bound and D = 2n-4.
 
     D <= 0 (n <= 2) means the dependency graph is empty and any positive
-    success probability suffices, so the check passes vacuously.
+    success probability suffices, and with lam >= w no pair can be
+    violated; either way the check passes vacuously.
     """
     d = 2 * params.n - 4
-    if d <= 0:
-        return True
-    if params.lam >= params.w:
+    if d <= 0 or params.lam >= params.w:
         return True
     return 1 + _log_violation_probability(params) + math.log(d) <= 0
 
@@ -175,6 +169,7 @@ def sample_column(t: int, w: int, q: int, rng) -> np.ndarray:
     """
     if q < 2:
         raise ParameterError(f"q={q} must be at least 2")
+    _check_alphabet(q)
     if not 0 <= w <= t:
         raise ParameterError(f"need 0 <= w <= t, got w={w}, t={t}")
     idx = list(range(t))
@@ -196,11 +191,12 @@ def _agreements_against(cols: np.ndarray, j: int) -> np.ndarray:
 def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, ResampleLog]:
     """Run the resampling loop until no column pair exceeds the agreement bound.
 
-    Raises ParameterError when the satisfiability criterion fails for the
-    given parameters, and ConstructionError (with the partial log attached)
+    Raises ParameterError when q exceeds core.MAX_Q or the satisfiability
+    criterion fails for the given parameters, and ConstructionError (with the partial log attached)
     if the event budget is exhausted; the budget is 100x the expected event
     count, so for admissible parameters that is a <= 1% tail event.
     """
+    _check_alphabet(params.q)
     if not lll_satisfiability_check(params):
         raise ParameterError(
             f"resampling criterion fails for lam={params.lam}, w={params.w}, "
@@ -219,7 +215,7 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
     events = 0
     while bad:
         if events >= budget:
-            log = ResampleLog(events, len(history), tuple(history))
+            log = ResampleLog(tuple(history))
             raise ConstructionError(f"resample budget of {budget} events exhausted", log=log)
         a, b = min(bad)  # lexicographically first violated pair
         cols[:, a] = sample_column(t, w, q, streams[a])
@@ -232,8 +228,7 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
                     bad.add((min(x, y), max(x, y)))
         history.append((events, len(bad)))
 
-    log = ResampleLog(events, len(history), tuple(history))
-    return CodeMatrix(q, cols), log
+    return CodeMatrix(q, cols), ResampleLog(tuple(history))
 
 
 def build_strongly_selective(k: int, q: int, n: int, seed: int = 0):
@@ -241,8 +236,6 @@ def build_strongly_selective(k: int, q: int, n: int, seed: int = 0):
 
     Returns (matrix, params, log).
     """
-    if n < 3:
-        raise ParameterError(f"n={n} must be at least 3")
     params = derived_params(k, q, n, seed)
     matrix, log = build_lambda_matrix(params)
     return matrix, params, log

@@ -284,6 +284,30 @@ class TestReport:
         with pytest.raises(ParameterError):
             bound_report(1, 2, 10)
 
+    @pytest.mark.parametrize(
+        "q", [100000, 2**53, 2**53 + 1, 2 * 10**16, 10**17, 2**1023, 10**400],
+        ids=["1e5", "2^53", "2^53+1", "2e16", "1e17", "2^1023", "1e400"],
+    )
+    def test_huge_alphabet_finite_or_parameter_error(self, q):
+        # bounds are not limited to the alphabets a code stores (q <= 65536), but
+        # past 2^53 floats lose 1 - 1/q: every bound returns a finite value or refuses
+        fns = [ss_debonis_order, lll_lambda_length, ss_theorem35, ss_corollary37, fp_theorem38,
+               fp_bounds_theorem310, stinson_41, shangguan_42, compare_45, compare_46,
+               corollary_length, expurgation_length]
+        for fn in fns:
+            try:
+                value = fn(q, 3, 100)
+            except ParameterError:
+                assert q > 2**53 or fn in (shangguan_42, compare_46), fn.__name__
+                continue
+            for v in value if isinstance(value, tuple) else (value,):
+                assert isinstance(v, bool) or math.isfinite(v), fn.__name__
+        if q > 2**53:
+            with pytest.raises(ParameterError, match="2\\^53"):
+                bound_report(q, 3, 100)
+        else:
+            assert bound_report(q, 3, 100).entries["expurgation_43"] >= 1
+
     def test_lll_entry_matches_chain(self):
         assert lll_lambda_length(2, 2, 100) == 31
         assert lll_lambda_length(3, 3, 20) == 48

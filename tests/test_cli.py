@@ -63,6 +63,13 @@ class TestConstruct:
         code, _, _ = run(capsys, "construct", "lll-fp", "--q", "3", "--n", "20")  # missing --k
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["lll-ss", "lll-fp", "expurgate"])
+    def test_alphabet_above_max_q_exit_2(self, capsys, kind):
+        # refused before any column is drawn, not by numpy's uint16 overflow
+        code, out, err = run(capsys, "construct", kind, "--q", "70000", "--k", "2", "--n", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: q=70000 exceeds 65536, the largest alphabet a code stores\n"
+
     @pytest.mark.parametrize("kind", ["lll-fp", "lll-ss", "expurgate"])
     def test_missing_k_message(self, capsys, kind):
         code, out, err = run(capsys, "construct", kind, "--q", "3", "--n", "10")
@@ -204,6 +211,13 @@ class TestBounds:
         code, out, err = run(capsys, "bounds", "--q", "2", "--k", "1100", "--n", "2000")
         assert (code, out) == (2, "")
         assert err == "error: stinson_41 overflows for these parameters\n"
+
+    @pytest.mark.parametrize("q", [str(2 * 10**16), str(10**17), "1" + "0" * 400], ids=["2e16", "1e17", "1e400"])
+    def test_huge_alphabet_exit_2(self, capsys, q):
+        code, out, err = run(capsys, "bounds", "--q", q, "--k", "3", "--n", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: q=") and "2^53" in err
+
 
 class TestSimulate:
     def test_active_mode(self, tmp_path, capsys):

@@ -56,6 +56,28 @@ class TestCodeMatrix:
         m = CodeMatrix(2, np.zeros((0, 3), dtype=np.uint16))
         assert m.t == 0 and m.n == 3
 
+    @pytest.mark.parametrize("entries", [
+        np.array([[1.5, 0.2]]),
+        np.array([[1.0, 0.0]]),
+        np.array([[np.nan, 1.0]]),
+        np.array([["1", "0"]]),
+        np.array([[1, 0]], dtype=object),
+        np.zeros((0, 3)),
+    ])
+    def test_rejects_non_integer_entries(self, entries):
+        with pytest.raises(ParameterError, match="must be integers"):
+            CodeMatrix(3, entries)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.uint16, np.uint64])
+    def test_accepts_integer_and_bool_entries(self, dtype):
+        m = CodeMatrix(3, np.array([[1, 0], [0, 1]], dtype=dtype))
+        assert m.entries.dtype == np.uint16 and m == mat(3, [[1, 0], [0, 1]])
+
+    def test_rejects_alphabet_above_max_q(self):
+        with pytest.raises(ParameterError, match="exceeds 65536"):
+            CodeMatrix(core.MAX_Q + 1, np.zeros((1, 1), dtype=np.uint16))
+        assert CodeMatrix(core.MAX_Q, np.array([[core.MAX_Q - 1]])).q == core.MAX_Q
+
 
 class TestWeights:
     def test_column_weight_counts_nonzero(self):

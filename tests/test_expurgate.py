@@ -12,7 +12,6 @@ import fpcodes.expurgate
 from fpcodes.core import CapacityError, ConstructionError, ParameterError
 from fpcodes.expurgate import (
     ExpurgationParams,
-    build_expurgated,
     corollary_length,
     draw_matrix,
     enumerate_bad_events,
@@ -186,11 +185,21 @@ class TestSymbolDistribution:
 
     def test_params_validation(self):
         with pytest.raises(ParameterError):
-            ExpurgationParams(k=2, q=3, n=10, ell=5, t=10, mu=(0.5, 0.5), seed=0)  # len != q
-        with pytest.raises(ParameterError):
-            ExpurgationParams(k=2, q=2, n=10, ell=5, t=10, mu=(0.9, 0.2), seed=0)  # sum != 1
-        with pytest.raises(ParameterError):
-            ExpurgationParams(k=2, q=2, n=1, ell=0, t=10, mu=(0.5, 0.5), seed=0)  # n < k
+            ExpurgationParams(k=2, q=2, n=1, t=10, seed=0)  # n < k
+        with pytest.raises(ParameterError, match="exceeds 65536"):
+            ExpurgationParams(k=2, q=70000, n=10, t=10, seed=0)
+        with pytest.raises(ParameterError, match="exceeds 65536"):
+            expurgate_run(70000, 2, 10)
+
+    @pytest.mark.parametrize("q,k,n,seed", [(3, 2, 10, 4), (2, 3, 9, 7), (16, 3, 20, 1)])
+    def test_derived_fields(self, q, k, n, seed):
+        # ell and mu follow from (q, k, n): a hand-built record draws what the resolved one does
+        resolved = expurgation_params(q, k, n, seed)
+        hand = ExpurgationParams(k, q, n, resolved.t, seed)
+        assert hand == resolved
+        assert (hand.ell, hand.mu) == (n // k, symbol_distribution(q, k))
+        for attempt in (0, 1):
+            assert np.array_equal(draw_matrix(hand, attempt), draw_matrix(resolved, attempt))
 
 
 class TestDrawMatrix:
@@ -271,12 +280,12 @@ class TestBuild:
             assert enumerate_bad_events(matrix.entries, k) == []
 
     def test_signature_returns_matrix_only(self):
-        matrix = build_expurgated(3, 2, 10, seed=5)
+        matrix = expurgate_run(3, 2, 10, seed=5)[0]
         assert (matrix.t, matrix.n) == (10, 10)
 
     def test_deterministic(self):
-        a = build_expurgated(3, 2, 10, seed=8)
-        b = build_expurgated(3, 2, 10, seed=8)
+        a = expurgate_run(3, 2, 10, seed=8)[0]
+        b = expurgate_run(3, 2, 10, seed=8)[0]
         assert a == b
 
     def test_expected_bad_events_within_band(self):
@@ -298,7 +307,7 @@ class TestBuild:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            build_expurgated(2, 5, 50, seed=0)
+            expurgate_run(2, 5, 50, seed=0)
 
     def test_redraw_cap(self, monkeypatch):
         import fpcodes.expurgate as ex

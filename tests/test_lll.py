@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fpcodes._util import substream
-from fpcodes.core import CodeMatrix, ConstructionError, ParameterError
+from fpcodes.core import MAX_Q, CodeMatrix, ConstructionError, ParameterError
 from fpcodes.lll import (
     ConstructionParams,
     ResampleLog,
+    _log_violation_probability,
     build_frameproof,
     build_lambda_matrix,
     build_strongly_selective,
@@ -21,7 +22,6 @@ from fpcodes.lll import (
     lll_satisfiability_check,
     resample_budget,
     sample_column,
-    violation_probability,
 )
 from fpcodes.verify import is_frameproof, is_lambda_matrix, is_strongly_selective
 
@@ -65,7 +65,7 @@ def reference_build(params):
                 else:
                     violated.discard(pair)
         history.append((events, len(violated)))
-    return CodeMatrix(q, cols), ResampleLog(events, len(history), tuple(history))
+    return CodeMatrix(q, cols), ResampleLog(tuple(history))
 
 
 def mp_weight(k, n):
@@ -133,6 +133,8 @@ class TestDeriveFormulas:
             derive_length(4, 5, 2, 3)  # n >= 3
         with pytest.raises(ParameterError):
             derive_length(5, 5, 10, 3)  # lam < w
+        with pytest.raises(ParameterError, match="2\\^53"):
+            derive_length(2, 5, 10, 10**400)  # q past exact floats
         with pytest.raises(ParameterError):
             derive_lambda(5, 1)
 
@@ -177,8 +179,8 @@ class TestSatisfiability:
         assert lll_satisfiability_check(p)
 
     def test_zero_probability_when_lam_at_least_w(self):
+        # no pair can exceed lam >= w agreements, so the criterion holds at any t
         p = ConstructionParams(k=2, q=2, n=10, w=2, lam=2, t=4, seed=0)
-        assert violation_probability(p) == 0.0
         assert lll_satisfiability_check(p)
 
     def test_matches_direct_probability_formula(self):
@@ -188,7 +190,7 @@ class TestSatisfiability:
             * (math.e * p.w / (p.lam + 1)) ** (p.lam + 1)
             * ((p.w - p.lam / 2) / (p.t - p.lam / 2)) ** (p.lam + 1)
         )
-        assert violation_probability(p) == pytest.approx(direct, rel=1e-12)
+        assert math.exp(_log_violation_probability(p)) == pytest.approx(direct, rel=1e-12)
         assert (math.e * direct * (2 * p.n - 4) <= 1) == lll_satisfiability_check(p)
 
 
@@ -206,6 +208,9 @@ class TestSampleColumn:
             sample_column(3, 4, 2, rng)
         with pytest.raises(ParameterError):
             sample_column(3, 1, 1, rng)
+        with pytest.raises(ParameterError, match="exceeds 65536"):
+            sample_column(3, 1, MAX_Q + 1, rng)
+        assert sample_column(3, 3, MAX_Q, rng).max() <= MAX_Q - 1
 
     def test_deterministic_per_stream(self):
         a = sample_column(9, 4, 3, substream(5, "col", 2))
@@ -264,10 +269,22 @@ class TestBuild:
 
     def test_log_shape(self):
         _, _, log = build_strongly_selective(2, 2, 12, seed=9)
-        assert log.rounds == log.total_resamples + 1
-        assert len(log.history) == log.rounds
-        assert [e for e, _ in log.history] == list(range(log.rounds))
+        assert len(log.history) == log.total_resamples + 1
+        assert [e for e, _ in log.history] == list(range(len(log.history)))
         assert log.history[-1][1] == 0
+
+    def test_rejects_alphabet_above_max_q(self):
+        # the parameters resolve (the bounds use them at any q); the build is refused
+        p = derived_params(2, MAX_Q + 1, 10, seed=0)
+        with pytest.raises(ParameterError, match="exceeds 65536"):
+            build_lambda_matrix(p)
+        with pytest.raises(ParameterError, match="exceeds 65536"):
+            build_strongly_selective(2, 70000, 10)
+
+    def test_too_few_columns_message(self):
+        # derive_weight makes the n > k check for the builder
+        with pytest.raises(ParameterError, match="need n > k, got n=2, k=2"):
+            build_strongly_selective(2, 3, 2)
 
     def test_rejects_unsatisfiable_params(self):
         p = derived_params(2, 3, 10, seed=0)
