@@ -1,8 +1,11 @@
-"""Shared helpers: tolerant ceiling, float range of q, reproducible RNG substreams."""
+"""Shared helpers: tolerant ceiling, float range of q and n, reproducible RNG
+substreams and their raw 32-bit words."""
 
 import hashlib
 import math
 import random
+
+import numpy as np
 
 from .core import ParameterError
 
@@ -26,6 +29,17 @@ def check_float_q(q: int) -> None:
         raise ParameterError(f"q={q} exceeds 2^53, beyond float precision for the length formulas")
 
 
+# from 2^1021 on, 2 e n, the largest float term the length formulas form from
+# n, overflows a float (and from 2^1024 on n itself does)
+FLOAT_N_LIMIT = 2**1021
+
+
+def check_float_n(n: int) -> None:
+    """Refuse n from FLOAT_N_LIMIT = 2^1021 on in the real-valued formulas."""
+    if n >= FLOAT_N_LIMIT:
+        raise ParameterError("n exceeds 2^1021, beyond float range for the length formulas")
+
+
 def substream(seed: int, *path) -> random.Random:
     """Independent PRNG stream derived from (seed, *path) by hashing.
 
@@ -36,3 +50,19 @@ def substream(seed: int, *path) -> random.Random:
     tag = ":".join([str(seed)] + [str(p) for p in path])
     digest = hashlib.sha256(tag.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def stream_words(streams, count: int) -> np.ndarray:
+    """The next `count` 32-bit Mersenne Twister outputs of each stream, as a
+    (len(streams), count) uint32 array; each stream is advanced past them.
+
+    CPython's `getrandbits(32 * count)` is those words, least significant
+    first.  Every draw of `random.Random` is built from whole words:
+    `randrange(m)` takes one per try (value word >> (32 - m.bit_length()),
+    rejected when >= m) and `random()` two, a and b, as
+    ((a >> 5) 2^26 + (b >> 6)) 2^-53.  So numpy can replay the draws from
+    this array bit for bit.
+    """
+    streams = list(streams)
+    raw = b"".join(rng.getrandbits(32 * count).to_bytes(4 * count, "little") for rng in streams)
+    return np.frombuffer(raw, dtype="<u4").reshape(len(streams), count)

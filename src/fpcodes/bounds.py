@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import ceil_tol, check_float_q
+from ._util import ceil_tol, check_float_n, check_float_q
 from .core import ParameterError
 from .expurgate import corollary_length, expurgation_length, p_qk
 from .lll import derive_weight, derived_params
@@ -46,6 +46,7 @@ def _check_triple(q: int, k: int, n: int):
     if n <= k:
         raise ParameterError(f"need n > k, got n={n}, k={k}")
     check_float_q(q)
+    check_float_n(n)
 
 
 def ss_debonis_order(q: int, k: int, n: int) -> float:

@@ -14,7 +14,6 @@ probability p of a fixed column against k fixed others.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -23,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import check_float_q
+from ._util import check_float_n, check_float_q, stream_words
 from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet
 from .verify import _check_capacity, _framings
 
@@ -141,6 +140,7 @@ def corollary_length(q: int, k: int, n: int) -> float:
     check_float_q(q)
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
+    check_float_n(n)
     log_count = k * math.log(n * (k + 1) / k) + math.log(k + 1) - math.lgamma(k + 1)
     return log_count / -math.log1p(-p)
 
@@ -158,12 +158,15 @@ def draw_matrix(params: ExpurgationParams, attempt: int = 0) -> np.ndarray:
     """
     if attempt < 0:
         raise ParameterError(f"attempt={attempt} must be nonnegative")
-    rng = random.Random(params.seed + attempt)
-    cum = list(itertools.accumulate(params.mu))
+    cum = np.array(list(itertools.accumulate(params.mu)))
     cum[-1] = 1.0
     width = params.n + params.ell
-    flat = [bisect.bisect_right(cum, rng.random()) for _ in range(params.t * width)]
-    return np.array(flat, dtype=np.uint16).reshape(params.t, width)
+    cells = params.t * width
+    # the floats of cells successive rng.random() calls, two words each
+    a, b = stream_words([random.Random(params.seed + attempt)], 2 * cells).reshape(cells, 2).T
+    u = ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+    # side="right" is bisect_right: symbol s covers [cum[s-1], cum[s])
+    return np.searchsorted(cum, u, side="right").astype(np.uint16).reshape(params.t, width)
 
 
 def enumerate_bad_events(entries: np.ndarray, k: int) -> list[tuple[int, tuple[int, ...]]]:

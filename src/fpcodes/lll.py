@@ -10,6 +10,14 @@ expected number of resampling events is at most n(n-1)/(2*(2n-4)), which
 is under n/3, and the loop terminates with a matrix in which any column
 pair shares at most `lam` nonzero agreements.
 
+The initial draw (`_draw_columns`) replays, in numpy and bit for bit, the
+`sample_column` call of every column on its stream `substream(seed, "col",
+j)`: it takes each stream's raw 32-bit words and consumes them as CPython's
+`randrange` does, DRAW_BLOCK columns at a time.  No stream outlives its
+block.  A column that is resampled gets its stream back on its first event,
+re-derived and advanced past the words the draw took, and is redrawn by
+`sample_column` from then on.
+
 Violated pairs are kept in a set, filled once by the agreement kernel
 `core.agreement_pairs` (a blocked B^T B product, shared with
 `verify.is_lambda_matrix`); an event drops the pairs that touch the two
@@ -28,9 +36,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import ceil_tol, check_float_q, substream
+from ._util import ceil_tol, check_float_n, check_float_q, stream_words, substream
 from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet, agreement_pairs
+
+# columns per block of the initial draw, whose working memory is O(DRAW_BLOCK t)
+DRAW_BLOCK = 2048
+# spare words per column in the initial draw, in units of (standard deviation
+# + 1) of the count it needs; a column that still runs short is drawn by
+# `sample_column`.  At 6, none of 10^5 columns over five parameter sets did
+DRAW_SURPLUS = 6
+# words each vector step of the initial draw tests per column: a randrange
+# try is rejected with probability below 1/2, so all but 1/256 settle at once
+DRAW_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -97,6 +116,7 @@ def derive_weight(k: int, n: int) -> int:
         raise ParameterError(f"k={k} must be at least 2")
     if n <= k:
         raise ParameterError(f"need n > k, got n={n}, k={k}")
+    check_float_n(n)
     return ceil_tol(1 + (k - 1) * math.log(2 * math.e * n))
 
 
@@ -111,6 +131,7 @@ def derive_length(lam: int, w: int, n: int, q: int) -> int:
     check_float_q(q)
     if n < 3:
         raise ParameterError(f"n={n} must be at least 3")
+    check_float_n(n)
     if not 0 <= lam < w:
         raise ParameterError(f"need 0 <= lam < w, got lam={lam}, w={w}")
     first = 2 * w - (lam + 1)
@@ -182,6 +203,87 @@ def sample_column(t: int, w: int, q: int, rng) -> np.ndarray:
     return col
 
 
+def _word_budget(t: int, w: int, q: int) -> int:
+    """Words the replay in `_draw_columns` takes per column: the mean count
+    its 2w `randrange` calls use plus DRAW_SURPLUS (standard deviations + 1).
+
+    A call randrange(m) tries words until one is accepted, each with
+    probability p = m / 2^bit_length(m): 1/p tries on average, variance
+    (1-p)/p^2.
+    """
+    accept = [m / (1 << m.bit_length()) for m in [*range(t, t - w, -1), *[q - 1] * w]]
+    mean = sum(1 / p for p in accept)
+    sd = math.sqrt(sum((1 - p) / p**2 for p in accept))
+    return math.ceil(mean + DRAW_SURPLUS * (sd + 1))
+
+
+def _accept_below(m: int) -> int:
+    """randrange(m) accepts word x iff x >> (32 - m.bit_length()) < m, that is iff x < this."""
+    return m << (32 - m.bit_length())
+
+
+def _draw_columns(params: ConstructionParams):
+    """The initial columns, bit for bit `sample_column(t, w, q,
+    substream(seed, "col", j))` for every j, replayed in numpy.
+
+    Columns go in blocks of DRAW_BLOCK.  A block takes `_word_budget` words
+    from the stream of each of its columns.  The w Fisher-Yates steps run as vector
+    ops with one word pointer per column; the symbols are the first w
+    accepted words after the pointer.  A column that runs out of words is
+    drawn by `sample_column` on a fresh stream.
+
+    Returns (cols, used, streams): used[j] is the number of words column j
+    took, and streams maps each column drawn by `sample_column` to its
+    stream, already past the draw.
+    """
+    n, t, w, q, seed = params.n, params.t, params.w, params.q, params.seed
+    budget = _word_budget(t, w, q)
+    stride = budget + DRAW_WINDOW
+    cols = np.zeros((t, n), dtype=np.uint16)
+    used = np.zeros(n, dtype=np.int64)
+    streams = {}
+    for j0 in range(0, n, DRAW_BLOCK):
+        m = min(DRAW_BLOCK, n - j0)
+        # past the budget, all-ones words: every randrange try rejects them
+        words = np.full((m, stride), 0xFFFFFFFF, dtype=np.uint32)
+        words[:, :budget] = stream_words((substream(seed, "col", j) for j in range(j0, j0 + m)), budget)
+        tries = sliding_window_view(words, DRAW_WINDOW, axis=1)
+        lanes = np.arange(m)
+        ptr = np.zeros(m, dtype=np.intp)
+        idx = np.tile(np.arange(t, dtype=np.intp), m)  # lane a's Fisher-Yates array is idx[a t : (a+1) t]
+        for i in range(w):
+            # randrange(i, t): the first accepted word from the pointer on,
+            # looked for DRAW_WINDOW words at a time
+            width = t - i
+            pick = np.full(m, i, dtype=np.intp)
+            todo = lanes[ptr < budget]
+            while todo.size:
+                x = tries[todo, ptr[todo]]
+                ok = x < _accept_below(width)
+                first = ok.argmax(axis=1)
+                hit = ok[np.arange(todo.size), first]
+                ptr[todo] += np.where(hit, first + 1, DRAW_WINDOW)
+                pick[todo[hit]] = i + (x[hit, first[hit]] >> (32 - width.bit_length()))
+                todo = todo[~hit]
+                todo = todo[ptr[todo] < budget]
+            here, there = lanes * t + i, lanes * t + pick
+            idx[here], idx[there] = idx[there], idx[here]
+        # each randrange(1, q) symbol: the first w accepted words from the pointer on
+        flat = words.ravel()
+        accepted = np.flatnonzero((words < _accept_below(q - 1)) & (np.arange(stride) >= ptr[:, None]))
+        first = np.searchsorted(accepted, lanes * stride)
+        short = np.diff(first, append=accepted.size) < w
+        full = lanes[~short]
+        at = accepted[first[full, None] + np.arange(w)]
+        support = idx.reshape(m, t)[full, :w]
+        cols[support, (j0 + full)[:, None]] = (flat[at] >> (32 - (q - 1).bit_length())) + 1
+        used[j0 + full] = at[:, -1] - full * stride + 1
+        for j in (j0 + lanes[short]).tolist():
+            streams[j] = substream(seed, "col", j)
+            cols[:, j] = sample_column(t, w, q, streams[j])
+    return cols, used, streams
+
+
 def _agreements_against(cols: np.ndarray, j: int) -> np.ndarray:
     # nonzero agreements with column j can only sit on its w support rows
     sub = cols[np.flatnonzero(cols[:, j])]
@@ -204,10 +306,7 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
             f"derive_length gives the smallest admissible t"
         )
     n, t, w, q, lam = params.n, params.t, params.w, params.q, params.lam
-    streams = [substream(params.seed, "col", j) for j in range(n)]
-    cols = np.zeros((t, n), dtype=np.uint16)
-    for j in range(n):
-        cols[:, j] = sample_column(t, w, q, streams[j])
+    cols, used, streams = _draw_columns(params)
 
     bad = set(agreement_pairs(cols, lam))
     history = [(0, len(bad))]
@@ -218,8 +317,12 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
             log = ResampleLog(tuple(history))
             raise ConstructionError(f"resample budget of {budget} events exhausted", log=log)
         a, b = min(bad)  # lexicographically first violated pair
-        cols[:, a] = sample_column(t, w, q, streams[a])
-        cols[:, b] = sample_column(t, w, q, streams[b])
+        for x in (a, b):
+            if x not in streams:
+                # the column's stream, past the words the initial draw took
+                streams[x] = substream(params.seed, "col", x)
+                streams[x].getrandbits(32 * int(used[x]))
+            cols[:, x] = sample_column(t, w, q, streams[x])
         events += 1
         bad = {p for p in bad if a not in p and b not in p}
         for x in (a, b):

@@ -25,7 +25,7 @@ from fpcodes.bounds import (
 )
 from fpcodes.core import ParameterError
 from fpcodes.expurgate import corollary_length, expurgation_length
-from fpcodes.lll import derive_weight
+from fpcodes.lll import derive_length, derive_weight
 
 mp.mp.dps = 50
 
@@ -307,6 +307,37 @@ class TestReport:
                 bound_report(q, 3, 100)
         else:
             assert bound_report(q, 3, 100).entries["expurgation_43"] >= 1
+
+    @pytest.mark.parametrize("n", [10**20, 2**1021 - 1, 2**1021, 10**400], ids=["1e20", "2^1021-1", "2^1021", "1e400"])
+    def test_huge_n_finite_or_parameter_error(self, n):
+        # from 2^1021 on, 2 e n overflows a float: the formulas that take n
+        # into floats refuse it, the others (exact or log-only) still answer
+        fns = [ss_debonis_order, lll_lambda_length, ss_theorem35, ss_corollary37, fp_theorem38,
+               fp_bounds_theorem310, stinson_41, shangguan_42, compare_45, compare_46,
+               corollary_length, expurgation_length, derive_weight]
+        float_n = {ss_debonis_order, lll_lambda_length, ss_theorem35, ss_corollary37, fp_theorem38,
+                   compare_45, compare_46, corollary_length, derive_weight}
+        for q in (3, 5):  # both regimes, q <= k and q > k
+            for fn in fns:
+                try:
+                    value = fn(q, 3, n) if fn is not derive_weight else fn(3, n)
+                except ApplicabilityError:
+                    continue
+                except ParameterError as exc:
+                    assert n >= 2**1021 and fn in float_n, fn.__name__
+                    assert "2^1021" in str(exc)
+                    continue
+                assert n < 2**1021 or fn not in float_n, fn.__name__
+                for v in value if isinstance(value, tuple) else (value,):
+                    assert isinstance(v, int) or math.isfinite(v), fn.__name__  # exact ints may pass 2^1024
+        if n >= 2**1021:
+            with pytest.raises(ParameterError, match="2\\^1021"):
+                derive_length(4, 9, n, 3)
+            with pytest.raises(ParameterError, match="2\\^1021"):
+                bound_report(3, 3, n)
+        else:
+            assert derive_length(4, 9, n, 3) >= 1
+            assert bound_report(3, 3, n).entries["expurgation_43"] >= 1
 
     def test_lll_entry_matches_chain(self):
         assert lll_lambda_length(2, 2, 100) == 31

@@ -218,6 +218,11 @@ class TestBounds:
         assert (code, out) == (2, "")
         assert err.startswith("error: q=") and "2^53" in err
 
+    def test_huge_n_exit_2(self, capsys):
+        code, out, err = run(capsys, "bounds", "--q", "3", "--k", "3", "--n", "1" + "0" * 400)
+        assert (code, out) == (2, "")
+        assert err == "error: n exceeds 2^1021, beyond float range for the length formulas\n"
+
 
 class TestSimulate:
     def test_active_mode(self, tmp_path, capsys):

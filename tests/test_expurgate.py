@@ -1,5 +1,7 @@
+import bisect
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -202,7 +204,26 @@ class TestSymbolDistribution:
             assert np.array_equal(draw_matrix(hand, attempt), draw_matrix(resolved, attempt))
 
 
+def reference_draw_matrix(params, attempt):
+    """`draw_matrix` as a loop of `random()` and `bisect_right` per symbol: the
+    reference the word replay must match bit for bit."""
+    rng = random.Random(params.seed + attempt)
+    cum = list(itertools.accumulate(params.mu))
+    cum[-1] = 1.0
+    width = params.n + params.ell
+    flat = [bisect.bisect_right(cum, rng.random()) for _ in range(params.t * width)]
+    return np.array(flat, dtype=np.uint16).reshape(params.t, width)
+
+
 class TestDrawMatrix:
+    # q <= k draws the biased mu, q > k the uniform one
+    @pytest.mark.parametrize("q,k,n", [(3, 2, 100), (5, 3, 40), (2, 2, 60), (16, 3, 60), (2, 5, 50), (4, 4, 30), (256, 2, 30)])
+    def test_matches_reference_loop(self, q, k, n):
+        for seed in (0, 1):
+            params = expurgation_params(q, k, n, seed)
+            for attempt in range(4):
+                assert np.array_equal(draw_matrix(params, attempt), reference_draw_matrix(params, attempt)), (seed, attempt)
+
     def test_shape_and_determinism(self):
         params = expurgation_params(3, 2, 10, seed=4)
         a = draw_matrix(params, attempt=0)

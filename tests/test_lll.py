@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from fpcodes._util import substream
 from fpcodes.core import MAX_Q, CodeMatrix, ConstructionError, ParameterError
+import fpcodes.lll
 from fpcodes.lll import (
     ConstructionParams,
     ResampleLog,
+    _draw_columns,
     _log_violation_probability,
     build_frameproof,
     build_lambda_matrix,
@@ -28,14 +31,21 @@ from fpcodes.verify import is_frameproof, is_lambda_matrix, is_strongly_selectiv
 mp.mp.dps = 50
 
 
+def reference_columns(params):
+    """The initial draw as a loop of `sample_column` over fresh streams:
+    the columns and each stream, left where the loop leaves it."""
+    streams = [substream(params.seed, "col", j) for j in range(params.n)]
+    cols = np.zeros((params.t, params.n), dtype=np.uint16)
+    for j, rng in enumerate(streams):
+        cols[:, j] = sample_column(params.t, params.w, params.q, rng)
+    return cols, streams
+
+
 def reference_build(params):
     """The builder as a Python pair loop over a set of violated pairs: the
     reference the kernel-based `build_lambda_matrix` must match bit for bit."""
     n, t, w, q, lam = params.n, params.t, params.w, params.q, params.lam
-    streams = [substream(params.seed, "col", j) for j in range(n)]
-    cols = np.zeros((t, n), dtype=np.uint16)
-    for j in range(n):
-        cols[:, j] = sample_column(t, w, q, streams[j])
+    cols, streams = reference_columns(params)
 
     def agreements(j):
         ref = cols[:, j : j + 1]
@@ -367,3 +377,74 @@ class TestBitIdentity:
         assert 30 <= log.total_resamples <= 50
         assert matrix == ref_matrix
         assert log == ref_log
+
+
+class TestInitialDraw:
+    # lam >= w passes the criterion vacuously and never resamples, so any
+    # (t, w, q) can be drawn; "threshold" resamples (7 events)
+    CASES = {
+        "w=t": ConstructionParams(k=2, q=3, n=60, w=9, lam=9, t=9, seed=1),
+        "q=2": ConstructionParams(k=2, q=2, n=60, w=7, lam=7, t=20, seed=2),
+        "q=MAX_Q": ConstructionParams(k=2, q=MAX_Q, n=60, w=12, lam=12, t=40, seed=3),
+        "t>255": ConstructionParams(k=2, q=3, n=40, w=40, lam=40, t=300, seed=4),
+        "n=1": ConstructionParams(k=2, q=3, n=1, w=5, lam=0, t=12, seed=5),
+        "derived": derived_params(3, 3, 300, 6),
+        "threshold": ConstructionParams(k=2, q=2, n=300, w=3, lam=1, t=derive_length(1, 3, 300, 2), seed=7),
+    }
+
+    def check_draw(self, params):
+        """Columns, and every stream's position after the draw, against the scalar loop."""
+        cols, used, streams = _draw_columns(params)
+        ref, ref_streams = reference_columns(params)
+        for j in range(params.n):
+            assert np.array_equal(cols[:, j], ref[:, j]), j
+            if j in streams:  # drawn by `sample_column` itself
+                rng = streams[j]
+            else:
+                rng = substream(params.seed, "col", j)
+                rng.getrandbits(32 * int(used[j]))
+            assert [rng.random() for _ in range(10)] == [ref_streams[j].random() for _ in range(10)], j
+        return cols, streams
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_scalar_loop(self, name):
+        params = self.CASES[name]
+        self.check_draw(params)
+        assert build_lambda_matrix(params) == reference_build(params)
+
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(fpcodes.lll, "DRAW_BLOCK", block)
+        params = derived_params(3, 3, 23, block)
+        self.check_draw(params)
+        assert build_lambda_matrix(params) == reference_build(params)
+
+    def test_last_block_partial(self):
+        n = fpcodes.lll.DRAW_BLOCK + 5
+        self.check_draw(ConstructionParams(k=2, q=3, n=n, w=4, lam=4, t=10, seed=8))
+
+    def test_word_shortfall_falls_back(self, monkeypatch):
+        # a budget of the mean word count alone: columns run short and are drawn
+        # by `sample_column`; two of those are resampled later, from the streams
+        # the fallback left behind
+        monkeypatch.setattr(fpcodes.lll, "DRAW_SURPLUS", 0)
+        t = derive_length(0, 1, 1000, 256)
+        params = ConstructionParams(k=2, q=256, n=1000, w=1, lam=0, t=t, seed=2002)
+        cols, streams = self.check_draw(params)
+        matrix, log = build_lambda_matrix(params)
+        redrawn = set(np.flatnonzero((matrix.entries != cols).any(axis=0)).tolist())
+        assert len(streams) >= 5 and redrawn & set(streams)
+        assert (matrix, log) == reference_build(params)
+        for name in ("q=2", "t>255", "derived"):
+            self.check_draw(self.CASES[name])
+
+    def test_memory_stays_below_column_streams(self):
+        # with one stream per column held for the whole build the peak was 34 MB
+        params = derived_params(3, 3, 6000, 0)
+        tracemalloc.start()
+        try:
+            build_lambda_matrix(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24_000_000, peak
