@@ -24,7 +24,7 @@ import numpy as np
 
 from ._util import check_float_n, check_float_q, stream_words
 from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet
-from .verify import _check_capacity, _framings
+from .verify import _framings
 
 MAX_REDRAWS = 50
 # relative error allowed for the float length in `expurgation_length`: 3x its 10 * 2^-53 bound
@@ -178,7 +178,7 @@ def enumerate_bad_events(entries: np.ndarray, k: int) -> list[tuple[int, tuple[i
     m = entries.shape[1]
     if not 1 <= k <= m - 1:
         raise ParameterError(f"need 1 <= k <= {m - 1}, got k={k}")
-    return list(_framings(entries, k))
+    return list(_framings(entries, k, "bad-event"))
 
 
 def expurgate_run(q: int, k: int, n: int, seed: int = 0):
@@ -192,7 +192,6 @@ def expurgate_run(q: int, k: int, n: int, seed: int = 0):
     """
     params = expurgation_params(q, k, n, seed)
     m = n + params.ell
-    _check_capacity("bad-event", m * math.comb(m - 1, k))
     for attempt in range(MAX_REDRAWS):
         drawn = draw_matrix(params, attempt)
         bad = enumerate_bad_events(drawn, k)

@@ -8,18 +8,25 @@ is a row where c is nonzero and the other members all differ from it.
 Both are one cover condition.  Pack, for column c, the rows where column j
 agrees with c into an int mask (for selectivity, only c's nonzero rows);
 G frames c, or blocks c, exactly when the OR of its members' masks covers
-every row that counts.  One generator, `_covers`, enumerates the covering
-coalitions for all the oracles and for the expurgation's bad events.
-Runtime is combinatorial, so a capacity guard counts the generator's
-last-member checks and refuses a scan of more than LEAF_BUDGET of them
-rather than subsample.  The lambda-matrix check needs only column pairs
-and uses the agreement kernel shared with the local-lemma builder.
+every row that counts.  One kernel, `_covers`, enumerates the covering
+coalitions for all the oracles and for the expurgation's bad events.  It
+is a branch and bound: a prefix whose remaining members cannot cover the
+rows of c's support still missing, by the largest popcount of any mask
+left, is cut with its whole subtree.  In a lambda code any j others agree
+with c in at most j lambda of its w nonzero rows, so where j lambda < w
+every column is settled at the root.  The cut drops no cover and keeps
+the order.  Runtime is combinatorial, so a capacity guard counts the work
+each call actually does (masks packed and mask ORs evaluated) and refuses
+the call once it passes LEAF_BUDGET, naming where it stopped; it never
+returns a partial answer or subsamples.  The lambda-matrix check needs
+only column pairs and uses the agreement kernel shared with the
+local-lemma builder.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +42,6 @@ from .core import (
 )
 
 LEAF_BUDGET = 100_000_000
-# last-member checks per second of a passing scan (Python 3.11, one core of a
-# 2-core x86-64 VM); only the time estimate in a refusal depends on it
-LEAF_RATE = 8e6
 
 
 @dataclass(frozen=True)
@@ -91,49 +95,123 @@ def nonzero_agreement_rows(matrix: CodeMatrix, a: int, b: int):
 def _pack(bits: np.ndarray) -> list[int]:
     """Columns of a (t, n) bool array as ints, bit i set where row i is."""
     packed = np.packbits(bits, axis=0, bitorder="little")
-    nb = packed.shape[0]
-    flat = packed.T.tobytes()
-    return [int.from_bytes(flat[i : i + nb], "little") for i in range(0, len(flat), nb)]
+    words = max(1, -(-packed.shape[0] // 8))  # t = 0 packs as zeros
+    padded = np.zeros((bits.shape[1], 8 * words), dtype=np.uint8)
+    padded[:, : packed.shape[0]] = packed.T
+    # one little-endian 64-bit word list per 64 rows, joined at Python speed
+    chunks = padded.view("<u8")
+    out = chunks[:, 0].tolist()
+    for j in range(1, words):
+        out = [a | b << (64 * j) for a, b in zip(out, chunks[:, j].tolist())]
+    return out
 
 
-def _covers(masks: list[int], need: int, k: int, start: int = 0, acc: int = 0):
-    """Every increasing k-tuple of indices >= start into masks whose OR with
-    acc equals need, in lexicographic order.
+class _Work:
+    """Coalition checks of one oracle call, against LEAF_BUDGET: the masks
+    `_covers` packs and the mask ORs it evaluates."""
 
-    Every mask and acc must lie within need.  Depth first, carrying the
-    prefix OR down; once a prefix covers need, every extension does.
+    def __init__(self, what: str):
+        self.what = what
+        self.done = 0
+
+    def add(self, count: int, column: int, prefix: tuple) -> None:
+        """Charge `count` checks made at `column` under the coalition prefix
+        `prefix` (mask indices); past the budget, refuse the call."""
+        self.done += count
+        if self.done > LEAF_BUDGET:
+            members = tuple(i + (i >= column) for i in prefix)
+            raise CapacityError(
+                f"{self.what} check refused after {self.done} coalition checks, over the "
+                f"{LEAF_BUDGET} budget, at column {column}, coalition prefix {members}"
+            )
+
+
+def _covers(entries: np.ndarray, c: int, selective: bool, work: _Work):
+    """Cover kernel of column c: covers(k, end) yields every increasing
+    k-tuple of mask indices, the first below `end`, whose masks' OR equals
+    need, in lexicographic order.
+
+    Mask i holds the rows where column i (i < c) or i + 1 (i >= c) covers
+    c: equals it (symbol 0 included) to frame it, or, with `selective`,
+    holds its nonzero symbol.  need is every row to frame c, c's nonzero
+    rows to block it.
+
+    Depth first, carrying the prefix OR down; once a prefix covers need,
+    every extension does.  Branch and bound on S, c's nonzero rows: the j
+    members still to choose from index i on cover at most j * suffixmax[i]
+    rows of S, where suffixmax[i] = max(popcount(mask h & S), h >= i), so
+    where more rows of S are missing no extension covers, and as suffixmax
+    never increases the level's loop stops at the first such i.  The cut
+    skips no cover, so the tuples and their order are those of the full
+    scan.  The masks packed and each mask OR evaluated, interior extensions
+    and last-member checks alike, are charged to `work`.
     """
-    if acc == need:
-        yield from itertools.combinations(range(start, len(masks)), k)
-    elif k == 1:
-        for i in range(start, len(masks)):
-            if acc | masks[i] == need:
-                yield (i,)
-    elif k > 1:
-        for i in range(start, len(masks) - k + 1):
-            for rest in _covers(masks, need, k - 1, i + 1, acc | masks[i]):
-                yield (i, *rest)
+    ref = entries[:, c : c + 1]
+    support = ref[:, 0] != 0
+    bits = entries == ref
+    if selective:
+        bits &= support[:, None]
+    else:
+        bits[:, c] = support  # column c's own entry is S, as when selective
+    masks = _pack(bits)
+    rows = masks.pop(c)
+    n = len(masks)
+    work.add(n, c, ())
+    need = rows if selective else (1 << entries.shape[0]) - 1
+    # caps = -suffixmax rises, so bisection finds the cut; c's own count is
+    # zeroed before the maxima are taken and its index dropped after
+    counts = np.count_nonzero(bits[support], axis=0)
+    counts[c] = 0
+    caps = (-np.maximum.accumulate(counts[::-1])[::-1]).tolist()
+    del caps[c]
+
+    def cut(j, start, end, missing, prefix):
+        """End of the indices from start on, below end, that may take the
+        next of j members with `missing` rows of S uncovered, charged as
+        the ORs the caller evaluates."""
+        # missing > j * suffixmax[i] exactly when suffixmax[i] <= (missing - 1) // j
+        stop = bisect.bisect_left(caps, -((missing - 1) // j), start, min(end, n - j + 1))
+        work.add(stop - start, c, prefix)
+        return stop
+
+    def last(start, acc, missing, prefix):
+        """Indices from start on whose mask completes acc to need."""
+        stop = cut(1, start, n, missing, prefix)
+        return [i for i in range(start, stop) if acc | masks[i] == need]
+
+    def covers(j, end, start, acc, prefix, covers):
+        if acc == need:
+            for rest in itertools.combinations(range(start, n), j):
+                if rest and rest[0] >= end:
+                    return
+                yield prefix + rest
+        elif j == 1:
+            for i in last(start, acc, (rows & ~acc).bit_count(), prefix):
+                yield prefix + (i,)
+        elif j > 1:
+            stop = cut(j, start, end, (rows & ~acc).bit_count(), prefix)
+            for i, a in enumerate([acc | m for m in masks[start:stop]], start):
+                missing = (rows & ~a).bit_count()
+                if missing > (1 - j) * caps[i + 1]:
+                    continue  # the extension's own cut falls at its first index
+                if j > 2:
+                    yield from covers(j - 1, n, i + 1, a, prefix + (i,), covers)
+                else:  # the last member inline, without a generator per prefix
+                    for h in last(i + 1, a, missing, prefix + (i,)):
+                        yield prefix + (i, h)
+
+    # covers is handed itself, so no closure refers to itself and a column's
+    # masks are freed with its last reference, not by the cycle collector
+    return lambda k, end=n: covers(k, end, 0, 0, (), covers)
 
 
-def _check_capacity(what: str, leaves: int) -> None:
-    """Refuse a scan of more than LEAF_BUDGET last-member checks of `_covers`."""
-    if leaves > LEAF_BUDGET:
-        raise CapacityError(
-            f"{what} check needs ~{leaves} coalition checks (~{leaves / LEAF_RATE:.3g} s), "
-            f"over the {LEAF_BUDGET} budget"
-        )
-
-
-def _framings(entries: np.ndarray, k: int):
+def _framings(entries: np.ndarray, k: int, what: str):
     """Every (c, G), |G| = k, c not in G, where some member of G equals
-    column c in every row (symbol 0 included), in lexicographic order."""
-    t, n = entries.shape
-    full = (1 << t) - 1
-    for c in range(n):
-        # index i stands for column i below c and for column i+1 from c on
-        masks = _pack(entries == entries[:, c : c + 1])
-        del masks[c]
-        for hit in _covers(masks, full, k):
+    column c in every row (symbol 0 included), in lexicographic order; the
+    scan is one call of `what` against the budget."""
+    work = _Work(what)
+    for c in range(entries.shape[1]):
+        for hit in _covers(entries, c, False, work)(k):
             yield c, tuple(i + (i >= c) for i in hit)
 
 
@@ -143,9 +221,8 @@ def is_frameproof(matrix: CodeMatrix, k: int) -> VerificationReport:
     n = matrix.n
     if not 1 <= k <= n - 1:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    _check_capacity("frameproof", n * math.comb(n - 1, k))
     params = {"k": k}
-    for c, group in _framings(matrix.entries, k):
+    for c, group in _framings(matrix.entries, k, "frameproof"):
         return VerificationReport("frameproof", params, False, Witness(c, group))
     return VerificationReport("frameproof", params, True, None)
 
@@ -155,39 +232,32 @@ def is_strongly_selective(matrix: CodeMatrix, k: int) -> VerificationReport:
 
     The witness reports the first failing (coalition, member): coalition
     sets are scanned in lexicographic order and members in index order
-    within each set.  Sets are taken by their smallest member g; each
-    member c >= g is checked against its nonzero rows, and the first g
-    with a failure gives the least (set, member) over its members.
+    within each set.  Column by column, the first k-1 others that block c
+    on its nonzero rows give the least failing set holding c (inserting c
+    keeps the order of the sets), and the least (set, c) over the columns
+    is the first failure.  Once one is known, a later column can beat it
+    only with a set whose least member, one of the others, is at most the
+    known set's, so the scan of the others stops there.  One column's
+    masks are held at a time.
     """
     n = matrix.n
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    _check_capacity("selectivity", n * math.comb(n - 1, k - 1))
-    entries = matrix.entries
     params = {"k": k}
-    cols = []
+    work = _Work("selectivity")
+    best = None  # (set, member) of the least failure so far
     for c in range(n):
-        # rows where column j holds column c's nonzero symbol; column c's own
-        # entry is its nonzero rows, and the rest index as in `_framings`
-        ref = entries[:, c : c + 1]
-        masks = _pack((entries == ref) & (ref != 0))
-        need = masks.pop(c)
-        cols.append((masks, need))
-    for g in range(n - k + 1):
-        failures = []
-        for c in range(g, n if k > 1 else g + 1):
-            masks, need = cols[c]
-            if c == g:
-                hit = next(_covers(masks, need, k - 1, g), None)
-            else:
-                rest = next(_covers(masks, need, k - 2, g + 1, masks[g]), None)
-                hit = None if rest is None else (g, *rest)
-            if hit is not None:
-                failures.append((tuple(sorted([c, *(i + (i >= c) for i in hit)])), c))
-        if failures:
-            group, c = min(failures)
-            return VerificationReport("strongly_selective", params, False, Witness(c, group))
-    return VerificationReport("strongly_selective", params, True, None)
+        if best is not None and k == 1:
+            break  # a lone member's set is itself, later than best's
+        end = n if best is None else best[0][0] + 1
+        hit = next(_covers(matrix.entries, c, True, work)(k - 1, end), None)
+        if hit is not None:
+            failure = (tuple(sorted([c, *(i + (i >= c) for i in hit)])), c)
+            best = failure if best is None else min(best, failure)
+    if best is None:
+        return VerificationReport("strongly_selective", params, True, None)
+    group, c = best
+    return VerificationReport("strongly_selective", params, False, Witness(c, group))
 
 
 def is_lambda_matrix(matrix: CodeMatrix, lam: int, w: int) -> VerificationReport:

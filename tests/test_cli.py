@@ -8,7 +8,7 @@ import pytest
 import fpcodes.lll
 import fpcodes.verify
 from fpcodes.cli import main
-from fpcodes.core import ConstructionError, read_code
+from fpcodes.core import CapacityError, ConstructionError, read_code
 
 
 def run(capsys, *argv):
@@ -135,11 +135,23 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: line 2: symbol 1111")
 
-    def test_capacity_exit_2(self, tmp_path, capsys):
+    def test_all_zero_wide_exit_1(self, tmp_path, capsys):
+        # C(119, 60) coalitions a column, but the first one frames column 0
         path = tmp_path / "wide.code"
         path.write_bytes(b"2 1 120\n" + b" ".join([b"0"] * 120) + b"\n")
-        code, _, err = run(capsys, "verify", "--in", str(path), "--property", "fp", "--k", "60")
-        assert code == 2
+        code, out, _ = run(capsys, "verify", "--in", str(path), "--property", "fp", "--k", "60")
+        assert code == 1
+        assert "witness_coalition " + ",".join(map(str, range(1, 61))) in out
+
+    def test_capacity_exit_2(self, tmp_path, capsys, monkeypatch):
+        # column 0 is all ones, the others agree with it in row 0 only: 5
+        # masks, 4 root ORs and 4 ORs after member 1 pass a budget of 12
+        path = tmp_path / "fan.code"
+        path.write_bytes(b"2 2 6\n1 1 1 1 1 1\n1 0 0 0 0 0\n")
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 12)
+        code, out, err = run(capsys, "verify", "--in", str(path), "--property", "fp", "--k", "2")
+        assert code == 2 and out == ""
+        assert "after 13 coalition checks, over the 12 budget, at column 0, coalition prefix (1,)" in err
 
     def test_missing_k_exit_2(self, tmp_path, capsys):
         path = tmp_path / "d.code"
@@ -274,6 +286,11 @@ class TestSimulate:
         assert code == 2
 
 
+def refuse(matrix, k):
+    """An exhaustive scan over the capacity budget."""
+    raise CapacityError(f"frameproof check of {matrix.n} columns refused")
+
+
 class TestBench:
     def test_table_sorted_and_complete(self, capsys):
         code, out, _ = run(capsys, "bench", "--grid", "q=3,2;k=2;n=10")
@@ -288,14 +305,14 @@ class TestBench:
 
     def test_capacity_certifies_by_lambda_check(self, capsys, monkeypatch):
         _, full, _ = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 10)
+        monkeypatch.setattr(fpcodes.verify, "is_frameproof", refuse)
         code, out, err = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
         assert code == 0
         assert "bench: q=3 k=2 n=10 certified by the lambda-matrix check (capacity)" in err
         assert out == full
 
     def test_failed_certificate_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 10)
+        monkeypatch.setattr(fpcodes.verify, "is_frameproof", refuse)
         failed = fpcodes.verify.VerificationReport("lambda_matrix", {}, False, fpcodes.verify.Witness(0))
         monkeypatch.setattr(fpcodes.verify, "is_lambda_matrix", lambda *args: failed)
         code, out, err = run(capsys, "bench", "--grid", "q=3;k=2;n=10")

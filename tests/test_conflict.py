@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpcodes.verify
 from fpcodes import conflict
 from fpcodes._util import substream
 from fpcodes.conflict import exhaustive_guarantee, guarantee_check, simulate, trace_lines
@@ -165,10 +166,23 @@ class TestExhaustive:
         ok, failing = exhaustive_guarantee(m, 2)
         assert not ok and failing == (0, 1)
 
-    def test_capacity_guard(self):
-        # the selectivity oracle's guard: 90 C(89, 44) coalition checks
-        with pytest.raises(CapacityError):
-            exhaustive_guarantee(CodeMatrix(2, np.zeros((2, 90), dtype=np.uint16)), 45)
+    def test_silent_station_fails_at_once(self):
+        # 90 C(89, 44) sets, but station 0 never transmits: the first set fails
+        ok, failing = exhaustive_guarantee(CodeMatrix(2, np.zeros((2, 90), dtype=np.uint16)), 45)
+        assert not ok and failing == tuple(range(45))
+
+    def test_capacity_guard(self, monkeypatch):
+        # the selectivity oracle's guard counts the checks it makes: in a
+        # lambda code with 2 lam < w every column is settled at the root, so
+        # the count is the 40 x 39 masks packed
+        matrix, params, _ = build_strongly_selective(3, 3, 40, seed=1)
+        assert 2 * params.lam < params.w
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 40 * 39 - 1)
+        with pytest.raises(CapacityError, match=r"selectivity check refused after 1560 coalition checks, "
+                                                r"over the 1559 budget, at column 39, coalition prefix \(\)"):
+            exhaustive_guarantee(matrix, 3)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 10**8)
+        assert exhaustive_guarantee(matrix, 3) == (True, None)
 
     @given(code_matrices(min_n=2, max_n=6, max_t=4), st.integers(1, 6))
     @settings(max_examples=80)

@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpcodes.expurgate
+import fpcodes.verify
 from fpcodes.core import CapacityError, ConstructionError, ParameterError
 from fpcodes.expurgate import (
     ExpurgationParams,
@@ -326,9 +328,25 @@ class TestBuild:
         assert mean <= bound + 3 * stderr
         assert bound < params.ell + 1  # the feasibility margin itself
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            expurgate_run(2, 5, 50, seed=0)
+    def test_capacity_guard(self, monkeypatch):
+        # the bad-event scan of each draw is one call against the budget
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 1000)
+        with pytest.raises(CapacityError) as excinfo:
+            expurgate_run(3, 2, 30, seed=0)
+        match = re.search(r"bad-event check refused after (\d+) coalition checks, over the 1000 budget, "
+                          r"at column (\d+), coalition prefix \(([\d, ]*)\)", str(excinfo.value))
+        assert match, str(excinfo.value)
+        assert 1000 < int(match[1]) <= 1000 + 45
+        column, prefix = int(match[2]), [int(x) for x in match[3].split(",") if x.strip()]
+        assert len(prefix) < 2 and column not in prefix and all(0 <= j < 45 for j in [column, *prefix])
+
+    def test_q_above_k_at_real_size(self):
+        # m = 400 columns: 400 C(399, 3) = 4.2e9 coalitions a draw, scanned
+        # in a few million checks since the cut ends most prefixes early
+        matrix, params, info = expurgate_run(16, 3, 300, seed=0)
+        assert (matrix.q, matrix.t, matrix.n) == (16, params.t, 300)
+        assert info["bad_events"] <= params.ell
+        assert is_frameproof(matrix, 3).passed
 
     def test_redraw_cap(self, monkeypatch):
         import fpcodes.expurgate as ex

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fpcodes.core
+import fpcodes.verify
 from fpcodes._util import substream
 from fpcodes.core import CapacityError, CodeMatrix, ParameterError, agreement_pairs, complement
 from fpcodes.diagonal import build_diagonal
+from fpcodes.expurgate import draw_matrix, enumerate_bad_events, expurgation_params
 from fpcodes.lll import build_frameproof, build_strongly_selective, sample_column
 from fpcodes.verify import (
+    Witness,
     check_binary_expansion,
     check_reduction_fp_to_ss,
     check_reduction_ss_to_fp,
@@ -22,7 +26,7 @@ from fpcodes.verify import (
     nonzero_agreement_rows,
     selective_row_exists,
 )
-from strategies import code_matrices, wide_codes
+from strategies import code_matrices, kautz_singleton, wide_codes
 
 
 def mat(q, rows):
@@ -57,6 +61,169 @@ def naive_selective(m, k):
     return True, None
 
 
+def reference_covers(masks, need, k, start=0, acc=0):
+    """The cover kernel without the cut, every prefix visited: each
+    increasing k-tuple of indices >= start into masks whose OR with acc
+    equals need, in lexicographic order."""
+    if acc == need:
+        yield from itertools.combinations(range(start, len(masks)), k)
+    elif k == 1:
+        for i in range(start, len(masks)):
+            if acc | masks[i] == need:
+                yield (i,)
+    elif k > 1:
+        for i in range(start, len(masks) - k + 1):
+            for rest in reference_covers(masks, need, k - 1, i + 1, acc | masks[i]):
+                yield (i, *rest)
+
+
+def reference_masks(bits):
+    """Columns of a bool array as ints, one bit at a time."""
+    return [sum(1 << int(i) for i in np.flatnonzero(bits[:, j])) for j in range(bits.shape[1])]
+
+
+def reference_framings(entries, k):
+    """Every (c, G) where G frames c, from `reference_covers`."""
+    t, n = entries.shape
+    for c in range(n):
+        masks = reference_masks(entries == entries[:, c : c + 1])
+        del masks[c]
+        for hit in reference_covers(masks, (1 << t) - 1, k):
+            yield c, tuple(i + (i >= c) for i in hit)
+
+
+def reference_selective(entries, k):
+    """The first (set, member) that fails selectivity, or None: sets taken
+    by their least member g, and every member c >= g checked against its
+    nonzero rows with `reference_covers`."""
+    n = entries.shape[1]
+    cols = []
+    for c in range(n):
+        ref = entries[:, c : c + 1]
+        masks = reference_masks((entries == ref) & (ref != 0))
+        need = masks.pop(c)
+        cols.append((masks, need))
+    for g in range(n - k + 1):
+        failures = []
+        for c in range(g, n if k > 1 else g + 1):
+            masks, need = cols[c]
+            if c == g:
+                hit = next(reference_covers(masks, need, k - 1, g), None)
+            else:
+                rest = next(reference_covers(masks, need, k - 2, g + 1, masks[g]), None)
+                hit = None if rest is None else (g, *rest)
+            if hit is not None:
+                failures.append((tuple(sorted([c, *(i + (i >= c) for i in hit)])), c))
+        if failures:
+            return min(failures)
+    return None
+
+
+def assert_cut_matches_reference(q, entries, ks):
+    """Bad events, both witnesses and both verdicts of the pruned kernel
+    against the uncut reference, at each k in ks."""
+    m = CodeMatrix(q, entries)
+    for k in ks:
+        if k <= m.n - 1:
+            events = list(reference_framings(entries, k))
+            assert enumerate_bad_events(entries, k) == events
+            report = is_frameproof(m, k)
+            assert report.passed == (not events)
+            if events:
+                assert (report.witness.column, report.witness.coalition) == events[0]
+        if k <= m.n:
+            first = reference_selective(entries, k)
+            report = is_strongly_selective(m, k)
+            assert report.passed == (first is None)
+            if first is not None:
+                assert (report.witness.coalition, report.witness.column) == first
+
+
+def plant_mix(entries, c, a, b, seed):
+    """Column c row by row from column a or b: {a, b} frames c and blocks it."""
+    e = entries.copy()
+    pick = np.random.default_rng(seed).random(e.shape[0]) < 0.5
+    e[:, c] = np.where(pick, e[:, a], e[:, b])
+    return e
+
+
+class TestCoverCut:
+    """The popcount cut skips only prefixes that cannot cover: every output
+    is that of the uncut kernel, kept here as `reference_covers`."""
+
+    @pytest.mark.parametrize("k,q,n,seed", [(3, 3, 30, 0), (4, 3, 20, 1), (2, 3, 12, 2)])
+    def test_lambda_codes_with_planted_failures(self, k, q, n, seed):
+        # (4, 3, 20) has t = 108 rows: masks of two 64-bit words
+        code, params, _ = build_strongly_selective(k, q, n, seed)
+        e = code.entries
+        assert_cut_matches_reference(q, e, (1, 2, 3))
+        for c, a, b in ((n - 1, n - 3, n - 2), (0, 5, 9), (7, 2, 11)):
+            assert_cut_matches_reference(q, plant_mix(e, c, a, b, seed), (1, 2, 3))
+        dup = e.copy()
+        dup[:, 4] = dup[:, 10]
+        assert_cut_matches_reference(q, dup, (1, 2))
+
+    @pytest.mark.parametrize(
+        "q,k,n",
+        [(16, 3, 30), (5, 3, 20), (3, 2, 30), (2, 2, 20), (2, 3, 15)],  # q > k, then q <= k
+    )
+    def test_expurgation_draws(self, q, k, n):
+        # (2, 3, 15) draws t = 68 rows
+        for seed in (0, 1):
+            drawn = draw_matrix(expurgation_params(q, k, n, seed), attempt=seed)
+            assert_cut_matches_reference(q, drawn, sorted({1, 2, k}))
+
+    def test_all_zero_column(self):
+        # S is empty for the zero column: nothing bounds its cover, every set frames it
+        code, _, _ = build_strongly_selective(3, 3, 16, 3)
+        e = code.entries.copy()
+        e[:, 6] = 0
+        assert_cut_matches_reference(3, e, (1, 2, 3))
+        drawn = draw_matrix(expurgation_params(16, 3, 20, 0))
+        drawn[:, 0] = 0
+        assert_cut_matches_reference(16, drawn, (1, 2, 3))
+
+    def test_tight_bound_still_covers(self):
+        # column 0 has 4 nonzero rows; columns 1 and 2 each agree with it on
+        # 2 of them, disjoint, and column 3 on none: at the root the missing
+        # rows equal j * suffixmax = 2 * 2 and {1, 2} covers, for framing
+        # (k = 2) and blocking (k = 3) alike.  A cut taken at equality
+        # (>= for >) loses these sets.
+        e = np.array([[1, 1, 2, 0], [1, 1, 2, 0], [1, 2, 1, 0], [1, 2, 1, 0]], dtype=np.uint16)
+        full = (1 << 4) - 1
+        masks = reference_masks(e[:, 1:] == e[:, :1])
+        assert full.bit_count() == 2 * max(mk.bit_count() for mk in masks)
+        assert next(reference_covers(masks, full, 2)) == (0, 1)
+        assert_cut_matches_reference(3, e, (1, 2, 3))
+        assert is_frameproof(CodeMatrix(3, e), 2).witness == Witness(0, (1, 2))
+        report = is_strongly_selective(CodeMatrix(3, e), 3)
+        assert (report.witness.column, report.witness.coalition) == (0, (0, 1, 2))
+
+
+def refusal(excinfo):
+    """(count, budget, column, prefix) of a CapacityError message."""
+    match = re.search(
+        r"after (\d+) coalition checks, over the (\d+) budget, at column (\d+), "
+        r"coalition prefix \(([\d, ]*)\)",
+        str(excinfo.value),
+    )
+    assert match, str(excinfo.value)
+    count, budget, column, prefix = match.groups()
+    return int(count), int(budget), int(column), tuple(int(x) for x in prefix.split(",") if x.strip())
+
+
+def fan(n):
+    """Column 0 is all ones over 2 rows; columns 1..n-1 agree with it in
+    row 0 only.  For column 0 (k = 2 framing, k = 3 blocking) every mask
+    covers 1 of the 2 rows, so no cut is taken: n - 1 masks packed, n - 2
+    ORs at the root, then n - 2, n - 3, ... last-member ORs after members
+    1, 2, ..., and no set covers."""
+    e = np.zeros((2, n), dtype=np.uint16)
+    e[0] = 1
+    e[1, 0] = 1
+    return CodeMatrix(2, e)
+
+
 class TestFrameproof:
     def test_identity_passes(self):
         m = identity(5)
@@ -82,10 +249,42 @@ class TestFrameproof:
         with pytest.raises(ParameterError):
             is_frameproof(m, 4)
 
-    def test_capacity_guard(self):
+    def test_all_zero_wide_fails_at_once(self):
+        # C(119, 60) coalitions per column: the first prefix covers, so the
+        # first set is the witness after 119 + 60 checks
         big = CodeMatrix(2, np.zeros((1, 120), dtype=np.uint16))
-        with pytest.raises(CapacityError):
-            is_frameproof(big, 60)
+        report = is_frameproof(big, 60)
+        assert not report.passed
+        assert report.witness == Witness(0, tuple(range(1, 61)))
+
+    def test_capacity_guard(self, monkeypatch):
+        # fan(6), column 0: 5 masks, 4 root ORs, then 4 ORs after member 1
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 12)
+        with pytest.raises(CapacityError) as excinfo:
+            is_frameproof(fan(6), 2)
+        assert "frameproof check refused" in str(excinfo.value)
+        assert refusal(excinfo) == (13, 12, 0, (1,))
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 8)
+        with pytest.raises(CapacityError) as excinfo:
+            is_frameproof(fan(6), 2)
+        assert refusal(excinfo) == (9, 8, 0, ())
+
+    def test_budget_counts_the_whole_call(self, monkeypatch):
+        # identity(n): each column's masks cover none of its one nonzero
+        # row, so every root is cut and the count is the n (n - 1) masks
+        n = 12
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", n * (n - 1))
+        assert is_frameproof(identity(n), 3).passed
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", n * (n - 1) - 1)
+        with pytest.raises(CapacityError) as excinfo:
+            is_frameproof(identity(n), 3)
+        assert refusal(excinfo) == (n * (n - 1), n * (n - 1) - 1, n - 1, ())
+
+    def test_no_rows(self):
+        # t = 0: every coalition agrees with every column in all (no) rows
+        m = CodeMatrix(2, np.zeros((0, 3), dtype=np.uint16))
+        assert is_frameproof(m, 1).witness == Witness(0, (1,))
+        assert is_strongly_selective(m, 2).witness == Witness(0, (0, 1))
 
     @given(st.one_of(code_matrices(max_n=8), wide_codes()), st.integers(1, 8))
     @settings(max_examples=200)
@@ -119,10 +318,35 @@ class TestStronglySelective:
         with pytest.raises(ParameterError):
             is_strongly_selective(identity(3), 4)
 
-    def test_capacity_guard(self):
+    def test_all_zero_wide_fails_at_once(self):
+        # column 0 has no nonzero row, so the first set blocks it
         big = CodeMatrix(2, np.zeros((2, 90), dtype=np.uint16))
-        with pytest.raises(CapacityError):
-            is_strongly_selective(big, 45)
+        report = is_strongly_selective(big, 45)
+        assert not report.passed
+        assert report.witness == Witness(0, tuple(range(45)))
+
+    def test_capacity_guard(self, monkeypatch):
+        # as for framing: column 0 of fan(6) needs 2 others to block it
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 12)
+        with pytest.raises(CapacityError) as excinfo:
+            is_strongly_selective(fan(6), 3)
+        assert "selectivity check refused" in str(excinfo.value)
+        assert refusal(excinfo) == (13, 12, 0, (1,))
+        n = 12
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", n * (n - 1))
+        assert is_strongly_selective(identity(n), 4).passed
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", n * (n - 1) - 1)
+        with pytest.raises(CapacityError) as excinfo:
+            is_strongly_selective(identity(n), 4)
+        assert refusal(excinfo) == (n * (n - 1), n * (n - 1) - 1, n - 1, ())
+
+    def test_kautz_singleton_at_961_columns(self):
+        # the (1, 31) lambda code over GF(31) is strongly 31-selective, hence
+        # 30-frameproof (Kautz and Singleton 1964); C(960, 30) sets per column
+        code = kautz_singleton(31, 2, 31)
+        assert code.n == 961
+        assert is_strongly_selective(code, 31).passed
+        assert is_frameproof(code, 30).passed
 
     @given(st.one_of(code_matrices(max_n=8), wide_codes()), st.integers(1, 8))
     @example(zero_last(6), 4)
