@@ -152,15 +152,8 @@ def cmd_bench(args) -> int:
     cells = sorted(itertools.product(grid["q"], grid["k"], grid["n"], seeds))
     print("q k n t fp_theorem38 expurgation_43 fp_upper_diag fp_lower_shann")
     for q, k, n, seed in cells:
-        matrix, params, _ = lll.build_frameproof(k, q, n, seed)
-        try:
-            report = verify.is_frameproof(matrix, k)
-        except CapacityError:
-            # lam = floor((w-1)/k), so lam k <= w-1 and a lambda matrix is strongly
-            # (k+1)-selective, hence k-frameproof: the pair check certifies it
-            print(f"bench: q={q} k={k} n={n} certified by the lambda-matrix check (capacity)", file=sys.stderr)
-            report = verify.is_lambda_matrix(matrix, params.lam, params.w)
-        if not report.passed:
+        matrix, _, _ = lll.build_frameproof(k, q, n, seed)
+        if not verify.is_frameproof(matrix, k).passed:
             raise ConstructionError(f"bench cell q={q} k={k} n={n} seed={seed} failed verification")
         upper, lower = bounds_mod.fp_bounds_theorem310(q, k, n)
         if matrix.t < lower:

@@ -101,6 +101,13 @@ def column_weight(matrix: CodeMatrix, j: int) -> int:
     return int(np.count_nonzero(matrix.entries[:, j]))
 
 
+def agreements_with(entries: np.ndarray, j: int) -> np.ndarray:
+    """Nonzero agreement of every column with column j (column j's own is
+    its weight), read on j's support rows only, so in O(w n)."""
+    sub = entries[np.flatnonzero(entries[:, j])]
+    return np.count_nonzero(sub == sub[:, j : j + 1], axis=0)
+
+
 AGREEMENT_BLOCK = 128
 
 

@@ -21,9 +21,9 @@ re-derived and advanced past the words the draw took, and is redrawn by
 Violated pairs are kept in a set, filled once by the agreement kernel
 `core.agreement_pairs` (a blocked B^T B product, shared with
 `verify.is_lambda_matrix`); an event drops the pairs that touch the two
-redrawn columns and re-adds those still violated, found in O(w n) from the
-columns' support rows.  At admissible parameters the set holds a few dozen
-pairs at most, so memory stays O(t n).
+redrawn columns and re-adds those still violated, found in O(w n) by
+`core.agreements_with` on the columns' support rows.  At admissible
+parameters the set holds a few dozen pairs at most, so memory stays O(t n).
 
 Such a matrix is a strongly selective code for k when lam = floor((w-1)/(k-1)):
 in any k columns, some member has more nonzero rows than its k-1 partners
@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import ceil_tol, check_float_n, check_float_q, stream_words, substream
-from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet, agreement_pairs
+from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet, agreement_pairs, agreements_with
 
 # columns per block of the initial draw, whose working memory is O(DRAW_BLOCK t)
 DRAW_BLOCK = 2048
@@ -284,12 +284,6 @@ def _draw_columns(params: ConstructionParams):
     return cols, used, streams
 
 
-def _agreements_against(cols: np.ndarray, j: int) -> np.ndarray:
-    # nonzero agreements with column j can only sit on its w support rows
-    sub = cols[np.flatnonzero(cols[:, j])]
-    return np.count_nonzero(sub == sub[:, j : j + 1], axis=0)
-
-
 def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, ResampleLog]:
     """Run the resampling loop until no column pair exceeds the agreement bound.
 
@@ -326,7 +320,7 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
         events += 1
         bad = {p for p in bad if a not in p and b not in p}
         for x in (a, b):
-            for y in np.flatnonzero(_agreements_against(cols, x) > lam).tolist():
+            for y in np.flatnonzero(agreements_with(cols, x) > lam).tolist():
                 if y != x:
                     bad.add((min(x, y), max(x, y)))
         history.append((events, len(bad)))

@@ -10,17 +10,17 @@ agrees with c into an int mask (for selectivity, only c's nonzero rows);
 G frames c, or blocks c, exactly when the OR of its members' masks covers
 every row that counts.  One kernel, `_covers`, enumerates the covering
 coalitions for all the oracles and for the expurgation's bad events.  It
-is a branch and bound: a prefix whose remaining members cannot cover the
-rows of c's support still missing, by the largest popcount of any mask
-left, is cut with its whole subtree.  In a lambda code any j others agree
-with c in at most j lambda of its w nonzero rows, so where j lambda < w
-every column is settled at the root.  The cut drops no cover and keeps
-the order.  Runtime is combinatorial, so a capacity guard counts the work
-each call actually does (masks packed and mask ORs evaluated) and refuses
-the call once it passes LEAF_BUDGET, naming where it stopped; it never
-returns a partial answer or subsamples.  The lambda-matrix check needs
-only column pairs and uses the agreement kernel shared with the
-local-lemma builder.
+is a branch and bound: a prefix is cut with its whole subtree when the
+members left cannot cover the rows of c's support still missing, each
+covering at most the largest agreement with c of any column left.  At the
+root that test needs no mask: a column that no j others can cover is
+settled in O(w n), which in a lambda code with j lambda < w is every
+column.  The cut drops no cover and keeps the order.  Runtime is
+combinatorial, so a capacity guard counts the work each call actually
+does (masks packed and mask ORs evaluated) and refuses the call once it
+passes LEAF_BUDGET, naming where it stopped; it never returns a partial
+answer or subsamples.  The lambda-matrix check needs only column pairs
+and uses the agreement kernel shared with the local-lemma builder.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .core import (
     CodeMatrix,
     ParameterError,
     agreement_pairs,
+    agreements_with,
     binary_expand,
     complement,
     stack_rows,
@@ -126,33 +127,37 @@ class _Work:
             )
 
 
-def _covers(entries: np.ndarray, c: int, selective: bool, work: _Work):
-    """Cover kernel of column c: covers(k, end) yields every increasing
-    k-tuple of mask indices, the first below `end`, whose masks' OR equals
-    need, in lexicographic order.
+def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, end=None):
+    """Cover kernel of column c: every increasing k-tuple of mask indices,
+    the first below `end`, whose masks' OR equals need, in lexicographic
+    order.
 
     Mask i holds the rows where column i (i < c) or i + 1 (i >= c) covers
     c: equals it (symbol 0 included) to frame it, or, with `selective`,
     holds its nonzero symbol.  need is every row to frame c, c's nonzero
     rows to block it.
 
-    Depth first, carrying the prefix OR down; once a prefix covers need,
-    every extension does.  Branch and bound on S, c's nonzero rows: the j
-    members still to choose from index i on cover at most j * suffixmax[i]
-    rows of S, where suffixmax[i] = max(popcount(mask h & S), h >= i), so
-    where more rows of S are missing no extension covers, and as suffixmax
-    never increases the level's loop stops at the first such i.  The cut
-    skips no cover, so the tuples and their order are those of the full
-    scan.  The masks packed and each mask OR evaluated, interior extensions
-    and last-member checks alike, are charged to `work`.
+    Branch and bound on S, c's nonzero rows.  popcount(mask h & S) is the
+    nonzero agreement of column h with c; j members from index i on cover
+    at most j * suffixmax[i] rows of S, suffixmax[i] the largest of those
+    counts from i on.  Where more rows of S are missing no extension
+    covers, and as suffixmax never increases the level's loop stops at the
+    first such i.  The root test needs only the counts: a settled column
+    returns before its masks are packed, and costs no work.  Otherwise the
+    search is depth first, carrying the prefix OR down; once a prefix
+    covers need, every extension does.  The cut skips no cover, so the
+    tuples and their order are those of the full scan.  The masks packed
+    and each mask OR evaluated are charged to `work`.
     """
-    ref = entries[:, c : c + 1]
-    support = ref[:, 0] != 0
-    bits = entries == ref
+    counts = agreements_with(entries, c)
+    weight, counts[c] = counts[c], 0
+    if weight > k * counts.max():
+        return  # settled at the root
+    support = entries[:, c] != 0
+    bits = entries == entries[:, c : c + 1]
     if selective:
         bits &= support[:, None]
-    else:
-        bits[:, c] = support  # column c's own entry is S, as when selective
+    bits[:, c] = support  # c's own mask is S
     masks = _pack(bits)
     rows = masks.pop(c)
     n = len(masks)
@@ -160,8 +165,6 @@ def _covers(entries: np.ndarray, c: int, selective: bool, work: _Work):
     need = rows if selective else (1 << entries.shape[0]) - 1
     # caps = -suffixmax rises, so bisection finds the cut; c's own count is
     # zeroed before the maxima are taken and its index dropped after
-    counts = np.count_nonzero(bits[support], axis=0)
-    counts[c] = 0
     caps = (-np.maximum.accumulate(counts[::-1])[::-1]).tolist()
     del caps[c]
 
@@ -202,7 +205,7 @@ def _covers(entries: np.ndarray, c: int, selective: bool, work: _Work):
 
     # covers is handed itself, so no closure refers to itself and a column's
     # masks are freed with its last reference, not by the cycle collector
-    return lambda k, end=n: covers(k, end, 0, 0, (), covers)
+    yield from covers(k, n if end is None else end, 0, 0, (), covers)
 
 
 def _framings(entries: np.ndarray, k: int, what: str):
@@ -211,7 +214,7 @@ def _framings(entries: np.ndarray, k: int, what: str):
     scan is one call of `what` against the budget."""
     work = _Work(what)
     for c in range(entries.shape[1]):
-        for hit in _covers(entries, c, False, work)(k):
+        for hit in _covers(entries, c, k, False, work):
             yield c, tuple(i + (i >= c) for i in hit)
 
 
@@ -250,7 +253,7 @@ def is_strongly_selective(matrix: CodeMatrix, k: int) -> VerificationReport:
         if best is not None and k == 1:
             break  # a lone member's set is itself, later than best's
         end = n if best is None else best[0][0] + 1
-        hit = next(_covers(matrix.entries, c, True, work)(k - 1, end), None)
+        hit = next(_covers(matrix.entries, c, k - 1, True, work, end), None)
         if hit is not None:
             failure = (tuple(sorted([c, *(i + (i >= c) for i in hit)])), c)
             best = failure if best is None else min(best, failure)

@@ -8,7 +8,7 @@ import pytest
 import fpcodes.lll
 import fpcodes.verify
 from fpcodes.cli import main
-from fpcodes.core import CapacityError, ConstructionError, read_code
+from fpcodes.core import CodeMatrix, ConstructionError, read_code
 
 
 def run(capsys, *argv):
@@ -286,11 +286,6 @@ class TestSimulate:
         assert code == 2
 
 
-def refuse(matrix, k):
-    """An exhaustive scan over the capacity budget."""
-    raise CapacityError(f"frameproof check of {matrix.n} columns refused")
-
-
 class TestBench:
     def test_table_sorted_and_complete(self, capsys):
         code, out, _ = run(capsys, "bench", "--grid", "q=3,2;k=2;n=10")
@@ -303,21 +298,26 @@ class TestBench:
         for r in rows:
             assert int(r[3]) >= int(r[7])
 
-    def test_capacity_certifies_by_lambda_check(self, capsys, monkeypatch):
-        _, full, _ = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
-        monkeypatch.setattr(fpcodes.verify, "is_frameproof", refuse)
-        code, out, err = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
-        assert code == 0
-        assert "bench: q=3 k=2 n=10 certified by the lambda-matrix check (capacity)" in err
-        assert out == full
+    def test_settled_cells_need_no_budget(self, capsys, monkeypatch):
+        # every column of an lll-fp code settles at the root, so the
+        # exhaustive scan answers each cell without counting a check
+        _, full, _ = run(capsys, "bench", "--grid", "q=3;k=2;n=10,40")
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 0)
+        assert run(capsys, "bench", "--grid", "q=3;k=2;n=10,40") == (0, full, "")
 
-    def test_failed_certificate_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(fpcodes.verify, "is_frameproof", refuse)
-        failed = fpcodes.verify.VerificationReport("lambda_matrix", {}, False, fpcodes.verify.Witness(0))
-        monkeypatch.setattr(fpcodes.verify, "is_lambda_matrix", lambda *args: failed)
+    def test_failed_verification_exits_3(self, capsys, monkeypatch):
+        build = fpcodes.lll.build_frameproof
+
+        def duplicated(k, q, n, seed):
+            matrix, params, log = build(k, q, n, seed)
+            entries = matrix.entries.copy()
+            entries[:, 1] = entries[:, 0]
+            return CodeMatrix(q, entries), params, log
+
+        monkeypatch.setattr(fpcodes.lll, "build_frameproof", duplicated)
         code, out, err = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
         assert code == 3
-        assert "failed verification" in err
+        assert "bench cell q=3 k=2 n=10 seed=1 failed verification" in err
 
     def test_bad_grid_exit_2(self, capsys):
         assert run(capsys, "bench", "--grid", "q=2;k=2")[0] == 2  # no n

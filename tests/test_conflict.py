@@ -13,7 +13,7 @@ from fpcodes.core import CapacityError, CodeMatrix, ParameterError, column_weigh
 from fpcodes.diagonal import build_diagonal
 from fpcodes.lll import build_strongly_selective
 from fpcodes.verify import is_lambda_matrix, is_strongly_selective, selective_row_exists
-from strategies import code_matrices, kautz_singleton, wide_codes
+from strategies import code_matrices, fan, kautz_singleton, wide_codes
 
 
 def mat(q, rows):
@@ -173,16 +173,19 @@ class TestExhaustive:
 
     def test_capacity_guard(self, monkeypatch):
         # the selectivity oracle's guard counts the checks it makes: in a
-        # lambda code with 2 lam < w every column is settled at the root, so
-        # the count is the 40 x 39 masks packed
+        # lambda code with 2 lam < w every column settles at the root and
+        # costs none, while no column of fan(6) settles and the whole call
+        # makes 72 (as counted in test_verify)
         matrix, params, _ = build_strongly_selective(3, 3, 40, seed=1)
         assert 2 * params.lam < params.w
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 40 * 39 - 1)
-        with pytest.raises(CapacityError, match=r"selectivity check refused after 1560 coalition checks, "
-                                                r"over the 1559 budget, at column 39, coalition prefix \(\)"):
-            exhaustive_guarantee(matrix, 3)
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 10**8)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 0)
         assert exhaustive_guarantee(matrix, 3) == (True, None)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 71)
+        with pytest.raises(CapacityError, match=r"selectivity check refused after 72 coalition checks, "
+                                                r"over the 71 budget, at column 5, coalition prefix \(0,\)"):
+            exhaustive_guarantee(fan(6), 3)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 72)
+        assert exhaustive_guarantee(fan(6), 3) == (False, (0, 1, 2))
 
     @given(code_matrices(min_n=2, max_n=6, max_t=4), st.integers(1, 6))
     @settings(max_examples=80)

@@ -26,7 +26,7 @@ from fpcodes.verify import (
     nonzero_agreement_rows,
     selective_row_exists,
 )
-from strategies import code_matrices, kautz_singleton, wide_codes
+from strategies import code_matrices, fan, kautz_singleton, wide_codes
 
 
 def mat(q, rows):
@@ -173,6 +173,27 @@ class TestCoverCut:
             drawn = draw_matrix(expurgation_params(q, k, n, seed), attempt=seed)
             assert_cut_matches_reference(q, drawn, sorted({1, 2, k}))
 
+    @pytest.mark.parametrize("build,k,q,n", [(build_frameproof, 2, 3, 60), (build_strongly_selective, 4, 3, 40)])
+    def test_lambda_codes_settle_without_budget(self, monkeypatch, build, k, q, n):
+        # (s - 1) lam <= w - 1 at the build's selectivity s = params.k, so
+        # every column settles at the root: no mask is packed, nothing counted
+        code, params, _ = build(k, q, n, 1)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 0)
+        assert is_frameproof(code, params.k - 1).passed
+        assert is_strongly_selective(code, params.k).passed
+
+    @pytest.mark.parametrize("c", [0, 1999])
+    def test_planted_column_among_settled_ones(self, c):
+        # {700, 1300} frames column c of an lll-fp code at n = 2000; every
+        # column but c and its sources settles, and the witness is still
+        # the first cover of c in the uncut kernel's order
+        code, _, _ = build_frameproof(2, 3, 2000, 1)
+        e = plant_mix(code.entries, c, 700, 1300, c)
+        masks = reference_masks(e == e[:, c : c + 1])
+        del masks[c]
+        hit = next(reference_covers(masks, (1 << e.shape[0]) - 1, 2))
+        assert is_frameproof(CodeMatrix(3, e), 2).witness == Witness(c, tuple(i + (i >= c) for i in hit))
+
     def test_all_zero_column(self):
         # S is empty for the zero column: nothing bounds its cover, every set frames it
         code, _, _ = build_strongly_selective(3, 3, 16, 3)
@@ -210,18 +231,6 @@ def refusal(excinfo):
     assert match, str(excinfo.value)
     count, budget, column, prefix = match.groups()
     return int(count), int(budget), int(column), tuple(int(x) for x in prefix.split(",") if x.strip())
-
-
-def fan(n):
-    """Column 0 is all ones over 2 rows; columns 1..n-1 agree with it in
-    row 0 only.  For column 0 (k = 2 framing, k = 3 blocking) every mask
-    covers 1 of the 2 rows, so no cut is taken: n - 1 masks packed, n - 2
-    ORs at the root, then n - 2, n - 3, ... last-member ORs after members
-    1, 2, ..., and no set covers."""
-    e = np.zeros((2, n), dtype=np.uint16)
-    e[0] = 1
-    e[1, 0] = 1
-    return CodeMatrix(2, e)
 
 
 class TestFrameproof:
@@ -270,15 +279,15 @@ class TestFrameproof:
         assert refusal(excinfo) == (9, 8, 0, ())
 
     def test_budget_counts_the_whole_call(self, monkeypatch):
-        # identity(n): each column's masks cover none of its one nonzero
-        # row, so every root is cut and the count is the n (n - 1) masks
-        n = 12
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", n * (n - 1))
-        assert is_frameproof(identity(n), 3).passed
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", n * (n - 1) - 1)
+        # fan(6): column 0 costs 5 masks, 4 root ORs and 4 + 3 + 2 + 1
+        # last-member ORs; column 1 costs 5 masks, 4 root ORs and 4 ORs
+        # after member 0, which frame it with {0, 2}: 19 + 13 checks
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 32)
+        assert is_frameproof(fan(6), 2).witness == Witness(1, (0, 2))
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 31)
         with pytest.raises(CapacityError) as excinfo:
-            is_frameproof(identity(n), 3)
-        assert refusal(excinfo) == (n * (n - 1), n * (n - 1) - 1, n - 1, ())
+            is_frameproof(fan(6), 2)
+        assert refusal(excinfo) == (32, 31, 1, (0,))
 
     def test_no_rows(self):
         # t = 0: every coalition agrees with every column in all (no) rows
@@ -332,13 +341,16 @@ class TestStronglySelective:
             is_strongly_selective(fan(6), 3)
         assert "selectivity check refused" in str(excinfo.value)
         assert refusal(excinfo) == (13, 12, 0, (1,))
-        n = 12
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", n * (n - 1))
-        assert is_strongly_selective(identity(n), 4).passed
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", n * (n - 1) - 1)
+        # the whole call: 19 checks for column 0, 5 masks + 4 + 4 ORs for
+        # column 1, blocked by {0, 2}, then 5 masks + 1 + 4 ORs for each
+        # later column, whose scan stops at sets led by 0: 19 + 13 + 4 * 10
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 72)
+        report = is_strongly_selective(fan(6), 3)
+        assert (report.witness.column, report.witness.coalition) == (1, (0, 1, 2))
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 71)
         with pytest.raises(CapacityError) as excinfo:
-            is_strongly_selective(identity(n), 4)
-        assert refusal(excinfo) == (n * (n - 1), n * (n - 1) - 1, n - 1, ())
+            is_strongly_selective(fan(6), 3)
+        assert refusal(excinfo) == (72, 71, 5, (0,))
 
     def test_kautz_singleton_at_961_columns(self):
         # the (1, 31) lambda code over GF(31) is strongly 31-selective, hence
