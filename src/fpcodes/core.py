@@ -103,7 +103,9 @@ def column_weight(matrix: CodeMatrix, j: int) -> int:
 
 def agreements_with(entries: np.ndarray, j: int) -> np.ndarray:
     """Nonzero agreement of every column with column j (column j's own is
-    its weight), read on j's support rows only, so in O(w n)."""
+    its weight), read on j's support rows only, so in O(w n).  The
+    resample loop's per-column count; the coalition oracles take theirs for
+    every column at once from `agreement_rows`."""
     sub = entries[np.flatnonzero(entries[:, j])]
     return np.count_nonzero(sub == sub[:, j : j + 1], axis=0)
 
@@ -111,19 +113,13 @@ def agreements_with(entries: np.ndarray, j: int) -> np.ndarray:
 AGREEMENT_BLOCK = 128
 
 
-def agreement_pairs(entries: np.ndarray, lam: int):
-    """Every column pair (a, b), a < b, that holds the same nonzero symbol
-    in more than `lam` rows, in lexicographic order.
-
-    The nonzero agreement counts are B^T B, where B has one float32 0/1 row
-    per (row, nonzero symbol) pair that occurs in at least two columns
-    (pairs held by a single column add nothing off the diagonal), so B has
-    at most min(t(q-1), nnz/2) rows whatever the alphabet.  The product is
-    taken for AGREEMENT_BLOCK columns a at a time against the columns from
-    the block on, so beyond B only one (block, n) slab is live, however
-    many pairs are violated.  Counts are at most t, exact in float32 for
-    t < 2^24.
-    """
+def _onehot(entries: np.ndarray) -> np.ndarray:
+    """B, whose B^T B holds the nonzero agreement counts off the diagonal:
+    one float32 0/1 row per (row, nonzero symbol) pair that occurs in at
+    least two columns.  Pairs held by a single column add nothing off the
+    diagonal and are dropped, so B has at most min(t(q-1), nnz/2) rows
+    whatever the alphabet, and its diagonal is not the column weight.
+    Counts are at most t, exact in float32 for t < 2^24."""
     n = entries.shape[1]
     rows, cols = np.nonzero(entries)
     keys = (rows.astype(np.int64) << 16) | entries[rows, cols]
@@ -133,6 +129,20 @@ def agreement_pairs(entries: np.ndarray, lam: int):
     keep = shared[inv]
     b = np.zeros((int(shared.sum()), n), dtype=np.float32)
     b[index[inv[keep]], cols[keep]] = 1.0
+    return b
+
+
+def agreement_pairs(entries: np.ndarray, lam: int):
+    """Every column pair (a, b), a < b, that holds the same nonzero symbol
+    in more than `lam` rows, in lexicographic order.
+
+    The nonzero agreement counts are B^T B, B from `_onehot`.  The product
+    is taken for AGREEMENT_BLOCK columns a at a time against the columns
+    from the block on, so beyond B only one (block, n) slab is live,
+    however many pairs are violated.
+    """
+    n = entries.shape[1]
+    b = _onehot(entries)
     for a0 in range(0, n, AGREEMENT_BLOCK):
         over = b[:, a0 : a0 + AGREEMENT_BLOCK].T @ b[:, a0:] > lam
         # the leading square holds the diagonal: keep its strict upper triangle
@@ -140,6 +150,22 @@ def agreement_pairs(entries: np.ndarray, lam: int):
         for i in np.flatnonzero(over):
             a, c = divmod(int(i), n - a0)
             yield a0 + a, a0 + c
+
+
+def agreement_rows(entries: np.ndarray):
+    """(a0, slab) for each block of AGREEMENT_BLOCK columns from a0, in
+    order: slab[i, j] is the nonzero agreement of column a0 + i with column
+    j, and 0 for j = a0 + i.  The full rows of the same B^T B that
+    `agreement_pairs` takes in upper-triangle slabs, float32 and made one
+    block at a time, so a caller that stops early pays for the blocks it
+    read."""
+    n = entries.shape[1]
+    b = _onehot(entries)
+    for a0 in range(0, n, AGREEMENT_BLOCK):
+        slab = b[:, a0 : a0 + AGREEMENT_BLOCK].T @ b
+        own = np.arange(slab.shape[0])
+        slab[own, a0 + own] = 0
+        yield a0, slab
 
 
 def complement(matrix: CodeMatrix) -> CodeMatrix:

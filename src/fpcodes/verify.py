@@ -5,17 +5,20 @@ columns there is a row where all of G differs from c (symbol 0 included).
 Strongly selective, for size k: for every k-set G and every c in G there
 is a row where c is nonzero and the other members all differ from it.
 
-Both are one cover condition.  Pack, for column c, the rows where column j
-agrees with c into an int mask (for selectivity, only c's nonzero rows);
-G frames c, or blocks c, exactly when the OR of its members' masks covers
-every row that counts.  One kernel, `_covers`, enumerates the covering
-coalitions for all the oracles and for the expurgation's bad events.  It
-is a branch and bound: a prefix is cut with its whole subtree when the
-members left cannot cover the rows of c's support still missing, each
-covering at most the largest agreement with c of any column left.  At the
-root that test needs no mask: a column that no j others can cover is
-settled in O(w n), which in a lambda code with j lambda < w is every
-column.  The cut drops no cover and keeps the order.  Runtime is
+Both are one cover condition.  Pack, for column c, the rows where column
+j agrees with c into an int mask (for selectivity, only c's nonzero
+rows); G frames c, or blocks c, exactly when the OR of its members'
+masks covers every row that counts.  One kernel, `_covers`, enumerates
+the covering coalitions for all the oracles and for the expurgation's
+bad events.  It is a branch and bound: a prefix is cut with its whole
+subtree when the members left cannot cover the rows of c's support still
+missing, each covering at most the largest agreement with c of any
+column left.  At the root that test needs no mask: a column that no j
+others can cover is settled by one comparison against the largest entry
+of its row of the blocked one-hot B^T B (`core.agreement_rows`), a block
+of columns at a time, and never reaches `_covers`.  In a lambda code
+with j lambda < w that is every column, so the scan costs one blocked
+product.  The cut drops no cover and keeps the order.  Runtime is
 combinatorial, so a capacity guard counts the work each call actually
 does (masks packed and mask ORs evaluated) and refuses the call once it
 passes LEAF_BUDGET, naming where it stopped; it never returns a partial
@@ -36,7 +39,7 @@ from .core import (
     CodeMatrix,
     ParameterError,
     agreement_pairs,
-    agreements_with,
+    agreement_rows,
     binary_expand,
     complement,
     stack_rows,
@@ -127,7 +130,21 @@ class _Work:
             )
 
 
-def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, end=None):
+def _unsettled(entries: np.ndarray, j: int):
+    """(c, counts) for every column c that j others might cover, in order:
+    those whose weight is at most j times their largest nonzero agreement
+    with another column; counts is c's agreement row, 0 at c.  Every other
+    column is settled, j members covering fewer rows of its support than it
+    has.  Weights are counted on the entries: the slab's diagonal drops the
+    (row, symbol) pairs no other column holds."""
+    weights = np.count_nonzero(entries, axis=0)
+    for a0, slab in agreement_rows(entries):
+        peaks = slab.max(axis=1).astype(np.int64)
+        for i in np.flatnonzero(weights[a0 : a0 + len(slab)] <= j * peaks).tolist():
+            yield a0 + i, slab[i].astype(np.int64)
+
+
+def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, counts, end=None):
     """Cover kernel of column c: every increasing k-tuple of mask indices,
     the first below `end`, whose masks' OR equals need, in lexicographic
     order.
@@ -137,22 +154,19 @@ def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, e
     holds its nonzero symbol.  need is every row to frame c, c's nonzero
     rows to block it.
 
-    Branch and bound on S, c's nonzero rows.  popcount(mask h & S) is the
-    nonzero agreement of column h with c; j members from index i on cover
-    at most j * suffixmax[i] rows of S, suffixmax[i] the largest of those
-    counts from i on.  Where more rows of S are missing no extension
+    Branch and bound on S, c's nonzero rows.  popcount(mask h & S) is
+    counts[h], the nonzero agreement of column h with c (counts[c] = 0),
+    which the caller reads off its row of B^T B; j members from index i on
+    cover at most j * suffixmax[i] rows of S, suffixmax[i] the largest of
+    those counts from i on.  Where more rows of S are missing no extension
     covers, and as suffixmax never increases the level's loop stops at the
-    first such i.  The root test needs only the counts: a settled column
-    returns before its masks are packed, and costs no work.  Otherwise the
-    search is depth first, carrying the prefix OR down; once a prefix
-    covers need, every extension does.  The cut skips no cover, so the
-    tuples and their order are those of the full scan.  The masks packed
-    and each mask OR evaluated are charged to `work`.
+    first such i.  The root test is the caller's, `_unsettled`: only a
+    column it leaves unsettled gets here.  The search is depth first,
+    carrying the prefix OR down; once a prefix covers need, every
+    extension does.  The cut skips no cover, so the tuples and their order
+    are those of the full scan.  The masks packed and each mask OR
+    evaluated are charged to `work`.
     """
-    counts = agreements_with(entries, c)
-    weight, counts[c] = counts[c], 0
-    if weight > k * counts.max():
-        return  # settled at the root
     support = entries[:, c] != 0
     bits = entries == entries[:, c : c + 1]
     if selective:
@@ -164,7 +178,7 @@ def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, e
     work.add(n, c, ())
     need = rows if selective else (1 << entries.shape[0]) - 1
     # caps = -suffixmax rises, so bisection finds the cut; c's own count is
-    # zeroed before the maxima are taken and its index dropped after
+    # 0 in the maxima and its index dropped after
     caps = (-np.maximum.accumulate(counts[::-1])[::-1]).tolist()
     del caps[c]
 
@@ -213,8 +227,8 @@ def _framings(entries: np.ndarray, k: int, what: str):
     column c in every row (symbol 0 included), in lexicographic order; the
     scan is one call of `what` against the budget."""
     work = _Work(what)
-    for c in range(entries.shape[1]):
-        for hit in _covers(entries, c, k, False, work):
+    for c, counts in _unsettled(entries, k):
+        for hit in _covers(entries, c, k, False, work, counts):
             yield c, tuple(i + (i >= c) for i in hit)
 
 
@@ -249,14 +263,14 @@ def is_strongly_selective(matrix: CodeMatrix, k: int) -> VerificationReport:
     params = {"k": k}
     work = _Work("selectivity")
     best = None  # (set, member) of the least failure so far
-    for c in range(n):
-        if best is not None and k == 1:
-            break  # a lone member's set is itself, later than best's
+    for c, counts in _unsettled(matrix.entries, k - 1):
         end = n if best is None else best[0][0] + 1
-        hit = next(_covers(matrix.entries, c, k - 1, True, work, end), None)
+        hit = next(_covers(matrix.entries, c, k - 1, True, work, counts, end), None)
         if hit is not None:
             failure = (tuple(sorted([c, *(i + (i >= c) for i in hit)])), c)
             best = failure if best is None else min(best, failure)
+            if k == 1:
+                break  # a lone member's set is itself: later ones come after
     if best is None:
         return VerificationReport("strongly_selective", params, True, None)
     group, c = best

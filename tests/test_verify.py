@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fpcodes.core
 import fpcodes.verify
 from fpcodes._util import substream
-from fpcodes.core import CapacityError, CodeMatrix, ParameterError, agreement_pairs, complement
+from fpcodes.core import CapacityError, CodeMatrix, ParameterError, _onehot, agreement_pairs, agreements_with, complement
 from fpcodes.diagonal import build_diagonal
 from fpcodes.expurgate import draw_matrix, enumerate_bad_events, expurgation_params
 from fpcodes.lll import build_frameproof, build_strongly_selective, sample_column
@@ -182,11 +182,12 @@ class TestCoverCut:
         assert is_frameproof(code, params.k - 1).passed
         assert is_strongly_selective(code, params.k).passed
 
-    @pytest.mark.parametrize("c", [0, 1999])
+    @pytest.mark.parametrize("c", [0, 127, 128, 129, 1999])
     def test_planted_column_among_settled_ones(self, c):
         # {700, 1300} frames column c of an lll-fp code at n = 2000; every
         # column but c and its sources settles, and the witness is still
-        # the first cover of c in the uncut kernel's order
+        # the first cover of c in the uncut kernel's order.  127 | 128 is
+        # the default edge of the B^T B column blocks the settle test reads
         code, _, _ = build_frameproof(2, 3, 2000, 1)
         e = plant_mix(code.entries, c, 700, 1300, c)
         masks = reference_masks(e == e[:, c : c + 1])
@@ -537,6 +538,105 @@ class TestAgreementKernel:
             if expect is not None:
                 wit = report.witness
                 assert (wit.column, wit.coalition, wit.rows) == expect
+
+
+def per_column_unsettled(entries, j):
+    """The columns c with weight <= j * max(agreements_with(entries, c)
+    without c's own entry), one column at a time."""
+    out = []
+    for c in range(entries.shape[1]):
+        counts = agreements_with(entries, c)
+        weight, counts[c] = counts[c], 0
+        if weight <= j * counts.max():
+            out.append(c)
+    return out
+
+
+settle_codes = st.one_of(code_matrices(min_t=0, max_t=8, min_n=1, max_n=9), agreement_codes())
+block_sizes = st.sampled_from([1, 3, 7, fpcodes.core.AGREEMENT_BLOCK])
+
+
+class TestBlockSettle:
+    """The root test read off blocked B^T B slabs hands the cover kernel
+    exactly the columns the per-column rule leaves unsettled, with their
+    agreement rows, at any block size."""
+
+    @given(settle_codes, block_sizes)
+    @example(CodeMatrix(2, np.zeros((0, 3), dtype=np.uint16)), 1)  # t = 0
+    @example(CodeMatrix(3, np.array([[2], [1]], dtype=np.uint16)), 1)  # n = 1
+    @example(CodeMatrix(2, np.array([[1, 0], [1, 0]], dtype=np.uint16)), 1)  # n = 2, a zero column
+    @example(CodeMatrix(3, np.array([[1, 1], [2, 1]], dtype=np.uint16)), 3)
+    @settings(max_examples=150)
+    def test_unsettled_matches_per_column_rule(self, m, block):
+        e = m.entries
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+            for j in range(4):
+                found = list(fpcodes.verify._unsettled(e, j))
+                assert [c for c, _ in found] == per_column_unsettled(e, j)
+                for c, counts in found:
+                    expect = agreements_with(e, c)
+                    expect[c] = 0
+                    assert counts.tolist() == expect.tolist()
+
+    @given(settle_codes, block_sizes)
+    @example(CodeMatrix(2, np.zeros((0, 3), dtype=np.uint16)), 3)
+    @settings(max_examples=100)
+    def test_oracles_search_only_unsettled_columns(self, m, block):
+        # enumerate_bad_events and a selectivity call at k >= 2 scan every
+        # column, so the columns reaching the kernel are all that the rule
+        # leaves unsettled, in order
+        e = m.entries
+        searched = []
+        covers = fpcodes.verify._covers
+
+        def spy(entries, c, *args):
+            searched.append(c)
+            return covers(entries, c, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+            mp.setattr(fpcodes.verify, "_covers", spy)
+            for k in range(1, m.n):
+                searched.clear()
+                enumerate_bad_events(e, k)
+                assert searched == per_column_unsettled(e, k)
+            for k in range(2, m.n + 1):
+                searched.clear()
+                is_strongly_selective(m, k)
+                assert searched == per_column_unsettled(e, k - 1)
+
+    @given(st.one_of(code_matrices(max_n=8), wide_codes()), st.integers(1, 8), st.sampled_from([1, 3, 7]))
+    @example(zero_last(6), 2, 3)
+    @settings(max_examples=150)
+    def test_oracles_match_naive_at_block_edges(self, m, k, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+            fp = is_frameproof(m, 1 + (k - 1) % (m.n - 1))
+            ss = is_strongly_selective(m, 1 + (k - 1) % m.n)
+        ok, witness = naive_frameproof(m, 1 + (k - 1) % (m.n - 1))
+        assert fp.passed == ok
+        if not ok:
+            assert (fp.witness.column, fp.witness.coalition) == witness
+        ok, witness = naive_selective(m, 1 + (k - 1) % m.n)
+        assert ss.passed == ok
+        if not ok:
+            assert (ss.witness.column, ss.witness.coalition) == witness
+
+    def test_unshared_symbols_settle_without_budget(self, monkeypatch):
+        # the last column holds symbol 3 in every row and no other column
+        # holds 3, so B has no row for it and its diagonal entry of B^T B is
+        # 0, not its weight t.  Read from there, the weight would leave it
+        # unsettled and the scan would pack its masks; read from the entries
+        # it settles like every other column, and nothing is counted
+        code, params, _ = build_frameproof(2, 3, 60, 1)
+        e = np.hstack([code.entries, np.full((code.t, 1), 3, dtype=np.uint16)])
+        assert not _onehot(e)[:, -1].any()
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 0)
+        # params.k is the build's selectivity, one above its framing offset
+        assert is_frameproof(CodeMatrix(4, e), params.k - 1).passed
+        assert is_strongly_selective(CodeMatrix(4, e), params.k).passed
+        assert is_frameproof(identity(6), 5).passed  # B has no rows at all
 
 
 class TestOracleSymmetry:
