@@ -1,13 +1,39 @@
-"""Shared helpers: tolerant ceiling, float range of q and n, reproducible RNG
-substreams and their raw 32-bit words."""
+"""Shared helpers that need no numpy: the package's exception classes, the
+tolerant ceiling, the float range of q and n, and reproducible RNG
+substreams.  The length formulas in `bounds` import only this module, so
+they load without numpy."""
 
 import hashlib
 import math
 import random
 
-import numpy as np
 
-from .core import ParameterError
+class ParameterError(ValueError):
+    """Raised when arguments violate a documented precondition."""
+
+
+class CapacityError(RuntimeError):
+    """Raised when a requested computation exceeds the safety budget."""
+
+
+class ConstructionError(RuntimeError):
+    """Raised when a randomized construction gives up.
+
+    Carries an optional `log` attribute with the partial progress record.
+    """
+
+    def __init__(self, message: str, log=None):
+        super().__init__(message)
+        self.log = log
+
+
+class CodeFormatError(ValueError):
+    """Raised on malformed serialized codes.  `line` is 1-based."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
 
 # Absolute nudge applied before ceiling so that values sitting a hair above
 # an integer because of float roundoff do not get bumped to the next one.
@@ -50,19 +76,3 @@ def substream(seed: int, *path) -> random.Random:
     tag = ":".join([str(seed)] + [str(p) for p in path])
     digest = hashlib.sha256(tag.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def stream_words(streams, count: int) -> np.ndarray:
-    """The next `count` 32-bit Mersenne Twister outputs of each stream, as a
-    (len(streams), count) uint32 array; each stream is advanced past them.
-
-    CPython's `getrandbits(32 * count)` is those words, least significant
-    first.  Every draw of `random.Random` is built from whole words:
-    `randrange(m)` takes one per try (value word >> (32 - m.bit_length()),
-    rejected when >= m) and `random()` two, a and b, as
-    ((a >> 5) 2^26 + (b >> 6)) 2^-53.  So numpy can replay the draws from
-    this array bit for bit.
-    """
-    streams = list(streams)
-    raw = b"".join(rng.getrandbits(32 * count).to_bytes(4 * count, "little") for rng in streams)
-    return np.frombuffer(raw, dtype="<u4").reshape(len(streams), count)

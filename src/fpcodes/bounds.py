@@ -18,6 +18,14 @@ the report are stable strings used by the text serialization:
   expurgation_cor44  closed-form estimate of the same (real)
   compare_45         expurgation beats stinson_41 here (bool, q > k)
   compare_46         expurgation beats shangguan_42 here (bool, q <= k)
+
+The module also holds the formulas the builders derive their parameters
+from: the local-lemma chain (`derive_weight`, `derive_lambda`,
+`derive_length`) that `lll` runs, and the expurgation length with its
+survival probability (`p_qk`, `expurgation_length`, `corollary_length`)
+that `expurgate` draws at.  It is plain integer, float and rational
+arithmetic and imports no numpy, so a process that only evaluates bounds
+never loads it.
 """
 
 from __future__ import annotations
@@ -26,12 +34,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import ceil_tol, check_float_n, check_float_q
-from .core import ParameterError
-from .expurgate import corollary_length, expurgation_length, p_qk
-from .lll import derive_weight, derived_params
+from ._util import ParameterError, ceil_tol, check_float_n, check_float_q
 
 DIAG_LOWER_COEFF = (15 + math.sqrt(33)) / 24  # ~0.86436
+# relative error allowed for the float length in `expurgation_length`: 3x its 10 * 2^-53 bound
+LENGTH_REL_ERR = 2.0**-48
 
 
 class ApplicabilityError(ParameterError):
@@ -49,6 +56,117 @@ def _check_triple(q: int, k: int, n: int):
     check_float_n(n)
 
 
+def derive_lambda(w: int, k: int) -> int:
+    """Largest agreement bound that still forces selectivity: floor((w-1)/(k-1))."""
+    if k < 2:
+        raise ParameterError(f"k={k} must be at least 2")
+    if w < 1:
+        raise ParameterError(f"w={w} must be positive")
+    return (w - 1) // (k - 1)
+
+
+def derive_weight(k: int, n: int) -> int:
+    """Column weight ceil(1 + (k-1) ln(2 e n)) used by the standard chain."""
+    if k < 2:
+        raise ParameterError(f"k={k} must be at least 2")
+    if n <= k:
+        raise ParameterError(f"need n > k, got n={n}, k={k}")
+    check_float_n(n)
+    return ceil_tol(1 + (k - 1) * math.log(2 * math.e * n))
+
+
+def derive_length(lam: int, w: int, n: int, q: int) -> int:
+    """Smallest row count for which the resampling criterion holds.
+
+    Returns max of 2w-(lam+1) and the ceiling of
+      lam/2 + (1/(q-1)) (e w/(lam+1)) (w - lam/2) (e(2n-4))^(1/(lam+1)).
+    """
+    if q < 2:
+        raise ParameterError(f"q={q} must be at least 2")
+    check_float_q(q)
+    if n < 3:
+        raise ParameterError(f"n={n} must be at least 3")
+    check_float_n(n)
+    if not 0 <= lam < w:
+        raise ParameterError(f"need 0 <= lam < w, got lam={lam}, w={w}")
+    first = 2 * w - (lam + 1)
+    root = (math.e * (2 * n - 4)) ** (1.0 / (lam + 1))
+    second = lam / 2 + (math.e * w / (lam + 1)) * (w - lam / 2) * root / (q - 1)
+    if not math.isfinite(second):
+        raise ParameterError("length formula overflows for these parameters")
+    return max(first, ceil_tol(second))
+
+
+def _p_fraction(q: int, k: int) -> Fraction:
+    if q > k:
+        return (Fraction(q - 1, q)) ** k
+    a = Fraction(q - 1, k + 1)  # total nonzero mass
+    return (1 - a) * a**k + a * (1 - Fraction(1, k + 1)) ** k
+
+
+def p_qk(q: int, k: int) -> float:
+    """Per-row probability that a fixed column separates from k fixed others.
+
+    For q > k this is (1-1/q)^k under the uniform draw; for q <= k it is
+    the biased-draw value
+      (1 - (q-1)/(k+1)) ((q-1)/(k+1))^k + ((q-1)/(k+1)) (1 - 1/(k+1))^k,
+    evaluated exactly in rationals before conversion to float.
+    """
+    if k < 2:
+        raise ParameterError(f"k={k} must be at least 2")
+    if q < 2:
+        raise ParameterError(f"q={q} must be at least 2")
+    return float(_p_fraction(q, k))
+
+
+def expurgation_length(q: int, k: int, n: int) -> int:
+    """Smallest t with (k+1) C(n+ell, k) (1-p)^t <= 1, ell = floor(n/k).
+
+    That t is max(1, ceil(x)) for x = ln(count) / -ln(1-p).  The float x is
+    within 10 units of 2^-53 of the real one, relative (an ulp or two from
+    each logarithm, the rounding of p or 1-p, the division), so where no
+    integer lies within LENGTH_REL_ERR x of it the ceiling is exact; else
+    the exact rational test picks t among the candidates in that range.
+    """
+    if k < 2:
+        raise ParameterError(f"k={k} must be at least 2")
+    if q < 2:
+        raise ParameterError(f"q={q} must be at least 2")
+    if n < k:
+        raise ParameterError(f"need n >= k, got n={n}, k={k}")
+    ell = n // k
+    count = (k + 1) * math.comb(n + ell, k)
+    p = _p_fraction(q, k)
+    base = 1 - p
+    if not 0 < base < 1:
+        raise ParameterError(f"degenerate survival probability for q={q}, k={k}")
+    if p <= 0.5:
+        rate = -math.log1p(-float(p))
+    else:  # 1-p <= 1/2, scaled by 2^e into (1/2, 2) so that no q underflows it
+        e = base.denominator.bit_length() - base.numerator.bit_length()
+        rate = e * math.log(2) - math.log(base * 2**e)
+    x = math.log(count) / rate
+    err = x * LENGTH_REL_ERR
+    t, hi = (max(1, math.ceil(v)) for v in (x - err, x + err))
+    while t < hi and count * base.numerator**t > base.denominator**t:
+        t += 1
+    return t
+
+
+def corollary_length(q: int, k: int, n: int) -> float:
+    """Closed-form length estimate ln(n^k (k+1)/k! * ((k+1)/k)^k) / -ln(1-p).
+
+    Real-valued; callers that need an integer length take the ceiling.
+    """
+    p = p_qk(q, k)
+    check_float_q(q)
+    if n < k:
+        raise ParameterError(f"need n >= k, got n={n}, k={k}")
+    check_float_n(n)
+    log_count = k * math.log(n * (k + 1) / k) + math.log(k + 1) - math.lgamma(k + 1)
+    return log_count / -math.log1p(-p)
+
+
 def ss_debonis_order(q: int, k: int, n: int) -> float:
     """Reference value k^2/v * ln(n/k) with v = min(k, q-1).
 
@@ -62,7 +180,8 @@ def ss_debonis_order(q: int, k: int, n: int) -> float:
 def lll_lambda_length(q: int, k: int, n: int) -> int:
     """Integer length of the resampling construction for target k."""
     _check_triple(q, k, n)
-    return derived_params(k, q, n, 0).t
+    w = derive_weight(k, n)
+    return derive_length(derive_lambda(w, k), w, n, q)
 
 
 def ss_theorem35(q: int, k: int, n: int) -> float:

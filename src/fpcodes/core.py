@@ -1,4 +1,6 @@
-"""Core data model: q-ary code matrices, basic transforms, and text I/O.
+"""Core data model: q-ary code matrices, basic transforms, text I/O, the
+agreement kernels of the coalition oracles and the builders, and the raw
+RNG words the builders' draws replay.
 
 A code with n codewords of length t over the alphabet {0, ..., q-1} is
 stored as a t x n matrix whose columns are the codewords.  Symbol 0 plays
@@ -14,33 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class ParameterError(ValueError):
-    """Raised when arguments violate a documented precondition."""
-
-
-class CapacityError(RuntimeError):
-    """Raised when a requested computation exceeds the safety budget."""
-
-
-class ConstructionError(RuntimeError):
-    """Raised when a randomized construction gives up.
-
-    Carries an optional `log` attribute with the partial progress record.
-    """
-
-    def __init__(self, message: str, log=None):
-        super().__init__(message)
-        self.log = log
-
-
-class CodeFormatError(ValueError):
-    """Raised on malformed serialized codes.  `line` is 1-based."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
+# the exception classes live in the numpy-free `_util`; core re-exports them
+from ._util import CapacityError, CodeFormatError, ConstructionError, ParameterError
 
 MAX_Q = 1 << 16  # largest alphabet: symbols are stored as uint16
 MAX_N = sys.maxsize // 2  # most uint16 columns numpy can shape, even with no rows
@@ -152,20 +129,40 @@ def agreement_pairs(entries: np.ndarray, lam: int):
             yield a0 + a, a0 + c
 
 
-def agreement_rows(entries: np.ndarray):
-    """(a0, slab) for each block of AGREEMENT_BLOCK columns from a0, in
-    order: slab[i, j] is the nonzero agreement of column a0 + i with column
-    j, and 0 for j = a0 + i.  The full rows of the same B^T B that
-    `agreement_pairs` takes in upper-triangle slabs, float32 and made one
-    block at a time, so a caller that stops early pays for the blocks it
-    read."""
+def agreement_rows(entries: np.ndarray, pick):
+    """(c, row) for the columns c that `pick` asks for, in order: row[j] is
+    the nonzero agreement of column c with column j, and 0 for j = c.
+
+    B^T B is taken in the upper-triangle slabs of `agreement_pairs`, each
+    block's rows from its first column on; a running maximum over the
+    slabs above keeps every column's largest agreement with the columns
+    before its block.  pick(a0, peaks), peaks[i] the largest agreement of
+    column a0 + i with any other column, returns an index array of the
+    block-local columns whose full rows it wants; only those rows are
+    completed, by one product against the columns before the block.  With
+    n <= AGREEMENT_BLOCK the whole call is one B^T B product.  A caller
+    that stops early pays for the blocks it read.
+    """
     n = entries.shape[1]
     b = _onehot(entries)
+    above = np.zeros(n, dtype=np.float32)  # largest agreement with a column of an earlier block
     for a0 in range(0, n, AGREEMENT_BLOCK):
-        slab = b[:, a0 : a0 + AGREEMENT_BLOCK].T @ b
-        own = np.arange(slab.shape[0])
-        slab[own, a0 + own] = 0
-        yield a0, slab
+        slab = b[:, a0 : a0 + AGREEMENT_BLOCK].T @ b[:, a0:]
+        np.fill_diagonal(slab, 0)  # slab[i, i] is column a0 + i's own entry
+        m = slab.shape[0]
+        peaks = slab.max(axis=1)
+        if a0:
+            np.maximum(peaks, above[a0 : a0 + m], out=peaks)
+        if a0 + m < n:
+            np.maximum(above[a0 + m :], slab[:, m:].max(axis=0), out=above[a0 + m :])
+        idx = pick(a0, peaks)
+        if not idx.size:
+            continue
+        rows = slab[idx]
+        if a0:
+            rows = np.hstack([b[:, a0 + idx].T @ b[:, :a0], rows])
+        for i, row in zip(idx.tolist(), rows):
+            yield a0 + i, row
 
 
 def complement(matrix: CodeMatrix) -> CodeMatrix:
@@ -195,6 +192,22 @@ def binary_expand(matrix: CodeMatrix) -> CodeMatrix:
     rows = np.arange(t, dtype=np.int64)[:, None] * q + matrix.entries.astype(np.int64)
     out[rows, np.arange(n)[None, :]] = 1
     return CodeMatrix(2, out)
+
+
+def stream_words(streams, count: int) -> np.ndarray:
+    """The next `count` 32-bit Mersenne Twister outputs of each stream, as a
+    (len(streams), count) uint32 array; each stream is advanced past them.
+
+    CPython's `getrandbits(32 * count)` is those words, least significant
+    first.  Every draw of `random.Random` is built from whole words:
+    `randrange(m)` takes one per try (value word >> (32 - m.bit_length()),
+    rejected when >= m) and `random()` two, a and b, as
+    ((a >> 5) 2^26 + (b >> 6)) 2^-53.  So numpy can replay the draws from
+    this array bit for bit.
+    """
+    streams = list(streams)
+    raw = b"".join(rng.getrandbits(32 * count).to_bytes(4 * count, "little") for rng in streams)
+    return np.frombuffer(raw, dtype="<u4").reshape(len(streams), count)
 
 
 IO_BLOCK = 1 << 16  # symbols per row block of the text reader and writer

@@ -10,25 +10,25 @@ The symbol distribution mu is uniform when q > k.  When q <= k a uniform
 draw is too collision-prone, so symbol 0 gets probability 1-(q-1)/(k+1)
 and each nonzero symbol 1/(k+1), which maximizes the per-row survival
 probability p of a fixed column against k fixed others.
+
+The length t (`expurgation_length`), its closed-form estimate and p are
+numpy-free formulas of `bounds`, imported here.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from ._util import check_float_n, check_float_q, stream_words
-from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet
+# the length formulas live in the numpy-free `bounds`; expurgate re-exports them
+from .bounds import corollary_length, expurgation_length, p_qk
+from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet, stream_words
 from .verify import _framings
 
 MAX_REDRAWS = 50
-# relative error allowed for the float length in `expurgation_length`: 3x its 10 * 2^-53 bound
-LENGTH_REL_ERR = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -65,28 +65,6 @@ class ExpurgationParams:
         return symbol_distribution(self.q, self.k)
 
 
-def _p_fraction(q: int, k: int) -> Fraction:
-    if q > k:
-        return (Fraction(q - 1, q)) ** k
-    a = Fraction(q - 1, k + 1)  # total nonzero mass
-    return (1 - a) * a**k + a * (1 - Fraction(1, k + 1)) ** k
-
-
-def p_qk(q: int, k: int) -> float:
-    """Per-row probability that a fixed column separates from k fixed others.
-
-    For q > k this is (1-1/q)^k under the uniform draw; for q <= k it is
-    the biased-draw value
-      (1 - (q-1)/(k+1)) ((q-1)/(k+1))^k + ((q-1)/(k+1)) (1 - 1/(k+1))^k,
-    evaluated exactly in rationals before conversion to float.
-    """
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
-    return float(_p_fraction(q, k))
-
-
 def symbol_distribution(q: int, k: int) -> tuple[float, ...]:
     """Draw distribution mu over {0, ..., q-1}: uniform iff q > k."""
     if k < 2 or q < 2:
@@ -95,54 +73,6 @@ def symbol_distribution(q: int, k: int) -> tuple[float, ...]:
         return tuple([1.0 / q] * q)
     head = 1.0 - (q - 1) / (k + 1)
     return (head,) + tuple([1.0 / (k + 1)] * (q - 1))
-
-
-def expurgation_length(q: int, k: int, n: int) -> int:
-    """Smallest t with (k+1) C(n+ell, k) (1-p)^t <= 1, ell = floor(n/k).
-
-    That t is max(1, ceil(x)) for x = ln(count) / -ln(1-p).  The float x is
-    within 10 units of 2^-53 of the real one, relative (an ulp or two from
-    each logarithm, the rounding of p or 1-p, the division), so where no
-    integer lies within LENGTH_REL_ERR x of it the ceiling is exact; else
-    the exact rational test picks t among the candidates in that range.
-    """
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
-    if n < k:
-        raise ParameterError(f"need n >= k, got n={n}, k={k}")
-    ell = n // k
-    count = (k + 1) * math.comb(n + ell, k)
-    p = _p_fraction(q, k)
-    base = 1 - p
-    if not 0 < base < 1:
-        raise ParameterError(f"degenerate survival probability for q={q}, k={k}")
-    if p <= 0.5:
-        rate = -math.log1p(-float(p))
-    else:  # 1-p <= 1/2, scaled by 2^e into (1/2, 2) so that no q underflows it
-        e = base.denominator.bit_length() - base.numerator.bit_length()
-        rate = e * math.log(2) - math.log(base * 2**e)
-    x = math.log(count) / rate
-    err = x * LENGTH_REL_ERR
-    t, hi = (max(1, math.ceil(v)) for v in (x - err, x + err))
-    while t < hi and count * base.numerator**t > base.denominator**t:
-        t += 1
-    return t
-
-
-def corollary_length(q: int, k: int, n: int) -> float:
-    """Closed-form length estimate ln(n^k (k+1)/k! * ((k+1)/k)^k) / -ln(1-p).
-
-    Real-valued; callers that need an integer length take the ceiling.
-    """
-    p = p_qk(q, k)
-    check_float_q(q)
-    if n < k:
-        raise ParameterError(f"need n >= k, got n={n}, k={k}")
-    check_float_n(n)
-    log_count = k * math.log(n * (k + 1) / k) + math.log(k + 1) - math.lgamma(k + 1)
-    return log_count / -math.log1p(-p)
 
 
 def expurgation_params(q: int, k: int, n: int, seed: int = 0) -> ExpurgationParams:

@@ -25,6 +25,10 @@ redrawn columns and re-adds those still violated, found in O(w n) by
 `core.agreements_with` on the columns' support rows.  At admissible
 parameters the set holds a few dozen pairs at most, so memory stays O(t n).
 
+The parameter chain w, lam, t (`derive_weight`, `derive_lambda`,
+`derive_length`) is numpy-free arithmetic that lives in `bounds`, which
+reports the same lengths; it is imported here.
+
 Such a matrix is a strongly selective code for k when lam = floor((w-1)/(k-1)):
 in any k columns, some member has more nonzero rows than its k-1 partners
 can cover, so it owns a row where it is nonzero and the others differ.
@@ -38,8 +42,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import ceil_tol, check_float_n, check_float_q, stream_words, substream
-from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet, agreement_pairs, agreements_with
+from ._util import substream
+from .bounds import derive_lambda, derive_length, derive_weight
+from .core import (
+    CodeMatrix,
+    ConstructionError,
+    ParameterError,
+    _check_alphabet,
+    agreement_pairs,
+    agreements_with,
+    stream_words,
+)
 
 # columns per block of the initial draw, whose working memory is O(DRAW_BLOCK t)
 DRAW_BLOCK = 2048
@@ -99,47 +112,6 @@ class ResampleLog:
     def total_resamples(self) -> int:
         """Pair-resampling events; each redraws both columns of one violated pair."""
         return len(self.history) - 1
-
-
-def derive_lambda(w: int, k: int) -> int:
-    """Largest agreement bound that still forces selectivity: floor((w-1)/(k-1))."""
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
-    if w < 1:
-        raise ParameterError(f"w={w} must be positive")
-    return (w - 1) // (k - 1)
-
-
-def derive_weight(k: int, n: int) -> int:
-    """Column weight ceil(1 + (k-1) ln(2 e n)) used by the standard chain."""
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
-    if n <= k:
-        raise ParameterError(f"need n > k, got n={n}, k={k}")
-    check_float_n(n)
-    return ceil_tol(1 + (k - 1) * math.log(2 * math.e * n))
-
-
-def derive_length(lam: int, w: int, n: int, q: int) -> int:
-    """Smallest row count for which the resampling criterion holds.
-
-    Returns max of 2w-(lam+1) and the ceiling of
-      lam/2 + (1/(q-1)) (e w/(lam+1)) (w - lam/2) (e(2n-4))^(1/(lam+1)).
-    """
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
-    check_float_q(q)
-    if n < 3:
-        raise ParameterError(f"n={n} must be at least 3")
-    check_float_n(n)
-    if not 0 <= lam < w:
-        raise ParameterError(f"need 0 <= lam < w, got lam={lam}, w={w}")
-    first = 2 * w - (lam + 1)
-    root = (math.e * (2 * n - 4)) ** (1.0 / (lam + 1))
-    second = lam / 2 + (math.e * w / (lam + 1)) * (w - lam / 2) * root / (q - 1)
-    if not math.isfinite(second):
-        raise ParameterError("length formula overflows for these parameters")
-    return max(first, ceil_tol(second))
 
 
 def derived_params(k: int, q: int, n: int, seed: int) -> ConstructionParams:

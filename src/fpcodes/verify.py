@@ -15,14 +15,14 @@ subtree when the members left cannot cover the rows of c's support still
 missing, each covering at most the largest agreement with c of any
 column left.  At the root that test needs no mask: a column that no j
 others can cover is settled by one comparison against the largest entry
-of its row of the blocked one-hot B^T B (`core.agreement_rows`), a block
-of columns at a time, and never reaches `_covers`.  In a lambda code
-with j lambda < w that is every column, so the scan costs one blocked
-product.  The cut drops no cover and keeps the order.  Runtime is
-combinatorial, so a capacity guard counts the work each call actually
-does (masks packed and mask ORs evaluated) and refuses the call once it
-passes LEAF_BUDGET, naming where it stopped; it never returns a partial
-answer or subsamples.  The lambda-matrix check needs only column pairs
+of its row of the blocked one-hot B^T B (`core.agreement_rows`), read off
+the upper triangle a block of columns at a time, and never reaches
+`_covers`.  In a lambda code with j lambda < w that is every column, so
+the scan costs half of one blocked product.  The cut drops no cover and
+keeps the order.  Runtime is combinatorial, so a capacity guard counts
+the work each call actually does (masks packed and mask ORs evaluated)
+and refuses the call once it passes LEAF_BUDGET, naming where it
+stopped; it never returns a partial answer or subsamples.  The lambda-matrix check needs only column pairs
 and uses the agreement kernel shared with the local-lemma builder.
 """
 
@@ -135,13 +135,15 @@ def _unsettled(entries: np.ndarray, j: int):
     those whose weight is at most j times their largest nonzero agreement
     with another column; counts is c's agreement row, 0 at c.  Every other
     column is settled, j members covering fewer rows of its support than it
-    has.  Weights are counted on the entries: the slab's diagonal drops the
+    has.  Weights are counted on the entries: B^T B's diagonal drops the
     (row, symbol) pairs no other column holds."""
     weights = np.count_nonzero(entries, axis=0)
-    for a0, slab in agreement_rows(entries):
-        peaks = slab.max(axis=1).astype(np.int64)
-        for i in np.flatnonzero(weights[a0 : a0 + len(slab)] <= j * peaks).tolist():
-            yield a0 + i, slab[i].astype(np.int64)
+
+    def pick(a0, peaks):
+        return np.flatnonzero(weights[a0 : a0 + len(peaks)] <= j * peaks.astype(np.int64))
+
+    for c, row in agreement_rows(entries, pick):
+        yield c, row.astype(np.int64)
 
 
 def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, counts, end=None):

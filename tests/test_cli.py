@@ -174,6 +174,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--in", str(path), "--property", "lambda", *partial)
         assert (code, out, err) == (2, "", "error: --property lambda requires --lam and --w\n")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--property", "fp"], "--property fp requires --k"),
+            (["--property", "ss"], "--property ss requires --k"),
+            (["--property", "lambda", "--lam", "0"], "--property lambda requires --lam and --w"),
+            (["--property", "lambda", "--w", "1"], "--property lambda requires --lam and --w"),
+        ],
+    )
+    def test_flag_error_before_reading_the_file(self, capsys, flags, message):
+        # the --in path does not exist: the usage error is found first
+        code, out, err = run(capsys, "verify", "--in", "no-such-file", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_strongly_selective_pass(self, tmp_path, capsys):
         path = tmp_path / "d.code"
         path.write_bytes(b"3 2 4\n1 0 2 0\n0 1 0 2\n")
@@ -284,6 +298,15 @@ class TestSimulate:
         run(capsys, "construct", "diagonal", "--q", "3", "--n", "4", "--out", str(path))
         code, _, _ = run(capsys, "simulate", "--in", str(path), "--active", "0,x")
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [([], "simulate needs --active or --k with --trials"), (["--active", "0,x"], "bad --active list '0,x'")],
+    )
+    def test_flag_error_before_reading_the_file(self, capsys, flags, message):
+        code, out, err = run(capsys, "simulate", "--in", "no-such-file", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestBench:

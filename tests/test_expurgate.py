@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fpcodes.expurgate
+import fpcodes.bounds
 import fpcodes.verify
 from fpcodes.core import CapacityError, ConstructionError, ParameterError
 from fpcodes.expurgate import (
@@ -124,7 +124,8 @@ class TestExpurgationLength:
     def test_exact_walk_inside_a_wide_bound(self, monkeypatch):
         # a 3% bound puts several candidates in reach of every estimate, so
         # the rational test, not the float ceiling, picks each answer
-        monkeypatch.setattr(fpcodes.expurgate, "LENGTH_REL_ERR", 0.03)
+        monkeypatch.setattr(fpcodes.bounds, "LENGTH_REL_ERR", 0.03)
+        assert expurgation_length.__globals__["LENGTH_REL_ERR"] == 0.03  # the patch reached it
         for q, k, n in LENGTH_GRID:
             assert expurgation_length(q, k, n) == reference_length(q, k, n), (q, k, n)
 

@@ -623,6 +623,32 @@ class TestBlockSettle:
         if not ok:
             assert (ss.witness.column, ss.witness.coalition) == witness
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_unsettled_by_an_earlier_block_only(self, block):
+        # ten weight-2 columns on disjoint rows, but column 8 repeats column
+        # 0 and column 9 shares one row with both.  Column 8 agrees in one
+        # row with column 9, in its own block or a later one, and in two
+        # with column 0, in an earlier block: only the running maximum over
+        # the slabs above unsettles it at j = 1
+        e = np.zeros((20, 10), dtype=np.uint16)
+        for i in range(10):
+            e[[2 * i, 2 * i + 1], i] = 1
+        e[:, 8] = e[:, 0]
+        e[:, 9] = 0
+        e[[0, 19], 9] = 1
+        assert 8 // block > 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+            for j in range(3):
+                found = list(fpcodes.verify._unsettled(e, j))
+                assert [c for c, _ in found] == per_column_unsettled(e, j) == [[], [0, 8], [0, 8, 9]][j]
+                for c, counts in found:
+                    expect = agreements_with(e, c)
+                    expect[c] = 0
+                    assert counts.tolist() == expect.tolist()
+            report = is_frameproof(CodeMatrix(2, e), 1)
+        assert (report.witness.column, report.witness.coalition) == naive_frameproof(CodeMatrix(2, e), 1)[1] == (0, (8,))
+
     def test_unshared_symbols_settle_without_budget(self, monkeypatch):
         # the last column holds symbol 3 in every row and no other column
         # holds 3, so B has no row for it and its diagonal entry of B^T B is
