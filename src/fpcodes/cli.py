@@ -32,7 +32,8 @@ def _emit(args, matrix, sidecar: dict) -> int:
             fh.write("\n")
         print(f"wrote {matrix.t}x{matrix.n} code (q={matrix.q}) to {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(data.decode("ascii"))
+        sys.stdout.flush()  # anything printed before goes out first
+        sys.stdout.buffer.write(data)
     return 0
 
 

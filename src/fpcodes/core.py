@@ -7,6 +7,12 @@ stored as a t x n matrix whose columns are the codewords.  Symbol 0 plays
 a special role throughout (it marks "silent" slots in the conflict
 resolution reading), so transforms that touch the alphabet are explicit
 about how they treat it.
+
+The text format is read and written in row blocks of about IO_BLOCK
+symbols.  A block whose symbols all have one decimal width w (every block
+of a code with q <= 10) is a fixed grid of w + 1 bytes per symbol, and
+is formatted and parsed a digit column at a time; a block of mixed widths
+is scattered and scanned token by token on the byte buffer.
 """
 
 from __future__ import annotations
@@ -215,34 +221,65 @@ IO_BLOCK = 1 << 16  # symbols per row block of the text reader and writer
 SPACE, NEWLINE, ZERO = 32, 10, 48
 
 
+def _width(value: int) -> int:
+    """Decimal digits of the nonnegative integer `value`."""
+    return len(str(value))
+
+
+def _write_grid(symbols: np.ndarray, width: int) -> np.ndarray:
+    """The text of `symbols`, a (rows, n) block whose entries all have
+    `width` digits, as a (rows, n, width + 1) uint8 grid: each token's
+    digits, then its separator."""
+    out = np.full(symbols.shape + (width + 1,), SPACE, dtype=np.uint8)
+    out[:, -1, width] = NEWLINE
+    for d in range(width - 1, 0, -1):
+        high = symbols // 10  # numpy divides by a constant fast, but not `%`
+        out[:, :, d] = (symbols - high * 10 + ZERO).astype(np.uint8)
+        symbols = high
+    out[:, :, 0] = (symbols + ZERO).astype(np.uint8)
+    return out
+
+
+def _write_scatter(symbols: np.ndarray, width: int) -> np.ndarray:
+    """The text of `symbols`, a (rows, n) block of mixed widths up to
+    `width`: each token's digits scattered to its offset in the line."""
+    n = symbols.shape[1]
+    symbols = symbols.ravel()
+    lengths = np.ones(symbols.size, dtype=np.int64)
+    for d in range(1, width):
+        lengths += symbols >= 10**d
+    seps = np.cumsum(lengths + 1) - 1  # the space or newline after each symbol
+    out = np.full(seps[-1] + 1, SPACE, dtype=np.uint8)
+    out[seps[n - 1 :: n]] = NEWLINE
+    out[seps - 1] = symbols % 10 + ZERO
+    for d in range(1, width):
+        longer = lengths > d
+        out[seps[longer] - 1 - d] = symbols[longer] // 10**d % 10 + ZERO
+    return out
+
+
 def write_code(matrix: CodeMatrix) -> bytes:
     """Serialize to the plain text format.
 
     First line is "q t n"; each of the t following lines holds n
     space-separated symbols (an empty line when n = 0); the file ends with
     a single newline.  The output is byte-exact: re-serializing a parsed
-    code reproduces it.  Rows are formatted IO_BLOCK symbols at a time,
-    each block scattered into one uint8 buffer.
+    code reproduces it.  Rows are formatted IO_BLOCK symbols at a time
+    into one uint8 buffer per block.  A block whose smallest and largest
+    symbols have the same number of digits w (every block when q <= 10)
+    is a fixed (rows, n, w + 1) byte grid, filled a digit column at a
+    time; any other block scatters each token to its offset.
     """
     q, t, n = matrix.q, matrix.t, matrix.n
     header = f"{q} {t} {n}\n".encode("ascii")
     if n == 0:
         return header + b"\n" * t
     parts = [header]
-    width = len(str(q - 1))
     step = max(1, IO_BLOCK // n)
     for r0 in range(0, t, step):
-        symbols = matrix.entries[r0 : r0 + step].ravel()
-        lengths = np.ones(symbols.size, dtype=np.int64)
-        for d in range(1, width):
-            lengths += symbols >= 10**d
-        seps = np.cumsum(lengths + 1) - 1  # the space or newline after each symbol
-        out = np.full(seps[-1] + 1, SPACE, dtype=np.uint8)
-        out[seps[n - 1 :: n]] = NEWLINE
-        out[seps - 1] = symbols % 10 + ZERO
-        for d in range(1, width):
-            longer = lengths > d
-            out[seps[longer] - 1 - d] = symbols[longer] // 10**d % 10 + ZERO
+        symbols = matrix.entries[r0 : r0 + step]
+        lo, hi = _width(int(symbols.min())), _width(int(symbols.max()))
+        out = _write_grid(symbols, hi) if lo == hi else _write_scatter(symbols, hi)
         parts.append(out.tobytes())
     return b"".join(parts)
 
@@ -276,16 +313,49 @@ def _parse_row(raw: str, n: int, q: int, line: int) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
+def _parse_grid(block: np.ndarray, rows: int, n: int, q: int) -> np.ndarray | None:
+    """The (rows, n) symbols of `block` read as a grid of tokens that all
+    have one width w, or None when it is not one.  Only a block of exactly
+    rows * n * (w + 1) bytes, 1 <= w <= the width of q - 1, can be; it
+    is one when every (w + 1)-th byte is the right separator and every
+    token is w digits, with no leading zero when w > 1, below q."""
+    width, rest = divmod(block.size, rows * n)
+    width -= 1
+    if rest or not 1 <= width <= _width(q - 1):
+        return None
+    base = np.full((n, width + 1), ZERO, dtype=np.uint8)  # the byte each position is read against
+    base[:, width] = SPACE
+    base[-1, width] = NEWLINE
+    top = np.full((n, width + 1), 9, dtype=np.uint8)
+    top[:, width] = 0
+    # a digit becomes its value and the right separator 0; any other byte
+    # exceeds `top`, wrapping round if it is below `base`
+    rel = block.reshape(rows, n, width + 1) - base
+    if (rel > top).any():
+        return None
+    values = rel[:, :, 0].astype(np.uint32)
+    for d in range(1, width):
+        values = values * 10 + rel[:, :, d]
+    if values.max() >= q or (width > 1 and values.min() < 10 ** (width - 1)):
+        return None
+    return values
+
+
 def _parse_block(block: np.ndarray, rows: int, n: int, q: int) -> np.ndarray | None:
     """The (rows, n) symbols of `block`, the bytes of `rows` whole lines, or
     None when any of those lines breaks the format (the caller then re-reads
     them with `_parse_row` for the error).
 
     A well-formed block is n canonical integers below q per line, each
-    followed by one separator: a space, or a newline after the n-th.
+    followed by one separator: a space, or a newline after the n-th.  A
+    block that `_parse_grid` reads as one-width tokens is taken from the
+    grid; any other is scanned for its separators.
     """
     if n == 0:
         return np.zeros((rows, 0), dtype=np.uint16) if block.size == rows else None
+    values = _parse_grid(block, rows, n, q)
+    if values is not None:
+        return values
     seps = np.flatnonzero(block - np.uint8(ZERO) >= 10)  # every byte but a digit
     if seps.size != rows * n:
         return None
@@ -294,7 +364,7 @@ def _parse_block(block: np.ndarray, rows: int, n: int, q: int) -> np.ndarray | N
         return None
     lengths = np.diff(seps, prepend=-1) - 1
     widest = int(lengths.max())
-    if lengths.min() < 1 or widest > len(str(q - 1)):
+    if lengths.min() < 1 or widest > _width(q - 1):
         return None
     if ((block[seps - lengths] == ZERO) & (lengths > 1)).any():
         return None
@@ -316,9 +386,12 @@ def read_code(data: bytes) -> CodeMatrix:
     symbols, an alphabet above MAX_Q) raises CodeFormatError with the
     offending 1-based line number; so does a codeword count above MAX_N
     in a code with no rows.  Rows are checked and converted IO_BLOCK
-    symbols at a time on the byte buffer; a block that fails is re-read
-    line by line by `_parse_row`, so the first bad line and its message are
-    those of a plain token-by-token reader.
+    symbols at a time on the byte buffer: a block of exactly
+    rows * n * (w + 1) bytes is first tried as a grid of w-digit symbols,
+    and any other, or one that is no such grid, is scanned for its
+    separators.  A block that fails both is re-read line by line by
+    `_parse_row`, so the first bad line and its message are those of a
+    plain token-by-token reader.
     """
     if not data.isascii():
         try:

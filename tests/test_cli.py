@@ -33,6 +33,15 @@ class TestConstruct:
         assert code == 0
         assert out == "2 3 3\n1 0 0\n0 1 0\n0 0 1\n"
 
+    def test_stdout_bytes_match_out_file(self, tmp_path, capsysbinary):
+        path = tmp_path / "ss.code"
+        argv = ["construct", "lll-ss", "--q", "3", "--k", "3", "--n", "40", "--seed", "5"]
+        assert main(argv) == 0
+        printed = capsysbinary.readouterr().out
+        assert main(argv + ["--out", str(path)]) == 0
+        assert printed == path.read_bytes()
+        assert printed.startswith(b"3 ")
+
     def test_lll_fp_header_and_reproducibility(self, tmp_path, capsys):
         a = tmp_path / "a.code"
         b = tmp_path / "b.code"

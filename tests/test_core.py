@@ -206,6 +206,27 @@ def outcome(reader, data):
         return err.line, str(err)
 
 
+UNIFORM_Q = [11, 100, 1000, 10000, 65536]  # q - 1 of width 2, 2, 3, 4, 5
+
+
+def uniform_code(q, t, n, seed):
+    """A random t x n code over q whose symbols all have the width of q - 1."""
+    low = 10 ** (len(str(q - 1)) - 1)
+    return CodeMatrix(q, np.random.default_rng(seed).integers(low, q, size=(t, n)))
+
+
+def calls(mp, name):
+    """Patch core.`name` to record what each call returns; the list of them."""
+    results, fn = [], getattr(core, name)
+
+    def recorded(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    mp.setattr(core, name, recorded)
+    return results
+
+
 @st.composite
 def edited_files(draw):
     """A valid code file, q up to 65536, after one to three edits: a byte
@@ -222,6 +243,34 @@ def edited_files(draw):
             data[i:i] = piece
         elif i < len(data):
             data[i : i + 1] = piece[:1] if kind == "substitute" else b""
+    return bytes(data)
+
+
+@st.composite
+def substituted_files(draw):
+    """A valid code file whose symbols all have one width w, so that its
+    row blocks are one-width grids, after one to three edits that keep its
+    length: a separator made a digit, a digit made a space, "/" or ":" (the
+    bytes either side of the digits), a symbol's first digit made 0, or a
+    symbol made a w-digit one of at least q."""
+    q = draw(st.sampled_from([2, 3, 10, 11, 100, 101, 1000, 65535, 65536]))
+    w = draw(st.integers(1, len(str(q - 1))))
+    t, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    low = 10 ** (w - 1) if w > 1 else 0
+    flat = draw(st.lists(st.integers(low, min(q, 10**w) - 1), min_size=t * n, max_size=t * n))
+    data = bytearray(write_code(CodeMatrix(q, np.array(flat, dtype=np.uint16).reshape(t, n))))
+    start = data.index(b"\n") + 1
+    for _ in range(draw(st.integers(1, 3))):
+        at = start + draw(st.integers(0, t * n - 1)) * (w + 1)  # a symbol's first byte
+        kind = draw(st.sampled_from(["separator", "digit", "leading zero", "too big"]))
+        if kind == "separator":
+            data[at + w] = draw(st.sampled_from(b"0123456789"))
+        elif kind == "digit":
+            data[at + draw(st.integers(0, w - 1))] = draw(st.sampled_from(b" /:"))
+        elif kind == "leading zero":
+            data[at] = ord("0")
+        elif q < 10**w:
+            data[at : at + w] = str(draw(st.integers(q, 10**w - 1))).encode()
     return bytes(data)
 
 
@@ -248,6 +297,8 @@ MALFORMED = {
     b"3 2 4\n1 0 3 0\n0 1 0 2\n": (2, "symbol 3 out of range [0, 2]"),
     b"12 1 3\n1 123 2\n": (2, "symbol 123 out of range [0, 11]"),
     b"65536 1 1\n4294967296\n": (2, "symbol 4294967296 out of range [0, 65535]"),  # 2**32
+    # a block of exactly rows * n * (w + 1) bytes, w = 1, that is no grid
+    b"11 2 3\n10 10 1\n1 1\n": (3, "expected 3 symbols, got '1 1'"),
     b"12 1 3\n1 011 2\n": (2, "symbol '011' has leading zeros"),
     b"12 1 3\n1 01 2\n": (2, "symbol '01' has leading zeros"),
     b"3 2 4\n1 0 -1 0\n0 1 0 2\n": (2, "symbol '-1' is not a nonnegative integer"),
@@ -293,6 +344,41 @@ class TestTextFormat:
         assert data == reference_write_code(m)
         assert read_code(data) == m
 
+    @pytest.mark.parametrize("q", UNIFORM_Q)
+    def test_round_trip_uniform_width(self, q):
+        # 40 x 3000 spans two row blocks, each a grid of one width
+        m = uniform_code(q, 40, 3000, q)
+        data = write_code(m)
+        assert data == reference_write_code(m)
+        assert read_code(data) == m
+        assert reference_read_code(data) == m
+
+    @pytest.mark.parametrize("q", UNIFORM_Q)
+    def test_grid_and_scatter_blocks_in_one_file(self, q):
+        # rows 4 and 9 mix widths, the others are one width, so a few
+        # symbols per row block give grid blocks and scatter blocks
+        entries = uniform_code(q, 12, 3, q).entries.copy()
+        entries[4, 1] = 1
+        entries[9, 0] = 0
+        m = CodeMatrix(q, entries)
+        data = reference_write_code(m)
+        for block in range(1, 13):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "IO_BLOCK", block)
+                grids = calls(mp, "_write_grid")
+                scatters = calls(mp, "_write_scatter")
+                parsed = calls(mp, "_parse_grid")
+                assert write_code(m) == data
+                assert read_code(data) == m
+            assert grids and scatters
+            assert any(p is None for p in parsed) and any(p is not None for p in parsed)
+
+    def test_grid_sized_block_of_mixed_widths(self):
+        # widths 1, 3 and 2 fill rows * n * (w + 1) bytes for w = 2
+        data = b"1000 1 3\n5 123 10\n"
+        assert read_code(data) == mat(1000, [[5, 123, 10]])
+        assert write_code(read_code(data)) == data
+
     @pytest.mark.parametrize("t", [0, 1, 3])
     def test_zero_columns_round_trip(self, t):
         m = CodeMatrix(3, np.zeros((t, 0), dtype=np.uint16))
@@ -317,11 +403,11 @@ class TestTextFormat:
         with pytest.raises(CodeFormatError):
             read_code(b"\xff\xfe3 2 4\n")
 
-    @given(edited_files())
+    @given(st.one_of(edited_files(), substituted_files()))
     def test_matches_reference_reader(self, data):
         assert outcome(read_code, data) == outcome(reference_read_code, data)
 
-    @given(edited_files(), st.integers(1, 12))
+    @given(st.one_of(edited_files(), substituted_files()), st.integers(1, 12))
     def test_matches_reference_reader_small_blocks(self, data, block):
         # a few symbols per row block, so that edits land on block edges
         with pytest.MonkeyPatch.context() as mp:
