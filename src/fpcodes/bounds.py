@@ -31,7 +31,7 @@ never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from ._util import ParameterError, ceil_tol, check_float_n, check_float_q
@@ -320,21 +320,16 @@ def relaxed_inequality_45(k: int) -> bool:
     return k * (1 - math.log(k)) + math.log(k + 1) < 0
 
 
-@dataclass(frozen=True, eq=False)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "q k n entries flags")):
     """All bounds evaluated at one (q, k, n).
 
     entries maps identifier to value (float, int, or bool); an entry whose
     regime does not apply holds None and carries a reason in flags.
     Entries flagged order-level or constant-free are reference values with
-    an unspecified additive or multiplicative constant.
+    an unspecified additive or multiplicative constant.  Fields are read-only.
     """
 
-    q: int
-    k: int
-    n: int
-    entries: dict
-    flags: dict
+    __slots__ = ()
 
     def serialize(self, ceil_reals: bool = False) -> str:
         """Stable text form: q/k/n, then entries in alphabetical key order.

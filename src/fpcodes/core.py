@@ -1,6 +1,6 @@
 """Core data model: q-ary code matrices, basic transforms, text I/O, the
-agreement kernels of the coalition oracles and the builders, and the raw
-RNG words the builders' draws replay.
+one blocked B^T B agreement kernel of the coalition oracles and the
+builders, and the raw RNG words the builders' draws replay.
 
 A code with n codewords of length t over the alphabet {0, ..., q-1} is
 stored as a t x n matrix whose columns are the codewords.  Symbol 0 plays
@@ -9,10 +9,10 @@ resolution reading), so transforms that touch the alphabet are explicit
 about how they treat it.
 
 The text format is read and written in row blocks of about IO_BLOCK
-symbols.  A block whose symbols all have one decimal width w (every block
-of a code with q <= 10) is a fixed grid of w + 1 bytes per symbol, and
-is formatted and parsed a digit column at a time; a block of mixed widths
-is scattered and scanned token by token on the byte buffer.
+symbols.  A block is formatted a digit column at a time as a grid of
+w + 1 bytes per symbol, w its widest symbol's width, and one mask drops
+the leading zeros of narrower symbols.  A one-width block (every block
+when q <= 10) is parsed as that grid, any other scanned token by token.
 """
 
 from __future__ import annotations
@@ -119,35 +119,28 @@ def agreement_pairs(entries: np.ndarray, lam: int):
     """Every column pair (a, b), a < b, that holds the same nonzero symbol
     in more than `lam` rows, in lexicographic order.
 
-    The nonzero agreement counts are B^T B, B from `_onehot`.  The product
-    is taken for AGREEMENT_BLOCK columns a at a time against the columns
-    from the block on, so beyond B only one (block, n) slab is live,
-    however many pairs are violated.
+    Read off the rows `agreement_rows` completes for the columns whose
+    largest agreement exceeds `lam`, so beyond B only one block's slab and
+    rows are live, however many pairs are violated.
     """
-    n = entries.shape[1]
-    b = _onehot(entries)
-    for a0 in range(0, n, AGREEMENT_BLOCK):
-        over = b[:, a0 : a0 + AGREEMENT_BLOCK].T @ b[:, a0:] > lam
-        # the leading square holds the diagonal: keep its strict upper triangle
-        over[:, :AGREEMENT_BLOCK] = np.triu(over[:, :AGREEMENT_BLOCK], 1)
-        for i in np.flatnonzero(over):
-            a, c = divmod(int(i), n - a0)
-            yield a0 + a, a0 + c
+    for a, row in agreement_rows(entries, lambda a0, peaks: np.flatnonzero(peaks > lam)):
+        for b in np.flatnonzero(row[a + 1 :] > lam).tolist():
+            yield a, a + 1 + b
 
 
 def agreement_rows(entries: np.ndarray, pick):
     """(c, row) for the columns c that `pick` asks for, in order: row[j] is
     the nonzero agreement of column c with column j, and 0 for j = c.
 
-    B^T B is taken in the upper-triangle slabs of `agreement_pairs`, each
-    block's rows from its first column on; a running maximum over the
-    slabs above keeps every column's largest agreement with the columns
-    before its block.  pick(a0, peaks), peaks[i] the largest agreement of
-    column a0 + i with any other column, returns an index array of the
-    block-local columns whose full rows it wants; only those rows are
-    completed, by one product against the columns before the block.  With
-    n <= AGREEMENT_BLOCK the whole call is one B^T B product.  A caller
-    that stops early pays for the blocks it read.
+    B^T B, B from `_onehot`, is taken in upper-triangle slabs of
+    AGREEMENT_BLOCK rows, from the block's first column on (no n x n
+    array); a running maximum over the slabs above keeps every column's
+    largest agreement with the columns before its block.  pick(a0, peaks),
+    peaks[i] the largest agreement of column a0 + i with any other column,
+    returns an index array of the block-local columns whose full rows it
+    wants; only those rows are completed, by one product against the
+    columns before the block.  With n <= AGREEMENT_BLOCK the whole call is
+    one B^T B product.  A caller that stops early pays for what it read.
     """
     n = entries.shape[1]
     b = _onehot(entries)
@@ -162,9 +155,10 @@ def agreement_rows(entries: np.ndarray, pick):
         if a0 + m < n:
             np.maximum(above[a0 + m :], slab[:, m:].max(axis=0), out=above[a0 + m :])
         idx = pick(a0, peaks)
+        rows = slab[idx]
+        del slab  # freed before the next block's product is made
         if not idx.size:
             continue
-        rows = slab[idx]
         if a0:
             rows = np.hstack([b[:, a0 + idx].T @ b[:, :a0], rows])
         for i, row in zip(idx.tolist(), rows):
@@ -227,9 +221,9 @@ def _width(value: int) -> int:
 
 
 def _write_grid(symbols: np.ndarray, width: int) -> np.ndarray:
-    """The text of `symbols`, a (rows, n) block whose entries all have
+    """The text of `symbols`, a (rows, n) block whose entries have at most
     `width` digits, as a (rows, n, width + 1) uint8 grid: each token's
-    digits, then its separator."""
+    digits, zero-padded on the left to `width`, then its separator."""
     out = np.full(symbols.shape + (width + 1,), SPACE, dtype=np.uint8)
     out[:, -1, width] = NEWLINE
     for d in range(width - 1, 0, -1):
@@ -240,35 +234,17 @@ def _write_grid(symbols: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _write_scatter(symbols: np.ndarray, width: int) -> np.ndarray:
-    """The text of `symbols`, a (rows, n) block of mixed widths up to
-    `width`: each token's digits scattered to its offset in the line."""
-    n = symbols.shape[1]
-    symbols = symbols.ravel()
-    lengths = np.ones(symbols.size, dtype=np.int64)
-    for d in range(1, width):
-        lengths += symbols >= 10**d
-    seps = np.cumsum(lengths + 1) - 1  # the space or newline after each symbol
-    out = np.full(seps[-1] + 1, SPACE, dtype=np.uint8)
-    out[seps[n - 1 :: n]] = NEWLINE
-    out[seps - 1] = symbols % 10 + ZERO
-    for d in range(1, width):
-        longer = lengths > d
-        out[seps[longer] - 1 - d] = symbols[longer] // 10**d % 10 + ZERO
-    return out
-
-
 def write_code(matrix: CodeMatrix) -> bytes:
     """Serialize to the plain text format.
 
     First line is "q t n"; each of the t following lines holds n
     space-separated symbols (an empty line when n = 0); the file ends with
     a single newline.  The output is byte-exact: re-serializing a parsed
-    code reproduces it.  Rows are formatted IO_BLOCK symbols at a time
-    into one uint8 buffer per block.  A block whose smallest and largest
-    symbols have the same number of digits w (every block when q <= 10)
-    is a fixed (rows, n, w + 1) byte grid, filled a digit column at a
-    time; any other block scatters each token to its offset.
+    code reproduces it.  Rows are formatted IO_BLOCK symbols at a time as
+    a (rows, n, w + 1) byte grid, w the width of the block's largest
+    symbol, filled a digit column at a time.  When the smallest symbol is
+    narrower (never when q <= 10), one boolean mask then drops the leading
+    zeros of the shorter tokens.
     """
     q, t, n = matrix.q, matrix.t, matrix.n
     header = f"{q} {t} {n}\n".encode("ascii")
@@ -279,7 +255,12 @@ def write_code(matrix: CodeMatrix) -> bytes:
     for r0 in range(0, t, step):
         symbols = matrix.entries[r0 : r0 + step]
         lo, hi = _width(int(symbols.min())), _width(int(symbols.max()))
-        out = _write_grid(symbols, hi) if lo == hi else _write_scatter(symbols, hi)
+        out = _write_grid(symbols, hi)
+        if lo < hi:
+            keep = np.ones(out.shape, dtype=bool)
+            for d in range(hi - 1):  # digit d is a leading zero below 10 ** (hi - 1 - d)
+                keep[..., d] = symbols >= 10 ** (hi - 1 - d)
+            out = out[keep]
         parts.append(out.tobytes())
     return b"".join(parts)
 
@@ -404,7 +385,9 @@ def read_code(data: bytes) -> CodeMatrix:
     if not data.endswith(b"\n"):
         raise CodeFormatError("missing trailing newline", data.count(b"\n") + 1)
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == NEWLINE)  # ends[i]: the newline closing line i + 1
+    # ends[i]: the newline closing line i + 1, found in cache-sized slices, not via a file-sized mask
+    ends = np.concatenate([np.flatnonzero(buf[i : i + 4 * IO_BLOCK] == NEWLINE) + i
+                           for i in range(0, buf.size, 4 * IO_BLOCK)])
 
     def line(i: int) -> str:
         return data[ends[i - 2] + 1 if i > 1 else 0 : ends[i - 1]].decode("ascii")

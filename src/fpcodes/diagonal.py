@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CodeMatrix, ParameterError
+from .core import CodeMatrix, ParameterError, _check_alphabet
 
 
 def build_diagonal(q: int, n: int) -> CodeMatrix:
     """Weight-1 frameproof code with t = ceil(n/(q-1)) rows."""
+    _check_alphabet(q)
     if q < 2:
         raise ParameterError(f"q={q} must be at least 2")
     if n < 1:

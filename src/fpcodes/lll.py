@@ -18,8 +18,8 @@ block.  A column that is resampled gets its stream back on its first event,
 re-derived and advanced past the words the draw took, and is redrawn by
 `sample_column` from then on.
 
-Violated pairs are kept in a set, filled once by the agreement kernel
-`core.agreement_pairs` (a blocked B^T B product, shared with
+Violated pairs are kept in a set, filled once by `core.agreement_pairs`
+(read off the blocked B^T B rows of `core.agreement_rows`; shared with
 `verify.is_lambda_matrix`); an event drops the pairs that touch the two
 redrawn columns and re-adds those still violated, found in O(w n) by
 `core.agreements_with` on the columns' support rows.  At admissible

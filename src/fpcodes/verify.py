@@ -285,9 +285,10 @@ def is_lambda_matrix(matrix: CodeMatrix, lam: int, w: int) -> VerificationReport
     A weight failure is witnessed by the column alone; an agreement
     failure carries both columns and the agreeing rows.  Both witnesses are
     the first failure: the lowest-index column of wrong weight, else the
-    lexicographically first pair (a, b), a < b.  Agreements come from the
-    shared kernel `core.agreement_pairs`, which stops at the first block of
-    columns that holds a violated pair, not from a pair loop.
+    lexicographically first pair (a, b), a < b.  Agreements come from
+    `core.agreement_pairs` on the shared kernel `core.agreement_rows`,
+    which stops at the first block of columns that holds a violated pair,
+    not from a pair loop.
     """
     if lam < 0 or w < 0:
         raise ParameterError(f"need lam >= 0 and w >= 0, got lam={lam}, w={w}")

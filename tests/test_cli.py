@@ -72,10 +72,13 @@ class TestConstruct:
         code, _, _ = run(capsys, "construct", "lll-fp", "--q", "3", "--n", "20")  # missing --k
         assert code == 2
 
-    @pytest.mark.parametrize("kind", ["lll-ss", "lll-fp", "expurgate"])
+    @pytest.mark.parametrize("kind", ["lll-ss", "lll-fp", "expurgate", "diagonal"])
     def test_alphabet_above_max_q_exit_2(self, capsys, kind):
-        # refused before any column is drawn, not by numpy's uint16 overflow
-        code, out, err = run(capsys, "construct", kind, "--q", "70000", "--k", "2", "--n", "10")
+        # refused before any column is drawn, not by numpy's uint16 overflow;
+        # a diagonal code of 200000 columns over q = 70000 has symbols above
+        # 65535, so the build itself would overflow
+        n = "200000" if kind == "diagonal" else "10"
+        code, out, err = run(capsys, "construct", kind, "--q", "70000", "--k", "2", "--n", n)
         assert (code, out) == (2, "")
         assert err == "error: q=70000 exceeds 65536, the largest alphabet a code stores\n"
 

@@ -216,12 +216,12 @@ def uniform_code(q, t, n, seed):
 
 
 def calls(mp, name):
-    """Patch core.`name` to record what each call returns; the list of them."""
+    """Patch core.`name` to record each call; the list of (args, result)."""
     results, fn = [], getattr(core, name)
 
     def recorded(*args):
-        results.append(fn(*args))
-        return results[-1]
+        results.append((args, fn(*args)))
+        return results[-1][1]
 
     mp.setattr(core, name, recorded)
     return results
@@ -356,7 +356,9 @@ class TestTextFormat:
     @pytest.mark.parametrize("q", UNIFORM_Q)
     def test_grid_and_scatter_blocks_in_one_file(self, q):
         # rows 4 and 9 mix widths, the others are one width, so a few
-        # symbols per row block give grid blocks and scatter blocks
+        # symbols per row block give one-width blocks, written and parsed as
+        # grids, and mixed blocks, whose leading zeros are masked out on
+        # writing and which are scanned for separators on reading
         entries = uniform_code(q, 12, 3, q).entries.copy()
         entries[4, 1] = 1
         entries[9, 0] = 0
@@ -366,12 +368,26 @@ class TestTextFormat:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(core, "IO_BLOCK", block)
                 grids = calls(mp, "_write_grid")
-                scatters = calls(mp, "_write_scatter")
                 parsed = calls(mp, "_parse_grid")
                 assert write_code(m) == data
                 assert read_code(data) == m
-            assert grids and scatters
-            assert any(p is None for p in parsed) and any(p is not None for p in parsed)
+            mixed = [len(str(symbols.min())) < width for (symbols, width), _ in grids]
+            assert any(mixed) and not all(mixed)
+            assert any(p is None for _, p in parsed) and any(p is not None for _, p in parsed)
+
+    @pytest.mark.parametrize("q", [11, 101, 1001, 10001, 65536])
+    def test_width_boundaries(self, q):
+        # the symbols either side of each power of ten below q, as one row
+        # and as one column, so row blocks of every size cut between them
+        values = [v for v in (0, 9, 10, 99, 100, 999, 1000, 9999, 10000, q - 1) if v < q]
+        for entries in ([values], [[v] for v in values]):
+            m = mat(q, entries)
+            data = reference_write_code(m)
+            for block in range(1, len(values) + 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(core, "IO_BLOCK", block)
+                    assert write_code(m) == data
+                    assert read_code(data) == m
 
     def test_grid_sized_block_of_mixed_widths(self):
         # widths 1, 3 and 2 fill rows * n * (w + 1) bytes for w = 2

@@ -1,6 +1,7 @@
 """The package surface: lazily resolved names, and the paths that answer
-without loading numpy (bounds, --help, the bound tables)."""
+without loading numpy or dataclasses (bounds, --help, the bound tables)."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -26,24 +27,40 @@ NUMPY_FREE = {
 }
 
 
-def numpy_loaded(code: str) -> bool:
-    """Run `code` in a fresh interpreter with the package on the path; was
-    numpy imported by the end?"""
-    probe = code + "\nimport sys\nprint('numpy' in sys.modules)"
+@functools.lru_cache(maxsize=None)
+def loaded(code: str) -> frozenset:
+    """Run `code` in a fresh interpreter with the package on the path; which
+    of numpy and dataclasses were imported by the end?"""
+    probe = code + "\nimport sys\nprint(*sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()[-1] == "True"
+    return frozenset(proc.stdout.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize("code", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
 def test_path_never_loads_numpy(code):
-    assert not numpy_loaded(code)
+    assert "numpy" not in loaded(code)
+
+
+@pytest.mark.parametrize("code", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
+def test_path_never_loads_dataclasses(code):
+    # BoundReport is a named tuple, so a bounds-only process skips that import
+    assert "dataclasses" not in loaded(code)
 
 
 def test_probe_sees_numpy():
-    # the probe itself: a numpy-backed module does load it
-    assert numpy_loaded("import fpcodes.core")
+    # the probe itself: a numpy-backed module does load both
+    assert loaded("import fpcodes.core") == {"numpy", "dataclasses"}
+
+
+def test_bound_report_is_read_only():
+    report = bounds.bound_report(3, 2, 100)
+    with pytest.raises(AttributeError):
+        report.q = 4
+    with pytest.raises(AttributeError):
+        report.extra = 1
+    assert report == bounds.bound_report(3, 2, 100)  # equal by value
 
 
 def test_names_are_their_definitions():
