@@ -23,6 +23,6 @@ def build_diagonal(q: int, n: int) -> CodeMatrix:
         raise ParameterError(f"n={n} must be positive")
     depth = -(-n // (q - 1))
     entries = np.zeros((depth, n), dtype=np.uint16)
-    for j in range(n):
-        entries[j % depth, j] = j // depth + 1
+    j = np.arange(n)
+    entries[j % depth, j] = j // depth + 1
     return CodeMatrix(q, entries)

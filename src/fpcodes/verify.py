@@ -6,34 +6,39 @@ Strongly selective, for size k: for every k-set G and every c in G there
 is a row where c is nonzero and the other members all differ from it.
 
 Both are one cover condition.  Pack, for column c, the rows where column
-j agrees with c into an int mask (for selectivity, only c's nonzero
-rows); G frames c, or blocks c, exactly when the OR of its members'
-masks covers every row that counts.  One kernel, `_covers`, enumerates
-the covering coalitions for all the oracles and for the expurgation's
-bad events.  It is a branch and bound: a prefix is cut with its whole
-subtree when the members left cannot cover the rows of c's support still
-missing, each covering at most the largest agreement with c of any
-column left.  At the root that test needs no mask: a column that no j
-others can cover is settled by one comparison against the largest entry
-of its row of the blocked one-hot B^T B (`core.agreement_rows`), read off
-the upper triangle a block of columns at a time, and never reaches
-`_covers`.  In a lambda code with j lambda < w that is every column, so
-the scan costs half of one blocked product.  The cut drops no cover and
-keeps the order.  Runtime is combinatorial, so a capacity guard counts
-the work each call actually does (masks packed and mask ORs evaluated)
+j agrees with c into a row mask (for selectivity, only c's nonzero rows),
+one row of a (columns, words) uint64 array, 64 rows to a word; G frames
+c, or blocks c, exactly when the OR of its members' masks covers every
+row that counts.  One kernel, `_covers`, enumerates the covering
+coalitions for all the oracles and for the expurgation's bad events.  It
+is a branch and bound: a prefix is cut with its whole subtree when the
+members left cannot cover the rows of c's support still missing, each
+covering at most the largest agreement with c of any column left.  At the
+root that test needs no mask: a column that no j others can cover is
+settled by one comparison against the largest entry of its row of the
+blocked one-hot B^T B (`core.agreement_rows`), read off the upper
+triangle a block of columns at a time, and never reaches `_covers`.  In a
+lambda code with j lambda < w that is every column, so the scan costs
+half of one blocked product.  Below the root the search is depth first
+down to two members left; those last two levels run as array operations,
+a block of (first member, last member) pairs tested at once.  The cut
+drops no cover and keeps the order.  Runtime is combinatorial, so a
+capacity guard counts the work each call actually does (masks packed and
+mask ORs evaluated, exactly as a pair-at-a-time scan would count them)
 and refuses the call once it passes LEAF_BUDGET, naming where it
-stopped; it never returns a partial answer or subsamples.  The lambda-matrix check needs only column pairs
-and uses the agreement kernel shared with the local-lemma builder.
+stopped; it never returns a partial answer or subsamples.  The
+lambda-matrix check needs only column pairs and uses the agreement
+kernel shared with the local-lemma builder.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     CapacityError,
     CodeMatrix,
@@ -96,23 +101,23 @@ def nonzero_agreement_rows(matrix: CodeMatrix, a: int, b: int):
     return [i for i in range(matrix.t) if e[i, a] == e[i, b] and e[i, a] != 0]
 
 
-def _pack(bits: np.ndarray) -> list[int]:
-    """Columns of a (t, n) bool array as ints, bit i set where row i is."""
-    packed = np.packbits(bits, axis=0, bitorder="little")
-    words = max(1, -(-packed.shape[0] // 8))  # t = 0 packs as zeros
-    padded = np.zeros((bits.shape[1], 8 * words), dtype=np.uint8)
-    padded[:, : packed.shape[0]] = packed.T
-    # one little-endian 64-bit word list per 64 rows, joined at Python speed
-    chunks = padded.view("<u8")
-    out = chunks[:, 0].tolist()
-    for j in range(1, words):
-        out = [a | b << (64 * j) for a, b in zip(out, chunks[:, j].tolist())]
-    return out
+# set bits of every byte value; a mask's popcount sums those of its bytes
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Rows set in each mask of a (..., words) uint64 array."""
+    # one multiply sums a word's eight byte counts into its top byte
+    per_word = _BYTE_BITS.take(masks.view(np.uint8)).view(np.uint64) * np.uint64(0x0101010101010101)
+    return (per_word >> np.uint64(56)).sum(axis=-1, dtype=np.int64)
 
 
 class _Work:
     """Coalition checks of one oracle call, against LEAF_BUDGET: the masks
-    `_covers` packs and the mask ORs it evaluates."""
+    `_covers` packs and the mask ORs it evaluates, charged in the order of a
+    pair-at-a-time scan.  A vectorized block is charged member by member as
+    its covers are reached (`add_run`), so a refusal inside it names the
+    count, column and prefix where that scan would have stopped."""
 
     def __init__(self, what: str):
         self.what = what
@@ -128,6 +133,18 @@ class _Work:
                 f"{self.what} check refused after {self.done} coalition checks, over the "
                 f"{LEAF_BUDGET} budget, at column {column}, coalition prefix {members}"
             )
+
+    def add_run(self, counts: np.ndarray, lo: int, hi: int, column: int, prefix_of) -> None:
+        """Charge counts[x] under the prefix prefix_of(x) for each x from lo
+        below hi in turn, as one `add` per charge would: a refusal names the
+        first charge that crosses the budget and the count there."""
+        run = counts[lo:hi]
+        total = int(run.sum())
+        if self.done + total > LEAF_BUDGET:
+            cum = np.cumsum(run)
+            over = int(np.searchsorted(cum, LEAF_BUDGET - self.done, side="right"))
+            self.add(int(cum[over]), column, prefix_of(lo + over))
+        self.done += total
 
 
 def _unsettled(entries: np.ndarray, j: int):
@@ -154,74 +171,153 @@ def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, c
     Mask i holds the rows where column i (i < c) or i + 1 (i >= c) covers
     c: equals it (symbol 0 included) to frame it, or, with `selective`,
     holds its nonzero symbol.  need is every row to frame c, c's nonzero
-    rows to block it.
+    rows to block it.  The masks are the rows of one (n - 1, words) uint64
+    array, 64 rows to a word, and every OR and compare takes all words.
 
     Branch and bound on S, c's nonzero rows.  popcount(mask h & S) is
     counts[h], the nonzero agreement of column h with c (counts[c] = 0),
     which the caller reads off its row of B^T B; j members from index i on
     cover at most j * suffixmax[i] rows of S, suffixmax[i] the largest of
     those counts from i on.  Where more rows of S are missing no extension
-    covers, and as suffixmax never increases the level's loop stops at the
-    first such i.  The root test is the caller's, `_unsettled`: only a
-    column it leaves unsettled gets here.  The search is depth first,
-    carrying the prefix OR down; once a prefix covers need, every
-    extension does.  The cut skips no cover, so the tuples and their order
-    are those of the full scan.  The masks packed and each mask OR
-    evaluated are charged to `work`.
+    covers, and as suffixmax never increases a level's candidates end at
+    the first such i, found by bisection.  The root test is the caller's,
+    `_unsettled`: only a column it leaves unsettled gets here.  The search
+    is depth first, carrying the prefix OR and its missing rows down; once
+    a prefix covers need, every extension does.
+
+    A level with three or more members left forms its candidates' ORs and
+    popcounts as one array operation.  The last two levels are blocks: a
+    prefix with two members left, or the surviving prefixes of a level
+    with three left, as many as keep the block within AGREEMENT_BLOCK^2
+    rows (plus one prefix's), become one row per (prefix, first member f),
+    whose last members run from f + 1 to the cut of f's own missing rows.
+    The pairs of AGREEMENT_BLOCK rows at a time are tested at once against
+    need and read row-major, so they come out in order; memory stays
+    O(AGREEMENT_BLOCK n) however many coalitions there are.  The cut skips
+    no cover, so the tuples and their order are those of the full scan.
+
+    The masks packed and the ORs of each level and range are charged to
+    `work` in the order of a pair-at-a-time scan: a level's candidates as
+    it is entered, a block's rows (each prefix's cut, then its members'
+    ranges) up to a row as that row's covers are reached.  A caller that
+    stops at a cover has paid exactly what that scan would, and a refusal
+    inside a block comes after the covers of the rows before the one
+    whose charge crosses the budget, naming that row's count and prefix.
     """
-    support = entries[:, c] != 0
-    bits = entries == entries[:, c : c + 1]
+    t, m = entries.shape
+    # a bool row per column, then one for S, padded to whole 64-bit words:
+    # column c's own row is need, as c equals itself in every row and, to
+    # block it, on S
+    bits = np.zeros((m + 1, 64 * max(1, -(-t // 64))), dtype=bool)
+    np.equal(entries.T, entries[:, c], out=bits[:m, :t])
+    bits[m, :t] = entries[:, c] != 0
     if selective:
-        bits &= support[:, None]
-    bits[:, c] = support  # c's own mask is S
-    masks = _pack(bits)
-    rows = masks.pop(c)
+        bits[:m] &= bits[m]
+    words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    need, rows = words[c], words[m]
+    weight = int(np.count_nonzero(bits[m]))
+    del bits
+    masks = np.concatenate((words[:c], words[c + 1 : m]))
     n = len(masks)
     work.add(n, c, ())
-    need = rows if selective else (1 << entries.shape[0]) - 1
     # caps = -suffixmax rises, so bisection finds the cut; c's own count is
     # 0 in the maxima and its index dropped after
-    caps = (-np.maximum.accumulate(counts[::-1])[::-1]).tolist()
-    del caps[c]
+    suffix = np.maximum.accumulate(counts[::-1])[::-1]
+    caps = -np.concatenate((suffix[:c], suffix[c + 1 :]))
+    chunk = core.AGREEMENT_BLOCK  # rows per pair test
 
     def cut(j, start, end, missing, prefix):
         """End of the indices from start on, below end, that may take the
         next of j members with `missing` rows of S uncovered, charged as
         the ORs the caller evaluates."""
         # missing > j * suffixmax[i] exactly when suffixmax[i] <= (missing - 1) // j
-        stop = bisect.bisect_left(caps, -((missing - 1) // j), start, min(end, n - j + 1))
+        edge = int(np.searchsorted(caps, -((missing - 1) // j)))
+        stop = max(start, min(edge, end, n - j + 1))
         work.add(stop - start, c, prefix)
         return stop
 
-    def last(start, acc, missing, prefix):
-        """Indices from start on whose mask completes acc to need."""
-        stop = cut(1, start, n, missing, prefix)
-        return [i for i in range(start, stop) if acc | masks[i] == need]
+    def block(heads, acc, missing, start, end):
+        """The covers of the prefixes `heads`, in order, each with two
+        members left; acc, missing and start are theirs, one per prefix,
+        and end bounds every first member."""
+        stop = np.maximum(start, np.minimum(np.searchsorted(caps, -((missing - 1) // 2)), min(end, n - 1)))
+        # per prefix a row for its cut, then a row per first member f from
+        # start to stop.  A row's span is what it charges: the cut's first
+        # members, or f's last members, from f + 1 to the cut of f's own
+        # missing rows.  A prefix that covers need, as all its pairs do, is
+        # charged nothing
+        size = stop - start + 1
+        ends = np.cumsum(size)
+        owner = np.repeat(np.arange(len(heads)), size)
+        first = np.arange(ends[-1]) - np.repeat(ends - stop, size)
+        cut_row = first < start[owner]
+        a = acc[owner] | masks[first]  # a cut row's f is start - 1 and its OR unused
+        top = np.maximum(np.searchsorted(caps, 1 - _popcount(rows & ~a)), first + 1)
+        span = np.where(cut_row, stop[owner], top) - first - 1
+        live = np.flatnonzero(np.where(cut_row, 0, span))
+        full = (acc == need).all(axis=1)
+        if full.any():
+            span[full[owner]] = 0
 
-    def covers(j, end, start, acc, prefix, covers):
-        if acc == need:
+        def prefix_of(x):
+            return heads[owner[x]] + (() if cut_row[x] else (int(first[x]),))
+
+        paid = 0  # rows charged so far
+        for lo in range(0, live.size, chunk):
+            r = live[lo : lo + chunk]
+            # every pair of the chunk's rows, from the first row's prefix on,
+            # is tested; the hits, row-major and so in the pairs' order, are
+            # kept where h is past f (the cut never drops a cover)
+            h0, h1 = int(start[owner[r[0]]]) + 1, int(top[r].max())
+            ok = (a[r, 0, None] | masks[h0:h1, 0]) == need[0]
+            for w in range(1, need.size):
+                ok &= (a[r, w, None] | masks[h0:h1, w]) == need[w]
+            i, h = np.divmod(np.flatnonzero(ok), h1 - h0)
+            row, last = r[i], h + h0
+            after = last > first[row]
+            for x, y in zip(row[after].tolist(), last[after].tolist()):
+                if x >= paid:
+                    work.add_run(span, paid, x + 1, c, prefix_of)
+                    paid = x + 1
+                yield heads[owner[x]] + (int(first[x]), y)
+        work.add_run(span, paid, span.size, c, prefix_of)
+
+    def covers(j, end, start, acc, missing, prefix, covers):
+        if (acc == need).all():
             for rest in itertools.combinations(range(start, n), j):
                 if rest and rest[0] >= end:
                     return
                 yield prefix + rest
         elif j == 1:
-            for i in last(start, acc, (rows & ~acc).bit_count(), prefix):
-                yield prefix + (i,)
-        elif j > 1:
-            stop = cut(j, start, end, (rows & ~acc).bit_count(), prefix)
-            for i, a in enumerate([acc | m for m in masks[start:stop]], start):
-                missing = (rows & ~a).bit_count()
-                if missing > (1 - j) * caps[i + 1]:
-                    continue  # the extension's own cut falls at its first index
-                if j > 2:
-                    yield from covers(j - 1, n, i + 1, a, prefix + (i,), covers)
-                else:  # the last member inline, without a generator per prefix
-                    for h in last(i + 1, a, missing, prefix + (i,)):
-                        yield prefix + (i, h)
+            # the range and its charge do not stop at end; the covers do
+            stop = cut(1, start, n, missing, prefix)
+            hits = ((acc | masks[start:stop]) == need).all(axis=1)
+            for i in np.flatnonzero(hits[: max(end - start, 0)]).tolist():
+                yield prefix + (start + i,)
+        elif j == 2:
+            yield from block([prefix], acc[None], np.array([missing]), np.array([start]), end)
+        elif j > 2:
+            stop = cut(j, start, end, missing, prefix)
+            a = acc | masks[start:stop]
+            left = _popcount(rows & ~a)
+            # a member whose extension's own cut falls at its first index is
+            # skipped: more rows missing than j - 1 members after it cover
+            keep = np.flatnonzero(left <= (1 - j) * caps[start + 1 : stop + 1])
+            if j > 3:
+                for x in keep.tolist():
+                    yield from covers(j - 1, n, start + x + 1, a[x], int(left[x]), prefix + (start + x,), covers)
+            elif keep.size:
+                # whole prefixes per block, split where the rows they may
+                # bring (n - 1 - i for prefix i) pass a multiple of chunk^2
+                total = np.cumsum(n - 1 - start - keep) // (chunk * chunk)
+                for x in np.split(keep, np.flatnonzero(np.diff(total)) + 1):
+                    heads = [prefix + (start + i,) for i in x.tolist()]
+                    yield from block(heads, a[x], left[x], start + x + 1, n)
 
     # covers is handed itself, so no closure refers to itself and a column's
     # masks are freed with its last reference, not by the cycle collector
-    yield from covers(k, n if end is None else end, 0, 0, (), covers)
+    root = np.zeros_like(rows)
+    yield from covers(k, n if end is None else end, 0, root, weight, (), covers)
 
 
 def _framings(entries: np.ndarray, k: int, what: str):

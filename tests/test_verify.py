@@ -147,6 +147,36 @@ def plant_mix(entries, c, a, b, seed):
     return e
 
 
+def kernel_covers(entries, c, j, selective, end=None):
+    """Every j-tuple of mask indices the cover kernel yields for column c."""
+    counts = agreements_with(entries, c)
+    counts[c] = 0
+    work = fpcodes.verify._Work("test")
+    return list(fpcodes.verify._covers(entries, c, j, selective, work, counts, end))
+
+
+def reference_kernel(entries, c, j, selective, end=None):
+    """The same from `reference_covers`, end bounding the first member.
+    Column c's own mask is need: it equals itself in every row, and on its
+    nonzero rows to block it."""
+    ref = entries[:, c : c + 1]
+    bits = entries == ref
+    if selective:
+        bits &= ref != 0
+    masks = reference_masks(bits)
+    need = masks.pop(c)
+    return [h for h in reference_covers(masks, need, j) if end is None or not h or h[0] < end]
+
+
+def assert_kernel_matches_reference(entries, columns, js, ends=(None,)):
+    for c in columns:
+        for j in js:
+            for selective in (False, True):
+                for end in ends:
+                    expect = reference_kernel(entries, c, j, selective, end)
+                    assert kernel_covers(entries, c, j, selective, end) == expect, (c, j, selective, end)
+
+
 class TestCoverCut:
     """The popcount cut skips only prefixes that cannot cover: every output
     is that of the uncut kernel, kept here as `reference_covers`."""
@@ -220,6 +250,43 @@ class TestCoverCut:
         assert is_frameproof(CodeMatrix(3, e), 2).witness == Witness(0, (1, 2))
         report = is_strongly_selective(CodeMatrix(3, e), 3)
         assert (report.witness.column, report.witness.coalition) == (0, (0, 1, 2))
+
+    @pytest.mark.parametrize("t", [63, 64, 65, 128, 129])
+    def test_word_edges(self, t):
+        # masks 4 and 8 (columns 5 and 9) cover column 0 through its last
+        # row, the last word's top bit at t = 64 and 128: changed there,
+        # the pair covers no more.  Column 13 mixes three columns, column
+        # 11 is zero, and end = 3 bounds the first member
+        rng = np.random.default_rng(t)
+        e = plant_mix(rng.integers(0, 3, size=(t, 14)).astype(np.uint16), 0, 5, 9, t)
+        e[:, 13] = e[np.arange(t), np.array([2, 3, 10])[rng.integers(0, 3, size=t)]]
+        e[:, 11] = 0
+        broken = e.copy()
+        broken[-1, 0] = min({0, 1, 2} - {e[-1, 5], e[-1, 9]})
+        assert (4, 8) in kernel_covers(e, 0, 2, False)
+        assert (4, 8) not in kernel_covers(broken, 0, 2, False)
+        for m in (e, broken):
+            assert_kernel_matches_reference(m, (0, 11, 13), range(5), ends=(None, 3))
+
+    def test_member_that_covers_alone(self):
+        # column 6 repeats column 2, so mask 2 alone frames it (and blocks
+        # it): every prefix through mask 2 covers, and so does each of its
+        # extensions.  Column 3 is zero: there is nothing to block, so the
+        # empty prefix covers already
+        code, _, _ = build_strongly_selective(3, 3, 16, 3)
+        e = code.entries.copy()
+        e[:, 6] = e[:, 2]
+        e[:, 3] = 0
+        assert kernel_covers(e, 6, 1, False) == [(2,)]
+        assert_kernel_matches_reference(e, (2, 3, 6), range(5), ends=(None, 4))
+
+    @pytest.mark.parametrize("q,k,n,deep", [(2, 2, 40, (0, 29, 59)), (2, 3, 15, range(20))])
+    def test_dense_draws_column_by_column(self, q, k, n, deep):
+        # q <= k: most partners are heavy and the cut rarely bites; the
+        # (2, 3, 15) draw has t = 68 rows, two words
+        drawn = draw_matrix(expurgation_params(q, k, n, 0))
+        assert_kernel_matches_reference(drawn, range(drawn.shape[1]), (0, 1, 2))
+        assert_kernel_matches_reference(drawn, deep, (3,) if k == 2 else (3, 4))
 
 
 def refusal(excinfo):
@@ -373,6 +440,83 @@ class TestStronglySelective:
         assert report.passed == ok
         if not ok:
             assert (report.witness.column, report.witness.coalition) == witness
+
+
+class TestBlockGuard:
+    """A budget crossed inside a pair block: the refusal names the first
+    charge that crosses it, with the count, column and prefix of a
+    pair-at-a-time scan, and comes after the covers of the members before it, at any
+    block size.
+
+    fan(6) framed by 3.  Column 0 costs 5 masks and a root cut of 3, then
+    one block: prefix (1,) cuts 3 and its first members 2, 3, 4 range over
+    3, 2, 1; prefix (2,) cuts 2, ranges 2, 1; prefix (3,) cuts 1, ranges 1:
+    24 checks, no cover.  Column 1 costs 5 + 3, then prefix (0,) cuts 3
+    and first member 2 ranges over 3 covers, (0, 2, 3), (0, 2, 4) and
+    (0, 2, 5); members 3 and 4 range over 2 and 1.  Prefixes (2,), (3,)
+    and (4,) cover column 1 alone: their pairs all cover and cost nothing.
+    The expected counts are those of the pair-at-a-time kernel."""
+
+    @pytest.mark.parametrize("block", [1, 2, fpcodes.core.AGREEMENT_BLOCK])
+    @pytest.mark.parametrize(
+        "budget,column,prefix,count",
+        [
+            (8, 0, (1,), 11),  # the block's first charge, prefix (1,)'s cut
+            (15, 0, (1, 3), 16),  # in the middle of prefix (1,)'s members
+            (20, 0, (2, 3), 21),  # a later prefix's member
+            (37, 1, (0, 2), 38),  # a first member whose own pairs cover
+        ],
+    )
+    def test_refusal_inside_block(self, monkeypatch, block, budget, column, prefix, count):
+        monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", budget)
+        with pytest.raises(CapacityError) as excinfo:
+            is_frameproof(fan(6), 3)
+        assert refusal(excinfo) == (count, budget, column, prefix)
+
+    @pytest.mark.parametrize("block", [1, 2, fpcodes.core.AGREEMENT_BLOCK])
+    def test_cover_before_crossing_is_returned(self, monkeypatch, block):
+        # at 38 the witness's first member is paid for; the members after it
+        # in the same block (2 + 1 more) are never charged
+        monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 38)
+        assert is_frameproof(fan(6), 3).witness == Witness(1, (0, 2, 3))
+
+    @pytest.mark.parametrize("block", [1, 2, fpcodes.core.AGREEMENT_BLOCK])
+    def test_covers_yielded_up_to_the_crossing(self, monkeypatch, block):
+        # a caller that takes every cover gets those of the members before
+        # the crossing member, then the refusal; prefixes that cover alone
+        # add their pairs and nothing to the count
+        monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+        firsts = [(1, (0, 2, 3)), (1, (0, 2, 4)), (1, (0, 2, 5))]
+        lasts = [(1, (0, 3, 4)), (1, (0, 3, 5)), (1, (0, 4, 5))]
+        alone = [(1, (2, 3, 4)), (1, (2, 3, 5)), (1, (2, 4, 5)), (1, (3, 4, 5))]
+        for budget, events, expect in (
+            (39, firsts, (40, 1, (0, 3))),
+            (40, firsts + lasts[:2], (41, 1, (0, 4))),
+            (41, firsts + lasts + alone, (46, 2, ())),
+        ):
+            monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", budget)
+            found = []
+            with pytest.raises(CapacityError) as excinfo:
+                for event in fpcodes.verify._framings(fan(6).entries, 3, "bad-event"):
+                    found.append(event)
+            assert found == events
+            count, column, prefix = expect
+            assert refusal(excinfo) == (count, budget, column, prefix)
+
+    def test_blocks_of_covering_prefixes_cost_nothing(self, monkeypatch):
+        # blocking by 3 others: column 0 costs 24 as for framing.  Every
+        # mask of column 1 is its one nonzero row, so each first member
+        # blocks it alone and the column costs its 5 masks and root cut of 3
+        # only; columns 2 to 5, whose scan stops at sets led by 0 once
+        # column 1 has failed, cost 5 + 1 each: 24 + 8 + 4 * 6
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 55)
+        with pytest.raises(CapacityError) as excinfo:
+            is_strongly_selective(fan(6), 4)
+        assert refusal(excinfo) == (56, 55, 5, ())
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 56)
+        assert is_strongly_selective(fan(6), 4).witness == Witness(1, (0, 1, 2, 3))
 
 
 @st.composite
