@@ -174,7 +174,10 @@ def ss_debonis_order(q: int, k: int, n: int) -> float:
     """
     _check_triple(q, k, n)
     v = min(k, q - 1)
-    return k * k / v * math.log(n / k)
+    try:
+        return k * k / v * math.log(n / k)
+    except OverflowError:
+        raise ParameterError("ss_debonis_order overflows for these parameters") from None
 
 
 def lll_lambda_length(q: int, k: int, n: int) -> int:
@@ -207,11 +210,14 @@ def _weight_optimized_length(q: int, r: int, n: int) -> float:
     """Corollary 3.7's length with r = k-1; Theorem 3.8 is the same at r = k."""
     log2en = math.log(2 * math.e * n)
     first = 2 * r * log2en - math.log(n)
-    second = (
-        math.log(n) / 2
-        + math.e**2 * r**2 / (q - 1) * log2en
-        + 7 * math.e**2 * r / (2 * (q - 1))
-    )
+    try:
+        second = (
+            math.log(n) / 2
+            + math.e**2 * r**2 / (q - 1) * log2en
+            + 7 * math.e**2 * r / (2 * (q - 1))
+        )
+    except OverflowError:  # r^2 past the float range
+        raise ParameterError("weight-optimized length overflows for these parameters") from None
     return max(first, second)
 
 

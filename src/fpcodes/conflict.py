@@ -101,26 +101,23 @@ def guarantee_check(matrix: CodeMatrix, k: int, trials: int, seed: int) -> bool:
     are derived counter-style from the seed, so trials are
     order-independent and could run in parallel.  The sets are
     checked in batches (`_sets_succeed`), one chunk of trials at a time:
-    chunks double from one trial up to GATHER_BLOCK gathered symbols, and
-    the first chunk holding a failing set ends the check.  The verdict is
+    each chunk gathers up to GATHER_BLOCK symbols, and the first chunk
+    holding a failing set ends the check.  The verdict is
     that of running `simulate` on every set, its reference.
     """
     if k < 1 or k > matrix.n:
         raise ParameterError(f"need 1 <= k <= n={matrix.n}, got k={k}")
     if trials < 1:
         raise ParameterError(f"trials={trials} must be positive")
-    widest = max(1, GATHER_BLOCK // max(1, matrix.t * k))
-    start, chunk = 0, 1
-    while start < trials:
-        stop = min(start + chunk, trials)
+    chunk = max(1, GATHER_BLOCK // max(1, matrix.t * k))
+    for start in range(0, trials, chunk):
         by_size: dict[int, list[list[int]]] = {}
-        for trial in range(start, stop):
+        for trial in range(start, min(start + chunk, trials)):
             rng = substream(seed, "trial", trial)
             size = rng.randint(1, k)
             by_size.setdefault(size, []).append(rng.sample(range(matrix.n), size))
         if not all(_sets_succeed(matrix.entries, np.array(sets)) for sets in by_size.values()):
             return False
-        start, chunk = stop, min(2 * chunk, widest)
     return True
 
 

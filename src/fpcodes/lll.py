@@ -13,10 +13,10 @@ pair shares at most `lam` nonzero agreements.
 The initial draw (`_draw_columns`) replays, in numpy and bit for bit, the
 `sample_column` call of every column on its stream `substream(seed, "col",
 j)`: it takes each stream's raw 32-bit words and consumes them as CPython's
-`randrange` does, DRAW_BLOCK columns at a time.  No stream outlives its
-block.  A column that is resampled gets its stream back on its first event,
-re-derived and advanced past the words the draw took, and is redrawn by
-`sample_column` from then on.
+`randrange` does, DRAW_BLOCK columns at a time, and replays a column that
+runs short with more words.  No stream outlives its block.  A column that
+is resampled gets its stream back on its first event, re-derived and
+advanced past the words the draw took, and is redrawn by `sample_column`.
 
 Violated pairs are kept in a set, filled once by `core.agreement_pairs`
 (read off the blocked B^T B rows of `core.agreement_rows`; shared with
@@ -57,12 +57,12 @@ from .core import (
 # columns per block of the initial draw, whose working memory is O(DRAW_BLOCK t)
 DRAW_BLOCK = 2048
 # spare words per column in the initial draw, in units of (standard deviation
-# + 1) of the count it needs; a column that still runs short is drawn by
-# `sample_column`.  At 6, none of 10^5 columns over five parameter sets did
+# + 1) of the count it needs; a column that still runs short is replayed with
+# twice the words.  At 6, none of 10^5 columns over five parameter sets was
 DRAW_SURPLUS = 6
 # words each vector step of the initial draw tests per column: a randrange
-# try is rejected with probability below 1/2, so all but 1/256 settle at once
-DRAW_WINDOW = 8
+# try is rejected with probability below 1/2, so a step misses below 2^-16
+DRAW_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -189,71 +189,63 @@ def _word_budget(t: int, w: int, q: int) -> int:
     return math.ceil(mean + DRAW_SURPLUS * (sd + 1))
 
 
-def _accept_below(m: int) -> int:
-    """randrange(m) accepts word x iff x >> (32 - m.bit_length()) < m, that is iff x < this."""
-    return m << (32 - m.bit_length())
-
-
 def _draw_columns(params: ConstructionParams):
     """The initial columns, bit for bit `sample_column(t, w, q,
     substream(seed, "col", j))` for every j, replayed in numpy.
 
     Columns go in blocks of DRAW_BLOCK.  A block takes `_word_budget` words
-    from the stream of each of its columns.  The w Fisher-Yates steps run as vector
-    ops with one word pointer per column; the symbols are the first w
-    accepted words after the pointer.  A column that runs out of words is
-    drawn by `sample_column` on a fresh stream.
+    from the stream of each of its columns.  Each of the w Fisher-Yates
+    steps is one vector pass with one word pointer per column: it takes the
+    first accepted word among the DRAW_WINDOW words at the pointer.  The
+    symbols are the first w accepted words after the pointer.  A column that
+    misses its window or runs out of words is short; the block replays its
+    short columns from their streams with twice the words and twice the
+    window, until none is short.
 
-    Returns (cols, used, streams): used[j] is the number of words column j
-    took, and streams maps each column drawn by `sample_column` to its
-    stream, already past the draw.
+    Returns (cols, used): used[j] is the number of words column j took, the
+    position of its stream after the draw.
     """
     n, t, w, q, seed = params.n, params.t, params.w, params.q, params.seed
-    budget = _word_budget(t, w, q)
-    stride = budget + DRAW_WINDOW
     cols = np.zeros((t, n), dtype=np.uint16)
     used = np.zeros(n, dtype=np.int64)
-    streams = {}
     for j0 in range(0, n, DRAW_BLOCK):
-        m = min(DRAW_BLOCK, n - j0)
-        # past the budget, all-ones words: every randrange try rejects them
-        words = np.full((m, stride), 0xFFFFFFFF, dtype=np.uint32)
-        words[:, :budget] = stream_words((substream(seed, "col", j) for j in range(j0, j0 + m)), budget)
-        tries = sliding_window_view(words, DRAW_WINDOW, axis=1)
-        lanes = np.arange(m)
-        ptr = np.zeros(m, dtype=np.intp)
-        idx = np.tile(np.arange(t, dtype=np.intp), m)  # lane a's Fisher-Yates array is idx[a t : (a+1) t]
-        for i in range(w):
-            # randrange(i, t): the first accepted word from the pointer on,
-            # looked for DRAW_WINDOW words at a time
-            width = t - i
-            pick = np.full(m, i, dtype=np.intp)
-            todo = lanes[ptr < budget]
-            while todo.size:
-                x = tries[todo, ptr[todo]]
-                ok = x < _accept_below(width)
+        block = np.arange(j0, min(j0 + DRAW_BLOCK, n))
+        budget, window = _word_budget(t, w, q), DRAW_WINDOW
+        while block.size:
+            m, stride = block.size, budget + window
+            # past the budget, all-ones words: every randrange try rejects them
+            words = np.full((m, stride), 0xFFFFFFFF, dtype=np.uint32)
+            words[:, :budget] = stream_words((substream(seed, "col", j) for j in block.tolist()), budget)
+            tries = sliding_window_view(words, window, axis=1)
+            lanes = np.arange(m)
+            ptr = np.zeros(m, dtype=np.intp)
+            idx = np.tile(np.arange(t, dtype=np.intp), m)  # lane a's Fisher-Yates array is idx[a t : (a+1) t]
+            for i in range(w):
+                # randrange(i, t) is i + r for the first word whose top bits r
+                # are below t - i; a lane that misses parks its pointer at the
+                # budget, where it finds no accepted word again
+                width = t - i
+                r = tries[lanes, ptr] >> (32 - width.bit_length())
+                ok = r < width
                 first = ok.argmax(axis=1)
-                hit = ok[np.arange(todo.size), first]
-                ptr[todo] += np.where(hit, first + 1, DRAW_WINDOW)
-                pick[todo[hit]] = i + (x[hit, first[hit]] >> (32 - width.bit_length()))
-                todo = todo[~hit]
-                todo = todo[ptr[todo] < budget]
-            here, there = lanes * t + i, lanes * t + pick
-            idx[here], idx[there] = idx[there], idx[here]
-        # each randrange(1, q) symbol: the first w accepted words from the pointer on
-        flat = words.ravel()
-        accepted = np.flatnonzero((words < _accept_below(q - 1)) & (np.arange(stride) >= ptr[:, None]))
-        first = np.searchsorted(accepted, lanes * stride)
-        short = np.diff(first, append=accepted.size) < w
-        full = lanes[~short]
-        at = accepted[first[full, None] + np.arange(w)]
-        support = idx.reshape(m, t)[full, :w]
-        cols[support, (j0 + full)[:, None]] = (flat[at] >> (32 - (q - 1).bit_length())) + 1
-        used[j0 + full] = at[:, -1] - full * stride + 1
-        for j in (j0 + lanes[short]).tolist():
-            streams[j] = substream(seed, "col", j)
-            cols[:, j] = sample_column(t, w, q, streams[j])
-    return cols, used, streams
+                hit = ok[lanes, first]
+                ptr = np.where(hit, ptr + first + 1, budget)
+                here = lanes * t + i
+                there = here + np.where(hit, r[lanes, first], 0)
+                idx[here], idx[there] = idx[there], idx[here]
+            # each randrange(1, q) symbol: the first w accepted words from the pointer on
+            symbols = words >> (32 - (q - 1).bit_length())
+            accepted = np.flatnonzero((symbols < q - 1) & (np.arange(stride) >= ptr[:, None]))
+            first = np.searchsorted(accepted, lanes * stride)
+            short = np.diff(first, append=accepted.size) < w
+            full = lanes[~short]
+            at = accepted[first[full, None] + np.arange(w)]
+            support = idx.reshape(m, t)[full, :w]
+            cols[support, block[full, None]] = symbols.ravel()[at] + 1
+            used[block[full]] = at[:, -1] - full * stride + 1
+            block = block[short]
+            budget, window = 2 * budget, 2 * window
+    return cols, used
 
 
 def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, ResampleLog]:
@@ -272,7 +264,8 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
             f"derive_length gives the smallest admissible t"
         )
     n, t, w, q, lam = params.n, params.t, params.w, params.q, params.lam
-    cols, used, streams = _draw_columns(params)
+    cols, used = _draw_columns(params)
+    streams = {}  # the columns resampled so far, each on its stream
 
     bad = set(agreement_pairs(cols, lam))
     history = [(0, len(bad))]

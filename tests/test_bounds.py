@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from fpcodes._util import ceil_tol
 from fpcodes.bounds import (
     ApplicabilityError,
     BoundReport,
@@ -25,7 +26,7 @@ from fpcodes.bounds import (
 )
 from fpcodes.core import ParameterError
 from fpcodes.expurgate import corollary_length, expurgation_length
-from fpcodes.lll import derive_length, derive_weight
+from fpcodes.lll import derive_lambda, derive_length, derive_weight
 
 mp.mp.dps = 50
 
@@ -338,6 +339,43 @@ class TestReport:
         else:
             assert derive_length(4, 9, n, 3) >= 1
             assert bound_report(3, 3, n).entries["expurgation_43"] >= 1
+
+    @pytest.mark.parametrize("q,k", [(3, 2**512), (3, 2**513), (3, 2**1000), (2**53, 2**600)])
+    def test_huge_k_parameter_error(self, q, k):
+        # k^2 past the float range: every function that squares k refuses it
+        with pytest.raises(ParameterError, match="overflows"):
+            ss_corollary37(q, k, k + 1)
+        with pytest.raises(ParameterError, match="overflows"):
+            fp_theorem38(q, k, k + 1)
+        if k > 2**512:  # k^2/2 is still a float at 2^512
+            with pytest.raises(ParameterError, match="ss_debonis_order overflows"):
+                ss_debonis_order(q, k, k + 1)
+        with pytest.raises(ParameterError, match="overflows"):
+            bound_report(q, k, k + 1)
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: ss_debonis_order(3, 1, 10), ParameterError, "k=1 must be at least 2"),
+        (lambda: derive_lambda(0, 2), ParameterError, "w=0 must be positive"),
+        (lambda: derive_length(0, 2**600, 10, 3), ParameterError, "length formula overflows"),
+        (lambda: expurgation_length(1, 2, 10), ParameterError, "q=1 must be at least 2"),
+        (lambda: corollary_length(3, 3, 2), ParameterError, "need n >= k, got n=2, k=3"),
+        (lambda: fp_bounds_theorem310(1, 2, 10), ParameterError, "q=1 must be at least 2"),
+        (lambda: fp_bounds_theorem310(3, 0, 10), ParameterError, "need k >= 1 and n >= 1, got k=0, n=10"),
+        (lambda: fp_bounds_theorem310(3, 2, 0), ParameterError, "need k >= 1 and n >= 1, got k=2, n=0"),
+        (lambda: stinson_41(3, 2, 1), ParameterError, "need q >= 2, k >= 2, n >= 2, got q=3, k=2, n=1"),
+        (lambda: shangguan_42(2, 1, 10), ParameterError, "need k >= 2 and n >= 2, got k=1, n=10"),
+        (lambda: shangguan_42(1, 3, 10), ParameterError, "q=1 must be at least 2"),
+        (lambda: core_inequality_45(1), ParameterError, "k=1 must be at least 2"),
+        (lambda: core_inequality_46(1), ParameterError, "k=1 must be at least 2"),
+        (lambda: relaxed_inequality_45(1), ParameterError, "k=1 must be at least 2"),
+        (lambda: ceil_tol(math.inf), OverflowError, "cannot take ceiling of inf"),
+        (lambda: ceil_tol(math.nan), OverflowError, "cannot take ceiling of nan"),
+    ], ids=["triple k<2", "lambda w<1", "length overflow", "expurgation q<2", "corollary n<k",
+            "diag q<2", "diag k<1", "diag n<1", "stinson n<2", "shangguan k<2", "shangguan q<2",
+            "core45", "core46", "relaxed45", "ceil inf", "ceil nan"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
     def test_lll_entry_matches_chain(self):
         assert lll_lambda_length(2, 2, 100) == 31

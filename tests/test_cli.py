@@ -256,6 +256,13 @@ class TestBounds:
         assert (code, out) == (2, "")
         assert err.startswith("error: q=") and "2^53" in err
 
+    def test_huge_k_exit_2(self, capsys):
+        # k^2 past the float range
+        k = 2**513
+        code, out, err = run(capsys, "bounds", "--q", "3", "--k", str(k), "--n", str(k + 1))
+        assert (code, out) == (2, "")
+        assert err == "error: ss_debonis_order overflows for these parameters\n"
+
     def test_huge_n_exit_2(self, capsys):
         code, out, err = run(capsys, "bounds", "--q", "3", "--k", "3", "--n", "1" + "0" * 400)
         assert (code, out) == (2, "")
@@ -353,6 +360,12 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
         assert code == 3
         assert "bench cell q=3 k=2 n=10 seed=1 failed verification" in err
+
+    def test_empty_grid_term_skipped(self, capsys):
+        expected = run(capsys, "bench", "--grid", "q=3;k=2;n=20")
+        assert expected[0] == 0
+        assert run(capsys, "bench", "--grid", "q=3;;k=2;n=20") == expected
+        assert run(capsys, "bench", "--grid", " q=3 ; ;k=2;n=20;") == expected
 
     def test_bad_grid_exit_2(self, capsys):
         assert run(capsys, "bench", "--grid", "q=2;k=2")[0] == 2  # no n

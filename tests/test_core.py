@@ -52,6 +52,12 @@ class TestCodeMatrix:
         assert a != c
         assert a != mat(4, [[0, 1], [2, 0]])  # same entries, different alphabet
 
+    def test_repr_and_foreign_equality(self):
+        m = mat(3, [[0, 1], [2, 0]])
+        assert repr(m) == "CodeMatrix(q=3, t=2, n=2)"
+        assert m.__eq__(m.entries) is NotImplemented
+        assert m != m.entries.tolist() and m != "CodeMatrix(q=3, t=2, n=2)"
+
     def test_zero_sized_dimensions_allowed(self):
         m = CodeMatrix(2, np.zeros((0, 3), dtype=np.uint16))
         assert m.t == 0 and m.n == 3

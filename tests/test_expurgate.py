@@ -196,6 +196,17 @@ class TestSymbolDistribution:
         with pytest.raises(ParameterError, match="exceeds 65536"):
             expurgate_run(70000, 2, 10)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: ExpurgationParams(k=1, q=3, n=10, t=5, seed=0), "k=1 must be at least 2"),
+        (lambda: ExpurgationParams(k=2, q=1, n=10, t=5, seed=0), "q=1 must be at least 2"),
+        (lambda: symbol_distribution(3, 1), "need k >= 2 and q >= 2, got k=1, q=3"),
+        (lambda: symbol_distribution(1, 3), "need k >= 2 and q >= 2, got k=3, q=1"),
+        (lambda: draw_matrix(expurgation_params(3, 2, 10), attempt=-1), "attempt=-1 must be nonnegative"),
+    ], ids=["k<2", "q<2", "mu k<2", "mu q<2", "attempt<0"])
+    def test_refusals(self, call, message):
+        with pytest.raises(ParameterError, match=message):
+            call()
+
     @pytest.mark.parametrize("q,k,n,seed", [(3, 2, 10, 4), (2, 3, 9, 7), (16, 3, 20, 1)])
     def test_derived_fields(self, q, k, n, seed):
         # ell and mu follow from (q, k, n): a hand-built record draws what the resolved one does

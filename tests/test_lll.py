@@ -15,6 +15,7 @@ from fpcodes.lll import (
     ResampleLog,
     _draw_columns,
     _log_violation_probability,
+    _word_budget,
     build_frameproof,
     build_lambda_matrix,
     build_strongly_selective,
@@ -341,6 +342,20 @@ class TestBuild:
         for n in range(3, 200):
             assert n * (n - 1) / 2 / (2 * n - 4) <= n
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("k", 1, "k=1 must be at least 2"),
+        ("q", 1, "q=1 must be at least 2"),
+        ("n", 0, "n=0 must be positive"),
+        ("w", 0, "w=0 must be positive"),
+        ("lam", -1, "lam=-1 must be nonnegative"),
+        ("t", 2, "t=2 cannot be below the column weight w=3"),
+    ])
+    def test_params_refusals(self, field, value, message):
+        fields = dict(k=2, q=3, n=10, w=3, lam=1, t=5, seed=0)
+        ConstructionParams(**fields)
+        with pytest.raises(ParameterError, match=message):
+            ConstructionParams(**{**fields, field: value})
+
     def test_guard_arguments(self):
         with pytest.raises(ParameterError):
             build_strongly_selective(2, 3, 2, seed=0)  # n >= 3
@@ -394,17 +409,14 @@ class TestInitialDraw:
 
     def check_draw(self, params):
         """Columns, and every stream's position after the draw, against the scalar loop."""
-        cols, used, streams = _draw_columns(params)
+        cols, used = _draw_columns(params)
         ref, ref_streams = reference_columns(params)
         for j in range(params.n):
             assert np.array_equal(cols[:, j], ref[:, j]), j
-            if j in streams:  # drawn by `sample_column` itself
-                rng = streams[j]
-            else:
-                rng = substream(params.seed, "col", j)
-                rng.getrandbits(32 * int(used[j]))
+            rng = substream(params.seed, "col", j)
+            rng.getrandbits(32 * int(used[j]))
             assert [rng.random() for _ in range(10)] == [ref_streams[j].random() for _ in range(10)], j
-        return cols, streams
+        return cols, used
 
     @pytest.mark.parametrize("name", CASES)
     def test_matches_scalar_loop(self, name):
@@ -424,19 +436,31 @@ class TestInitialDraw:
         self.check_draw(ConstructionParams(k=2, q=3, n=n, w=4, lam=4, t=10, seed=8))
 
     def test_word_shortfall_falls_back(self, monkeypatch):
-        # a budget of the mean word count alone: columns run short and are drawn
-        # by `sample_column`; two of those are resampled later, from the streams
-        # the fallback left behind
+        # a budget of the mean word count alone: columns run short and are
+        # replayed with twice the words; one of those is resampled later, from
+        # its stream advanced past the words the draw took
         monkeypatch.setattr(fpcodes.lll, "DRAW_SURPLUS", 0)
         t = derive_length(0, 1, 1000, 256)
         params = ConstructionParams(k=2, q=256, n=1000, w=1, lam=0, t=t, seed=2002)
-        cols, streams = self.check_draw(params)
+        cols, used = self.check_draw(params)
+        over = set(np.flatnonzero(used > _word_budget(t, 1, 256)).tolist())
         matrix, log = build_lambda_matrix(params)
         redrawn = set(np.flatnonzero((matrix.entries != cols).any(axis=0)).tolist())
-        assert len(streams) >= 5 and redrawn & set(streams)
+        assert len(over) >= 5 and redrawn & over
         assert (matrix, log) == reference_build(params)
         for name in ("q=2", "t>255", "derived"):
             self.check_draw(self.CASES[name])
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_window_of_one(self, monkeypatch, name):
+        # every rejected word is a window miss, so most columns are replayed,
+        # some several times, with windows of 2, 4, 8, ... words; blocks of 16
+        # columns put block edges, and a partial last block, in most cases
+        monkeypatch.setattr(fpcodes.lll, "DRAW_WINDOW", 1)
+        monkeypatch.setattr(fpcodes.lll, "DRAW_BLOCK", 16)
+        params = self.CASES[name]
+        self.check_draw(params)
+        assert build_lambda_matrix(params) == reference_build(params)
 
     def test_memory_stays_below_column_streams(self):
         # with one stream per column held for the whole build the peak was 34 MB

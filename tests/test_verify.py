@@ -566,6 +566,15 @@ class TestLambdaMatrix:
         assert (w.column, w.coalition, w.rows) == (0, (1,), (0, 1))
         assert nonzero_agreement_rows(m, 0, 1) == [0, 1]
 
+    @pytest.mark.parametrize("lam,w", [(-1, 2), (0, -1)])
+    def test_refuses_negative_bounds(self, lam, w):
+        with pytest.raises(ParameterError, match=f"need lam >= 0 and w >= 0, got lam={lam}, w={w}"):
+            is_lambda_matrix(identity(3), lam, w)
+
+    def test_report_truth_is_passed(self):
+        assert is_lambda_matrix(identity(3), 0, 1)
+        assert not is_lambda_matrix(identity(3), 0, 2)
+
     def test_zero_agreements_dont_count(self):
         m = mat(3, [[1, 2], [0, 0], [2, 1]])
         assert is_lambda_matrix(m, 0, 2).passed
