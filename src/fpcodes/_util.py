@@ -66,6 +66,13 @@ def check_float_n(n: int) -> None:
         raise ParameterError("n exceeds 2^1021, beyond float range for the length formulas")
 
 
+def check_exact_k(k: int) -> None:
+    """Refuse k above 2^14 where the survival probability is exact: past it
+    that rational runs to tens of thousands of digits, and grows with k."""
+    if k > 2**14:
+        raise ParameterError(f"k={k} exceeds 2^14, beyond the exact survival probability's reach")
+
+
 def substream(seed: int, *path) -> random.Random:
     """Independent PRNG stream derived from (seed, *path) by hashing.
 

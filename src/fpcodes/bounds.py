@@ -34,7 +34,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from ._util import ParameterError, ceil_tol, check_float_n, check_float_q
+from ._util import ParameterError, ceil_tol, check_exact_k, check_float_n, check_float_q
 
 DIAG_LOWER_COEFF = (15 + math.sqrt(33)) / 24  # ~0.86436
 # relative error allowed for the float length in `expurgation_length`: 3x its 10 * 2^-53 bound
@@ -72,7 +72,10 @@ def derive_weight(k: int, n: int) -> int:
     if n <= k:
         raise ParameterError(f"need n > k, got n={n}, k={k}")
     check_float_n(n)
-    return ceil_tol(1 + (k - 1) * math.log(2 * math.e * n))
+    weight = 1 + (k - 1) * math.log(2 * math.e * n)
+    if not math.isfinite(weight):
+        raise ParameterError("derive_weight overflows for these parameters")
+    return ceil_tol(weight)
 
 
 def derive_length(lam: int, w: int, n: int, q: int) -> int:
@@ -112,6 +115,7 @@ def p_qk(q: int, k: int) -> float:
       (1 - (q-1)/(k+1)) ((q-1)/(k+1))^k + ((q-1)/(k+1)) (1 - 1/(k+1))^k,
     evaluated exactly in rationals before conversion to float.
     """
+    check_exact_k(k)
     if k < 2:
         raise ParameterError(f"k={k} must be at least 2")
     if q < 2:
@@ -128,6 +132,7 @@ def expurgation_length(q: int, k: int, n: int) -> int:
     integer lies within LENGTH_REL_ERR x of it the ceiling is exact; else
     the exact rational test picks t among the candidates in that range.
     """
+    check_exact_k(k)
     if k < 2:
         raise ParameterError(f"k={k} must be at least 2")
     if q < 2:
@@ -196,13 +201,16 @@ def ss_theorem35(q: int, k: int, n: int) -> float:
     _check_triple(q, k, n)
     w = derive_weight(k, n)
     r = (w - 1) / (k - 1)
-    first = 2 * w - r
-    second = (
-        r / 2
-        + (math.e * w * (k - 1)) / ((q - 1) * (w - 1))
-        * (w - r / 2 + 0.5)
-        * (math.e * (2 * n - 4)) ** ((k - 1) / (w - 1))
-    )
+    try:
+        first = 2 * w - r
+        second = (
+            r / 2
+            + (math.e * w * (k - 1)) / ((q - 1) * (w - 1))
+            * (w - r / 2 + 0.5)
+            * (math.e * (2 * n - 4)) ** ((k - 1) / (w - 1))
+        )
+    except OverflowError:  # 2w past the float range
+        raise ParameterError("ss_theorem35 overflows for these parameters") from None
     return 1 + max(first, second)
 
 
@@ -262,7 +270,10 @@ def stinson_41(q: int, k: int, n: int) -> float:
     if q < 2 or k < 2 or n < 2:
         raise ParameterError(f"need q >= 2, k >= 2, n >= 2, got q={q}, k={k}, n={n}")
     check_float_q(q)
-    inv_fact = math.exp(-math.lgamma(k + 1))
+    try:
+        inv_fact = math.exp(-math.lgamma(k + 1))
+    except OverflowError:  # ln k! past the float range
+        raise ParameterError("stinson_41 overflows for these parameters") from None
     tail = -math.log1p(-inv_fact) if inv_fact > 0 else 0.0
     numerator = -k * (math.log(n) + tail)
     denominator = math.log1p(-((q - 1) / q) ** k)

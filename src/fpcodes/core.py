@@ -87,8 +87,8 @@ def column_weight(matrix: CodeMatrix, j: int) -> int:
 def agreements_with(entries: np.ndarray, j: int) -> np.ndarray:
     """Nonzero agreement of every column with column j (column j's own is
     its weight), read on j's support rows only, so in O(w n).  The
-    resample loop's per-column count; the coalition oracles take theirs for
-    every column at once from `agreement_rows`."""
+    resample loop's per-column count, and the tests' per-column
+    reference."""
     sub = entries[np.flatnonzero(entries[:, j])]
     return np.count_nonzero(sub == sub[:, j : j + 1], axis=0)
 
@@ -115,54 +115,33 @@ def _onehot(entries: np.ndarray) -> np.ndarray:
     return b
 
 
+def agreement_slabs(entries: np.ndarray):
+    """(a0, slab) for each block of AGREEMENT_BLOCK columns, in order:
+    slab[i, x] is the nonzero agreement of column a0 + i with column a0 + x,
+    and 0 for x = i.  The upper triangle of B^T B, B from `_onehot`, a block
+    of rows at a time from the block's first column on: no n x n array, and
+    one slab live at a time if the caller drops its own before resuming."""
+    b = _onehot(entries)
+    for a0 in range(0, entries.shape[1], AGREEMENT_BLOCK):
+        slab = b[:, a0 : a0 + AGREEMENT_BLOCK].T @ b[:, a0:]
+        np.fill_diagonal(slab, 0)  # slab[i, i] is column a0 + i's own entry
+        yield a0, slab
+        del slab  # freed before the next block's product is made
+
+
 def agreement_pairs(entries: np.ndarray, lam: int):
     """Every column pair (a, b), a < b, that holds the same nonzero symbol
     in more than `lam` rows, in lexicographic order.
 
-    Read off the rows `agreement_rows` completes for the columns whose
-    largest agreement exceeds `lam`, so beyond B only one block's slab and
-    rows are live, however many pairs are violated.
+    Read off slab[i, x], x > i, of `agreement_slabs`: memory stays that of
+    one slab however many pairs are violated.
     """
-    for a, row in agreement_rows(entries, lambda a0, peaks: np.flatnonzero(peaks > lam)):
-        for b in np.flatnonzero(row[a + 1 :] > lam).tolist():
-            yield a, a + 1 + b
-
-
-def agreement_rows(entries: np.ndarray, pick):
-    """(c, row) for the columns c that `pick` asks for, in order: row[j] is
-    the nonzero agreement of column c with column j, and 0 for j = c.
-
-    B^T B, B from `_onehot`, is taken in upper-triangle slabs of
-    AGREEMENT_BLOCK rows, from the block's first column on (no n x n
-    array); a running maximum over the slabs above keeps every column's
-    largest agreement with the columns before its block.  pick(a0, peaks),
-    peaks[i] the largest agreement of column a0 + i with any other column,
-    returns an index array of the block-local columns whose full rows it
-    wants; only those rows are completed, by one product against the
-    columns before the block.  With n <= AGREEMENT_BLOCK the whole call is
-    one B^T B product.  A caller that stops early pays for what it read.
-    """
-    n = entries.shape[1]
-    b = _onehot(entries)
-    above = np.zeros(n, dtype=np.float32)  # largest agreement with a column of an earlier block
-    for a0 in range(0, n, AGREEMENT_BLOCK):
-        slab = b[:, a0 : a0 + AGREEMENT_BLOCK].T @ b[:, a0:]
-        np.fill_diagonal(slab, 0)  # slab[i, i] is column a0 + i's own entry
-        m = slab.shape[0]
-        peaks = slab.max(axis=1)
-        if a0:
-            np.maximum(peaks, above[a0 : a0 + m], out=peaks)
-        if a0 + m < n:
-            np.maximum(above[a0 + m :], slab[:, m:].max(axis=0), out=above[a0 + m :])
-        idx = pick(a0, peaks)
-        rows = slab[idx]
-        del slab  # freed before the next block's product is made
-        if not idx.size:
-            continue
-        if a0:
-            rows = np.hstack([b[:, a0 + idx].T @ b[:, :a0], rows])
-        for i, row in zip(idx.tolist(), rows):
-            yield a0 + i, row
+    for a0, slab in agreement_slabs(entries):
+        over = slab > lam
+        del slab
+        for i in np.flatnonzero(over.any(axis=1)).tolist():
+            for x in np.flatnonzero(over[i, i + 1 :]).tolist():
+                yield a0 + i, a0 + i + 1 + x
 
 
 def complement(matrix: CodeMatrix) -> CodeMatrix:

@@ -19,7 +19,7 @@ is resampled gets its stream back on its first event, re-derived and
 advanced past the words the draw took, and is redrawn by `sample_column`.
 
 Violated pairs are kept in a set, filled once by `core.agreement_pairs`
-(read off the blocked B^T B rows of `core.agreement_rows`; shared with
+(read off the B^T B slabs of `core.agreement_slabs`; shared with
 `verify.is_lambda_matrix`); an event drops the pairs that touch the two
 redrawn columns and re-adds those still violated, found in O(w n) by
 `core.agreements_with` on the columns' support rows.  At admissible
@@ -56,9 +56,9 @@ from .core import (
 
 # columns per block of the initial draw, whose working memory is O(DRAW_BLOCK t)
 DRAW_BLOCK = 2048
-# spare words per column in the initial draw, in units of (standard deviation
-# + 1) of the count it needs; a column that still runs short is replayed with
-# twice the words.  At 6, none of 10^5 columns over five parameter sets was
+# spare words per column of the initial draw, in (standard deviations + 1) of
+# the count it needs; a column that still runs short is replayed with twice
+# the words.  At 6, no column of 10^5 over five parameter sets ran short
 DRAW_SURPLUS = 6
 # words each vector step of the initial draw tests per column: a randrange
 # try is rejected with probability below 1/2, so a step misses below 2^-16

@@ -15,11 +15,11 @@ is a branch and bound: a prefix is cut with its whole subtree when the
 members left cannot cover the rows of c's support still missing, each
 covering at most the largest agreement with c of any column left.  At the
 root that test needs no mask: a column that no j others can cover is
-settled by one comparison against the largest entry of its row of the
-blocked one-hot B^T B (`core.agreement_rows`), read off the upper
-triangle a block of columns at a time, and never reaches `_covers`.  In a
-lambda code with j lambda < w that is every column, so the scan costs
-half of one blocked product.  Below the root the search is depth first
+settled by one comparison against its largest agreement, read off the
+upper-triangle slabs of the one-hot B^T B (`core.agreement_slabs`), and
+never reaches `_covers`.  In a lambda code with j lambda < w that is
+every column, so the scan costs half of one blocked product.  Below the
+root the kernel counts its own agreements, and the search is depth first
 down to two members left; those last two levels run as array operations,
 a block of (first member, last member) pairs tested at once.  The cut
 drops no cover and keeps the order.  Runtime is combinatorial, so a
@@ -44,7 +44,7 @@ from .core import (
     CodeMatrix,
     ParameterError,
     agreement_pairs,
-    agreement_rows,
+    agreement_slabs,
     binary_expand,
     complement,
     stack_rows,
@@ -148,22 +148,22 @@ class _Work:
 
 
 def _unsettled(entries: np.ndarray, j: int):
-    """(c, counts) for every column c that j others might cover, in order:
-    those whose weight is at most j times their largest nonzero agreement
-    with another column; counts is c's agreement row, 0 at c.  Every other
-    column is settled, j members covering fewer rows of its support than it
-    has.  Weights are counted on the entries: B^T B's diagonal drops the
-    (row, symbol) pairs no other column holds."""
+    """Every column c that j others might cover, in order: those whose
+    weight is at most j times their largest nonzero agreement with another
+    column, a running maximum over the slabs of `agreement_slabs`.  Every
+    other column is settled.  Weights are counted on the entries: B^T B's
+    diagonal drops the (row, symbol) pairs no other column holds."""
     weights = np.count_nonzero(entries, axis=0)
+    above = np.zeros(weights.size, dtype=np.float32)  # largest agreement with a column of an earlier block
+    for a0, slab in agreement_slabs(entries):
+        m = slab.shape[0]
+        peaks = np.maximum(slab.max(axis=1), above[a0 : a0 + m])
+        np.maximum(above[a0 + m :], slab[:, m:].max(axis=0, initial=0), out=above[a0 + m :])
+        del slab
+        yield from (a0 + np.flatnonzero(weights[a0 : a0 + m] <= j * peaks.astype(np.int64))).tolist()
 
-    def pick(a0, peaks):
-        return np.flatnonzero(weights[a0 : a0 + len(peaks)] <= j * peaks.astype(np.int64))
 
-    for c, row in agreement_rows(entries, pick):
-        yield c, row.astype(np.int64)
-
-
-def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, counts, end=None):
+def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, end=None):
     """Cover kernel of column c: every increasing k-tuple of mask indices,
     the first below `end`, whose masks' OR equals need, in lexicographic
     order.
@@ -174,16 +174,17 @@ def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, c
     rows to block it.  The masks are the rows of one (n - 1, words) uint64
     array, 64 rows to a word, and every OR and compare takes all words.
 
-    Branch and bound on S, c's nonzero rows.  popcount(mask h & S) is
-    counts[h], the nonzero agreement of column h with c (counts[c] = 0),
-    which the caller reads off its row of B^T B; j members from index i on
-    cover at most j * suffixmax[i] rows of S, suffixmax[i] the largest of
-    those counts from i on.  Where more rows of S are missing no extension
-    covers, and as suffixmax never increases a level's candidates end at
-    the first such i, found by bisection.  The root test is the caller's,
-    `_unsettled`: only a column it leaves unsettled gets here.  The search
-    is depth first, carrying the prefix OR and its missing rows down; once
-    a prefix covers need, every extension does.
+    Branch and bound on S, c's nonzero rows.  popcount(mask h & S), the
+    nonzero agreement of column h with c, is one float32 mat-vec of the
+    bool rows the masks are packed from and S (exact below 2^24 rows); c's
+    own is its weight.  j members from index i on cover at most
+    j * suffixmax[i] rows of S, suffixmax[i] the largest agreement from i
+    on.  Where more rows of S are missing no extension covers, and as
+    suffixmax never increases a level's candidates end at the first such
+    i, found by bisection.  The root test is `_unsettled`'s: only a column
+    it leaves unsettled gets here.  The search is depth first, carrying the
+    prefix OR and its missing rows down; once a prefix covers need, every
+    extension does.
 
     A level with three or more members left forms its candidates' ORs and
     popcounts as one array operation.  The last two levels are blocks: a
@@ -213,9 +214,10 @@ def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, c
     bits[m, :t] = entries[:, c] != 0
     if selective:
         bits[:m] &= bits[m]
+    counts = (bits[:m, :t] @ bits[m, :t].astype(np.float32)).astype(np.int64)
     words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
     need, rows = words[c], words[m]
-    weight = int(np.count_nonzero(bits[m]))
+    weight, counts[c] = int(counts[c]), 0
     del bits
     masks = np.concatenate((words[:c], words[c + 1 : m]))
     n = len(masks)
@@ -325,8 +327,8 @@ def _framings(entries: np.ndarray, k: int, what: str):
     column c in every row (symbol 0 included), in lexicographic order; the
     scan is one call of `what` against the budget."""
     work = _Work(what)
-    for c, counts in _unsettled(entries, k):
-        for hit in _covers(entries, c, k, False, work, counts):
+    for c in _unsettled(entries, k):
+        for hit in _covers(entries, c, k, False, work):
             yield c, tuple(i + (i >= c) for i in hit)
 
 
@@ -361,9 +363,9 @@ def is_strongly_selective(matrix: CodeMatrix, k: int) -> VerificationReport:
     params = {"k": k}
     work = _Work("selectivity")
     best = None  # (set, member) of the least failure so far
-    for c, counts in _unsettled(matrix.entries, k - 1):
+    for c in _unsettled(matrix.entries, k - 1):
         end = n if best is None else best[0][0] + 1
-        hit = next(_covers(matrix.entries, c, k - 1, True, work, counts, end), None)
+        hit = next(_covers(matrix.entries, c, k - 1, True, work, end), None)
         if hit is not None:
             failure = (tuple(sorted([c, *(i + (i >= c) for i in hit)])), c)
             best = failure if best is None else min(best, failure)
@@ -382,7 +384,7 @@ def is_lambda_matrix(matrix: CodeMatrix, lam: int, w: int) -> VerificationReport
     failure carries both columns and the agreeing rows.  Both witnesses are
     the first failure: the lowest-index column of wrong weight, else the
     lexicographically first pair (a, b), a < b.  Agreements come from
-    `core.agreement_pairs` on the shared kernel `core.agreement_rows`,
+    `core.agreement_pairs` on the slabs of `core.agreement_slabs`,
     which stops at the first block of columns that holds a violated pair,
     not from a pair loop.
     """

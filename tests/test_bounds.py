@@ -340,7 +340,7 @@ class TestReport:
             assert derive_length(4, 9, n, 3) >= 1
             assert bound_report(3, 3, n).entries["expurgation_43"] >= 1
 
-    @pytest.mark.parametrize("q,k", [(3, 2**512), (3, 2**513), (3, 2**1000), (2**53, 2**600)])
+    @pytest.mark.parametrize("q,k", [(3, 2**512), (3, 2**513), (3, 2**1000), (2**53, 2**600), (3, 2**1014), (3, 2**1015)])
     def test_huge_k_parameter_error(self, q, k):
         # k^2 past the float range: every function that squares k refuses it
         with pytest.raises(ParameterError, match="overflows"):
@@ -352,6 +352,13 @@ class TestReport:
                 ss_debonis_order(q, k, k + 1)
         with pytest.raises(ParameterError, match="overflows"):
             bound_report(q, k, k + 1)
+        if k >= 2**1014:  # terms in w, and from 2^1015 (k - 1) ln(2en) and ln k!, past the float range
+            for fn in (lll_lambda_length, ss_theorem35, stinson_41):
+                with pytest.raises(ParameterError, match="overflows"):
+                    fn(q, k, k + 1)
+        if k >= 2**1015:
+            with pytest.raises(ParameterError, match="derive_weight overflows"):
+                derive_weight(k, k + 1)
 
     @pytest.mark.parametrize("call,error,message", [
         (lambda: ss_debonis_order(3, 1, 10), ParameterError, "k=1 must be at least 2"),
@@ -370,9 +377,12 @@ class TestReport:
         (lambda: relaxed_inequality_45(1), ParameterError, "k=1 must be at least 2"),
         (lambda: ceil_tol(math.inf), OverflowError, "cannot take ceiling of inf"),
         (lambda: ceil_tol(math.nan), OverflowError, "cannot take ceiling of nan"),
+        (lambda: expurgation_length(3, 2**14 + 1, 2**15), ParameterError, "k=16385 exceeds 2\\^14"),
+        (lambda: corollary_length(2**20, 2**14 + 1, 2**15), ParameterError, "k=16385 exceeds 2\\^14"),
     ], ids=["triple k<2", "lambda w<1", "length overflow", "expurgation q<2", "corollary n<k",
             "diag q<2", "diag k<1", "diag n<1", "stinson n<2", "shangguan k<2", "shangguan q<2",
-            "core45", "core46", "relaxed45", "ceil inf", "ceil nan"])
+            "core45", "core46", "relaxed45", "ceil inf", "ceil nan", "expurgation k>2^14",
+            "corollary k>2^14"])
     def test_refusals(self, call, error, message):
         with pytest.raises(error, match=message):
             call()

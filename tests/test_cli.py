@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,13 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", kind, "--q", "70000", "--k", "2", "--n", n)
         assert (code, out) == (2, "")
         assert err == "error: q=70000 exceeds 65536, the largest alphabet a code stores\n"
+
+    def test_huge_k_weight_exit_2(self, capsys):
+        # (k - 1) ln(2en) past the float range
+        k = 2**1015
+        code, out, err = run(capsys, "construct", "lll-ss", "--q", "3", "--k", str(k), "--n", str(k + 1))
+        assert (code, out) == (2, "")
+        assert err == "error: derive_weight overflows for these parameters\n"
 
     @pytest.mark.parametrize("kind", ["lll-fp", "lll-ss", "expurgate"])
     def test_missing_k_message(self, capsys, kind):
@@ -262,6 +270,14 @@ class TestBounds:
         code, out, err = run(capsys, "bounds", "--q", "3", "--k", str(k), "--n", str(k + 1))
         assert (code, out) == (2, "")
         assert err == "error: ss_debonis_order overflows for these parameters\n"
+
+    def test_huge_k_exact_probability_exit_2(self, capsys):
+        # the exact survival probability at k = 10^6 is refused, not formed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "--q", str(2**50), "--k", "1000000", "--n", "10000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: k=1000000 exceeds 2^14, beyond the exact survival probability's reach\n"
 
     def test_huge_n_exit_2(self, capsys):
         code, out, err = run(capsys, "bounds", "--q", "3", "--k", "3", "--n", "1" + "0" * 400)

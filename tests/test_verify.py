@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 import fpcodes.core
 import fpcodes.verify
 from fpcodes._util import substream
-from fpcodes.core import CapacityError, CodeMatrix, ParameterError, _onehot, agreement_pairs, agreements_with, complement
+from fpcodes.core import (
+    CapacityError,
+    CodeMatrix,
+    ParameterError,
+    _onehot,
+    agreement_pairs,
+    agreement_slabs,
+    agreements_with,
+    complement,
+)
 from fpcodes.diagonal import build_diagonal
 from fpcodes.expurgate import draw_matrix, enumerate_bad_events, expurgation_params
 from fpcodes.lll import build_frameproof, build_strongly_selective, sample_column
@@ -149,10 +158,8 @@ def plant_mix(entries, c, a, b, seed):
 
 def kernel_covers(entries, c, j, selective, end=None):
     """Every j-tuple of mask indices the cover kernel yields for column c."""
-    counts = agreements_with(entries, c)
-    counts[c] = 0
     work = fpcodes.verify._Work("test")
-    return list(fpcodes.verify._covers(entries, c, j, selective, work, counts, end))
+    return list(fpcodes.verify._covers(entries, c, j, selective, work, end))
 
 
 def reference_kernel(entries, c, j, selective, end=None):
@@ -250,6 +257,17 @@ class TestCoverCut:
         assert is_frameproof(CodeMatrix(3, e), 2).witness == Witness(0, (1, 2))
         report = is_strongly_selective(CodeMatrix(3, e), 3)
         assert (report.witness.column, report.witness.coalition) == (0, (0, 1, 2))
+
+    def test_cut_before_the_column_is_charged(self):
+        # column 5 is nonzero in all 4 rows; column 0 agrees with it in 3,
+        # columns 1 to 4 in the last row only.  Two members from mask 1 on
+        # cover at most 2 rows, so only mask 0 may lead: 5 masks, 1 root OR
+        # and 4 last-member ORs.  Column 5's own count, its weight, must
+        # not enter the caps, or no lead would be cut before it
+        e = np.array([[1, 0, 0, 0, 0, 1]] * 3 + [[0, 1, 1, 1, 1, 1]], dtype=np.uint16)
+        work = fpcodes.verify._Work("test")
+        assert list(fpcodes.verify._covers(e, 5, 2, False, work)) == [(0, 1), (0, 2), (0, 3), (0, 4)]
+        assert work.done == 10
 
     @pytest.mark.parametrize("t", [63, 64, 65, 128, 129])
     def test_word_edges(self, t):
@@ -620,6 +638,29 @@ def naive_pairs(m, lam):
     ]
 
 
+class TestAgreementSlabs:
+    @given(st.one_of(code_matrices(min_t=0, max_t=8, min_n=1, max_n=9), agreement_codes()),
+           st.sampled_from([1, 3, 7, 128]))
+    @example(CodeMatrix(2, np.zeros((0, 3), dtype=np.uint16)), 1)  # t = 0
+    @example(CodeMatrix(3, np.array([[2], [1]], dtype=np.uint16)), 1)  # n = 1
+    @example(CodeMatrix(3, np.array([[2], [1]], dtype=np.uint16)), 128)
+    @settings(max_examples=150)
+    def test_slabs_match_dense_product(self, m, block):
+        # each slab is its block's rows of the dense agreement matrix from
+        # the block's first column on, with every column's own entry zeroed
+        e = m.entries.astype(np.int64)
+        dense = ((e[:, :, None] == e[:, None, :]) & (e[:, :, None] != 0)).sum(axis=0)
+        np.fill_diagonal(dense, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+            starts = []
+            for a0, slab in agreement_slabs(m.entries):
+                starts.append(a0)
+                assert slab.shape == (min(block, m.n - a0), m.n - a0)
+                assert slab.tolist() == dense[a0 : a0 + block, a0:].tolist()
+        assert starts == list(range(0, m.n, block))
+
+
 class TestAgreementKernel:
     @given(agreement_codes(), st.integers(0, 130))
     @example(CodeMatrix(2, np.zeros((3, 1), dtype=np.uint16)), 0)
@@ -711,8 +752,8 @@ block_sizes = st.sampled_from([1, 3, 7, fpcodes.core.AGREEMENT_BLOCK])
 
 class TestBlockSettle:
     """The root test read off blocked B^T B slabs hands the cover kernel
-    exactly the columns the per-column rule leaves unsettled, with their
-    agreement rows, at any block size."""
+    exactly the columns the per-column rule leaves unsettled, at any block
+    size."""
 
     @given(settle_codes, block_sizes)
     @example(CodeMatrix(2, np.zeros((0, 3), dtype=np.uint16)), 1)  # t = 0
@@ -725,12 +766,7 @@ class TestBlockSettle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
             for j in range(4):
-                found = list(fpcodes.verify._unsettled(e, j))
-                assert [c for c, _ in found] == per_column_unsettled(e, j)
-                for c, counts in found:
-                    expect = agreements_with(e, c)
-                    expect[c] = 0
-                    assert counts.tolist() == expect.tolist()
+                assert list(fpcodes.verify._unsettled(e, j)) == per_column_unsettled(e, j)
 
     @given(settle_codes, block_sizes)
     @example(CodeMatrix(2, np.zeros((0, 3), dtype=np.uint16)), 3)
@@ -794,11 +830,7 @@ class TestBlockSettle:
             mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
             for j in range(3):
                 found = list(fpcodes.verify._unsettled(e, j))
-                assert [c for c, _ in found] == per_column_unsettled(e, j) == [[], [0, 8], [0, 8, 9]][j]
-                for c, counts in found:
-                    expect = agreements_with(e, c)
-                    expect[c] = 0
-                    assert counts.tolist() == expect.tolist()
+                assert found == per_column_unsettled(e, j) == [[], [0, 8], [0, 8, 9]][j]
             report = is_frameproof(CodeMatrix(2, e), 1)
         assert (report.witness.column, report.witness.coalition) == naive_frameproof(CodeMatrix(2, e), 1)[1] == (0, (8,))
 
