@@ -35,6 +35,13 @@ def _check_alphabet(q: int) -> None:
         raise ParameterError(f"q={q} exceeds {MAX_Q}, the largest alphabet a code stores")
 
 
+def _check_shape(t: int, n: int) -> None:
+    """Refuse a t x n code numpy cannot shape, more than MAX_N symbols (as
+    the reader does), before any array is sized for it."""
+    if t * n > MAX_N:
+        raise ParameterError(f"a code of {t} rows and {n} columns exceeds {MAX_N} symbols")
+
+
 @dataclass(frozen=True, eq=False)
 class CodeMatrix:
     """Immutable t x n matrix over {0, ..., q-1}, one codeword per column."""
@@ -171,6 +178,11 @@ def binary_expand(matrix: CodeMatrix) -> CodeMatrix:
     rows = np.arange(t, dtype=np.int64)[:, None] * q + matrix.entries.astype(np.int64)
     out[rows, np.arange(n)[None, :]] = 1
     return CodeMatrix(2, out)
+
+
+# most words stream_words takes from a stream: one getrandbits call, whose
+# bit count CPython reads as a C int
+MAX_WORDS = (2**31 - 1) // 32
 
 
 def stream_words(streams, count: int) -> np.ndarray:

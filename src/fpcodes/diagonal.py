@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CodeMatrix, ParameterError, _check_alphabet
+from .core import CodeMatrix, ParameterError, _check_alphabet, _check_shape
 
 
 def build_diagonal(q: int, n: int) -> CodeMatrix:
@@ -22,6 +22,7 @@ def build_diagonal(q: int, n: int) -> CodeMatrix:
     if n < 1:
         raise ParameterError(f"n={n} must be positive")
     depth = -(-n // (q - 1))
+    _check_shape(depth, n)
     entries = np.zeros((depth, n), dtype=np.uint16)
     j = np.arange(n)
     entries[j % depth, j] = j // depth + 1

@@ -25,7 +25,7 @@ import numpy as np
 
 # the length formulas live in the numpy-free `bounds`; expurgate re-exports them
 from .bounds import corollary_length, expurgation_length, p_qk
-from .core import CodeMatrix, ConstructionError, ParameterError, _check_alphabet, stream_words
+from .core import MAX_WORDS, CodeMatrix, ConstructionError, ParameterError, _check_alphabet, stream_words
 from .verify import _framings
 
 MAX_REDRAWS = 50
@@ -53,6 +53,14 @@ class ExpurgationParams:
         _check_alphabet(self.q)
         if self.n < self.k:
             raise ParameterError(f"need n >= k, got n={self.n}, k={self.k}")
+        # the draw takes two words of one stream per symbol: past MAX_WORDS,
+        # far below MAX_N symbols, it is refused before any array is sized
+        cells = self.t * (self.n + self.ell)
+        if 2 * cells > MAX_WORDS:
+            raise ParameterError(
+                f"a draw of {self.t} rows and {self.n + self.ell} columns takes {2 * cells} random words, "
+                f"over the {MAX_WORDS} one stream yields"
+            )
 
     @property
     def ell(self) -> int:

@@ -49,6 +49,7 @@ from .core import (
     ConstructionError,
     ParameterError,
     _check_alphabet,
+    _check_shape,
     agreement_pairs,
     agreements_with,
     stream_words,
@@ -96,6 +97,7 @@ class ConstructionParams:
             raise ParameterError(f"lam={self.lam} must be nonnegative")
         if self.t < self.w:
             raise ParameterError(f"t={self.t} cannot be below the column weight w={self.w}")
+        _check_shape(self.t, self.n)
 
 
 @dataclass(frozen=True)

@@ -6,33 +6,27 @@ Strongly selective, for size k: for every k-set G and every c in G there
 is a row where c is nonzero and the other members all differ from it.
 
 Both are one cover condition.  Pack, for column c, the rows where column
-j agrees with c into a row mask (for selectivity, only c's nonzero rows),
-one row of a (columns, words) uint64 array, 64 rows to a word; G frames
-c, or blocks c, exactly when the OR of its members' masks covers every
-row that counts.  One kernel, `_covers`, enumerates the covering
-coalitions for all the oracles and for the expurgation's bad events.  It
-is a branch and bound: a prefix is cut with its whole subtree when the
-members left cannot cover the rows of c's support still missing, each
-covering at most the largest agreement with c of any column left.  At the
-root that test needs no mask: a column that no j others can cover is
-settled by one comparison against its largest agreement, read off the
-upper-triangle slabs of the one-hot B^T B (`core.agreement_slabs`), and
-never reaches `_covers`.  In a lambda code with j lambda < w that is
-every column, so the scan costs half of one blocked product.  Below the
-root the kernel counts its own agreements, and the search is depth first
-down to two members left; those last two levels run as array operations,
-a block of (first member, last member) pairs tested at once.  The cut
-drops no cover and keeps the order.  Runtime is combinatorial, so a
-capacity guard counts the work each call actually does (masks packed and
-mask ORs evaluated, exactly as a pair-at-a-time scan would count them)
-and refuses the call once it passes LEAF_BUDGET, naming where it
-stopped; it never returns a partial answer or subsamples.  The
-lambda-matrix check needs only column pairs and uses the agreement
-kernel shared with the local-lemma builder.
+h agrees with c into a mask (for selectivity, only c's nonzero rows), 64
+rows to a uint64 word; G frames c, or blocks it, exactly when the OR of
+its members' masks covers every row that counts.  One kernel, `_covers`,
+enumerates the covering coalitions for all the oracles and for the
+expurgation's bad events.  It is a pigeonhole search: of j members that
+cover R rows one covers at least ceil(R / j) of them, so only such heavy
+members are tried, and each cover is found once, through its least heavy
+member.  At the root that test needs no mask: a column that no j others
+can cover is settled by its largest agreement with another column, read
+off the upper-triangle slabs of the one-hot B^T B (`core.agreement_slabs`),
+and never reaches the kernel; in a lambda code with j lambda < w that is
+every column.  Runtime is combinatorial, so a capacity guard counts the
+member tests the kernel makes and refuses the call once they pass
+LEAF_BUDGET, naming where it stopped; it never returns a partial answer or
+subsamples.  The lambda-matrix check needs only column pairs and uses the
+agreement kernel shared with the local-lemma builder.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -101,50 +95,45 @@ def nonzero_agreement_rows(matrix: CodeMatrix, a: int, b: int):
     return [i for i in range(matrix.t) if e[i, a] == e[i, b] and e[i, a] != 0]
 
 
-# set bits of every byte value; a mask's popcount sums those of its bytes
+# set bits of every byte value
 _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Rows set in each mask of a (..., words) uint64 array."""
+    """Rows set in each mask of a (words, ...) uint64 array."""
     # one multiply sums a word's eight byte counts into its top byte
-    per_word = _BYTE_BITS.take(masks.view(np.uint8)).view(np.uint64) * np.uint64(0x0101010101010101)
-    return (per_word >> np.uint64(56)).sum(axis=-1, dtype=np.int64)
+    per_word = _BYTE_BITS.take(np.ascontiguousarray(masks).view(np.uint8)).view(np.uint64)
+    per_word *= np.uint64(0x0101010101010101)
+    return (per_word >> np.uint64(56)).sum(axis=0, dtype=np.int64)
 
 
 class _Work:
-    """Coalition checks of one oracle call, against LEAF_BUDGET: the masks
-    `_covers` packs and the mask ORs it evaluates, charged in the order of a
-    pair-at-a-time scan.  A vectorized block is charged member by member as
-    its covers are reached (`add_run`), so a refusal inside it names the
-    count, column and prefix where that scan would have stopped."""
+    """Coalition checks of one oracle call, against LEAF_BUDGET: the member
+    tests the cover kernel evaluates, n - 1 candidates per node, charged
+    before each batch of nodes, and each completion of a family, charged as
+    it is emitted."""
 
     def __init__(self, what: str):
         self.what = what
         self.done = 0
 
-    def add(self, count: int, column: int, prefix: tuple) -> None:
+    def add(self, count: int, column: int, prefix) -> None:
         """Charge `count` checks made at `column` under the coalition prefix
-        `prefix` (mask indices); past the budget, refuse the call."""
+        `prefix` (columns); past the budget, refuse the call."""
         self.done += count
         if self.done > LEAF_BUDGET:
-            members = tuple(i + (i >= column) for i in prefix)
             raise CapacityError(
                 f"{self.what} check refused after {self.done} coalition checks, over the "
-                f"{LEAF_BUDGET} budget, at column {column}, coalition prefix {members}"
+                f"{LEAF_BUDGET} budget, at column {column}, coalition prefix {tuple(sorted(prefix))}"
             )
 
-    def add_run(self, counts: np.ndarray, lo: int, hi: int, column: int, prefix_of) -> None:
-        """Charge counts[x] under the prefix prefix_of(x) for each x from lo
-        below hi in turn, as one `add` per charge would: a refusal names the
-        first charge that crosses the budget and the count there."""
-        run = counts[lo:hi]
-        total = int(run.sum())
-        if self.done + total > LEAF_BUDGET:
-            cum = np.cumsum(run)
-            over = int(np.searchsorted(cum, LEAF_BUDGET - self.done, side="right"))
-            self.add(int(cum[over]), column, prefix_of(lo + over))
-        self.done += total
+    def add_nodes(self, per: int, count: int, node) -> None:
+        """Charge `per` checks for each of `count` nodes of a batch as one `add`
+        per node would, naming node(x) = (column, prefix) of the first past it."""
+        fits = (LEAF_BUDGET - self.done) // max(per, 1)
+        if fits < count:
+            self.add((fits + 1) * per, *node(fits))
+        self.done += per * count
 
 
 def _unsettled(entries: np.ndarray, j: int):
@@ -153,7 +142,7 @@ def _unsettled(entries: np.ndarray, j: int):
     column, a running maximum over the slabs of `agreement_slabs`.  Every
     other column is settled.  Weights are counted on the entries: B^T B's
     diagonal drops the (row, symbol) pairs no other column holds."""
-    weights = np.count_nonzero(entries, axis=0)
+    weights = (entries != 0).sum(axis=0)
     above = np.zeros(weights.size, dtype=np.float32)  # largest agreement with a column of an earlier block
     for a0, slab in agreement_slabs(entries):
         m = slab.shape[0]
@@ -163,163 +152,177 @@ def _unsettled(entries: np.ndarray, j: int):
         yield from (a0 + np.flatnonzero(weights[a0 : a0 + m] <= j * peaks.astype(np.int64))).tolist()
 
 
-def _covers(entries: np.ndarray, c: int, k: int, selective: bool, work: _Work, end=None):
-    """Cover kernel of column c: every increasing k-tuple of mask indices,
-    the first below `end`, whose masks' OR equals need, in lexicographic
-    order.
+def _heavy(hits: np.ndarray, rows: np.ndarray, left: int) -> np.ndarray:
+    """The candidates of each node that cover at least ceil(|rows| / left)
+    of its rows: hits[:, ..., x, h] is candidate h's mask ANDed with
+    rows[:, ..., x]."""
+    return _popcount(hits) >= ((_popcount(rows).astype(np.int64) + left - 1) // left)[..., None]
 
-    Mask i holds the rows where column i (i < c) or i + 1 (i >= c) covers
-    c: equals it (symbol 0 included) to frame it, or, with `selective`,
-    holds its nonzero symbol.  need is every row to frame c, c's nonzero
-    rows to block it.  The masks are the rows of one (n - 1, words) uint64
-    array, 64 rows to a word, and every OR and compare takes all words.
 
-    Branch and bound on S, c's nonzero rows.  popcount(mask h & S), the
-    nonzero agreement of column h with c, is one float32 mat-vec of the
-    bool rows the masks are packed from and S (exact below 2^24 rows); c's
-    own is its weight.  j members from index i on cover at most
-    j * suffixmax[i] rows of S, suffixmax[i] the largest agreement from i
-    on.  Where more rows of S are missing no extension covers, and as
-    suffixmax never increases a level's candidates end at the first such
-    i, found by bisection.  The root test is `_unsettled`'s: only a column
-    it leaves unsettled gets here.  The search is depth first, carrying the
-    prefix OR and its missing rows down; once a prefix covers need, every
-    extension does.
+def _completions(prefix: tuple, allowed, heavy, ends, size: int, work: _Work, column: int):
+    """Every sorted prefix + X, X a size-set of allowed columns whose least
+    heavy member is one of ends, in lexicographic order (prefix and X are
+    disjoint, so the order of the Xs is kept), each charged as it is
+    emitted."""
+    pool = np.flatnonzero(allowed)
+    heavy, ends, pool = heavy[pool].tolist(), ends[pool].tolist(), pool.tolist()
+    last = len(ends) - 1 - ends[::-1].index(True) if True in ends else -1  # the last end's place
 
-    A level with three or more members left forms its candidates' ORs and
-    popcounts as one array operation.  The last two levels are blocks: a
-    prefix with two members left, or the surviving prefixes of a level
-    with three left, as many as keep the block within AGREEMENT_BLOCK^2
-    rows (plus one prefix's), become one row per (prefix, first member f),
-    whose last members run from f + 1 to the cut of f's own missing rows.
-    The pairs of AGREEMENT_BLOCK rows at a time are tested at once against
-    need and read row-major, so they come out in order; memory stays
-    O(AGREEMENT_BLOCK n) however many coalitions there are.  The cut skips
-    no cover, so the tuples and their order are those of the full scan.
+    def pick(at, size, seen):
+        for i in range(at, len(pool) - size + 1):
+            if not seen:
+                if i > last:
+                    return  # no end is left to take
+                if heavy[i] and not ends[i]:
+                    continue
+            if size == 1:
+                if seen or heavy[i]:
+                    yield (pool[i],)
+            else:
+                yield from ((pool[i],) + rest for rest in pick(i + 1, size - 1, seen or heavy[i]))
 
-    The masks packed and the ORs of each level and range are charged to
-    `work` in the order of a pair-at-a-time scan: a level's candidates as
-    it is entered, a block's rows (each prefix's cut, then its members'
-    ranges) up to a row as that row's covers are reached.  A caller that
-    stops at a cover has paid exactly what that scan would, and a refusal
-    inside a block comes after the covers of the rows before the one
-    whose charge crosses the budget, naming that row's count and prefix.
+    for rest in pick(0, size, False) if size else [()]:
+        work.add(1, column, prefix)
+        yield tuple(sorted(prefix + rest))
+
+
+def _in_order(parts: list):
+    """The covers of a column, arrays of sorted rows, as tuples in
+    lexicographic order, converted a slice at a time as they are taken."""
+    rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    for lo in range(0, len(rows), 64):
+        yield from map(tuple, rows[lo : lo + 64].tolist())
+
+
+def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end=None):
+    """Cover kernel of a block of columns: (c, covers) for each column c of
+    `cols`, ascending, covers iterating over the j-sets of other columns
+    that cover c, as sorted tuples, in lexicographic order.
+
+    Column h covers c in the rows where it equals c (symbol 0 included), or
+    with `selective` where it holds c's nonzero symbol; need is every row
+    to frame c, S, c's nonzero rows, to block it.  The masks are one
+    (words, columns, n) uint64 array.  A node holds its column, members,
+    the rows R of need they leave and the columns it allows; its children
+    are its allowed heavy members, by the rule that admits fewer: those
+    covering at least ceil(|R| / left) rows of R or, to frame c, of R & S,
+    or at a root, given `end`, the columns up to it (then only the covers
+    with such a least member are found).  A child no longer allows its
+    parent's heavy members up to its own, so a cover is found through its
+    least heavy member only.  The last member covers R alone, an equality
+    test; a child whose R is empty leaves a family, which `_completions`
+    emits lazily.
+
+    Nodes are evaluated AGREEMENT_BLOCK at a time, one masked AND and
+    popcount over (nodes x n), and a batch's children depth first before
+    its next batch: memory stays O(AGREEMENT_BLOCK n words), and a column's
+    covers are yielded as soon as the search has left it.  Each batch is
+    charged n - 1 checks per node to `work` before it is evaluated.
     """
-    t, m = entries.shape
-    # a bool row per column, then one for S, padded to whole 64-bit words:
-    # column c's own row is need, as c equals itself in every row and, to
-    # block it, on S
-    bits = np.zeros((m + 1, 64 * max(1, -(-t // 64))), dtype=bool)
-    np.equal(entries.T, entries[:, c], out=bits[:m, :t])
-    bits[m, :t] = entries[:, c] != 0
+    t, n = entries.shape
+    cs = np.asarray(cols, dtype=np.int64)
+    block = core.AGREEMENT_BLOCK
+    # a bool row per column, then one for S, padded to whole 64-bit words;
+    # column c's own row is need, as c equals itself in every row
+    bits = np.zeros((cs.size, n + 1, 64 * max(1, -(-t // 64))), dtype=bool)
+    ref = entries[:, cs].T
+    np.equal(entries.T, ref[:, None], out=bits[:, :n, :t])
+    bits[:, n, :t] = ref != 0
     if selective:
-        bits[:m] &= bits[m]
-    counts = (bits[:m, :t] @ bits[m, :t].astype(np.float32)).astype(np.int64)
-    words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-    need, rows = words[c], words[m]
-    weight, counts[c] = int(counts[c]), 0
+        bits[:, :n] &= bits[:, n:]
+    words = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64).transpose(2, 0, 1).copy()
     del bits
-    masks = np.concatenate((words[:c], words[c + 1 : m]))
-    n = len(masks)
-    work.add(n, c, ())
-    # caps = -suffixmax rises, so bisection finds the cut; c's own count is
-    # 0 in the maxima and its index dropped after
-    suffix = np.maximum.accumulate(counts[::-1])[::-1]
-    caps = -np.concatenate((suffix[:c], suffix[c + 1 :]))
-    chunk = core.AGREEMENT_BLOCK  # rows per pair test
+    masks, support = words[:, :, :n], words[:, :, n]
+    index = np.arange(n)
+    found = [[] for _ in range(cs.size)]  # arrays of the covers completed by a last member
+    families = [[] for _ in range(cs.size)]  # _completions' arguments
+    # the batch to evaluate: each node's column (its row of the block), its
+    # members, its uncovered rows and the columns it allows
+    col = np.arange(cs.size)
+    chosen = np.zeros((cs.size, 0), dtype=np.int64)
+    resid = masks[:, col, cs]
+    allowed = index != cs[:, None]
+    live = resid.any(axis=0)
+    if not (j and live.all()):
+        for b in np.flatnonzero(~live).tolist():
+            families[b].append(((), allowed[b], allowed[b], allowed[b], j))
+        live &= j > 0
+        col, chosen, resid, allowed = col[live], chosen[live], resid[:, live], allowed[live]
+    stack = []  # per batch with 3 or more members left: its nodes, children and child batches
+    emitted = 0
+    while True:
+        if col.size:
+            left = j - chosen.shape[1]
+            work.add_nodes(n - 1, col.size, lambda x: (int(cs[col[x]]), chosen[x].tolist()))
+            # per node, the heavy members of the rule that admits fewer: under R,
+            # to frame c under R & S, at a root given end the columns up to it
+            rules = resid[:, None]
+            if not selective:
+                rules = np.concatenate((rules, (resid & support[:, col])[:, None]), axis=1)
+            heavy = _heavy(masks[:, col][:, None] & rules[..., None], rules, left) & allowed
+            if end is not None and left == j:
+                heavy = np.concatenate((heavy, (allowed & (index <= end))[None]))
+            heavy = heavy[heavy.sum(axis=2).argmin(axis=0), np.arange(col.size)]
+            p, h = np.nonzero(heavy)
+            rest = resid[:, p] & ~masks[:, col[p], h]
+            live = rest.any(axis=0)
+            if not live.all():
+                ends = np.zeros_like(heavy)
+                ends[p[~live], h[~live]] = True
+                for x in np.flatnonzero(ends.any(axis=1)).tolist():
+                    families[col[x]].append((tuple(chosen[x].tolist()), allowed[x], heavy[x], ends[x], left))
+                p, h, rest = p[live], h[live], rest[:, live]
+            if left > 2:
+                stack.append((col, chosen, allowed, heavy, p, h, rest, iter(range(0, p.size, block))))
+            for at in range(0, p.size if left == 2 else 0, block):
+                # children with one member left, which covers their rows alone where the
+                # child allows it: its parent does, and it is no heavy parent member up to h
+                q, hq, rq = p[at : at + block], h[at : at + block], rest[:, at : at + block]
+                work.add_nodes(n - 1, q.size, lambda x: (int(cs[col[q[x]]]), chosen[q[x]].tolist() + [int(hq[x])]))
+                x, g = np.nonzero(((masks[:, col[q]] & rq[:, :, None]) == rq[:, :, None]).all(axis=0))
+                if x.size:
+                    qx = q[x]
+                    keep = allowed[qx, g] & ~(heavy[qx, g] & (g <= hq[x]))
+                    x, qx = x[keep], qx[keep]
+                    rows = np.sort(np.concatenate((chosen[qx], hq[x, None], g[keep, None]), axis=1), axis=1)
+                    owner = col[qx]
+                    if owner.size and owner[0] == owner[-1]:  # one column's, as in a block of one
+                        found[owner[0]].append(rows)
+                    else:
+                        for b in np.flatnonzero(np.bincount(owner)).tolist():  # np.unique loads numpy.ma
+                            found[b].append(rows[owner == b])
+        # the next batch: the first children left of the deepest batch
+        while stack and (at := next(stack[-1][7], None)) is None:
+            stack.pop()
+        if stack:
+            parent, members, ok, strong, p, h, rest, _ = stack[-1]
+            p, h = p[at : at + block], h[at : at + block]
+            col, resid = parent[p], rest[:, at : at + block]
+            chosen = np.concatenate((members[p], h[:, None]), axis=1)
+            allowed = ok[p] & ~(strong[p] & (index <= h[:, None]))
+        # no node of a column before the next batch's is left
+        upto = int(col[0]) if stack else cs.size
+        for b in range(emitted, upto):
+            c = int(cs[b])
+            runs = [_in_order(found[b])] if found[b] else []
+            runs += [_completions(*f, work, c) for f in families[b]]
+            yield c, heapq.merge(*runs) if len(runs) > 1 else iter(runs[0] if runs else ())
+            found[b] = families[b] = None
+        emitted = upto
+        if not stack:
+            return
 
-    def cut(j, start, end, missing, prefix):
-        """End of the indices from start on, below end, that may take the
-        next of j members with `missing` rows of S uncovered, charged as
-        the ORs the caller evaluates."""
-        # missing > j * suffixmax[i] exactly when suffixmax[i] <= (missing - 1) // j
-        edge = int(np.searchsorted(caps, -((missing - 1) // j)))
-        stop = max(start, min(edge, end, n - j + 1))
-        work.add(stop - start, c, prefix)
-        return stop
 
-    def block(heads, acc, missing, start, end):
-        """The covers of the prefixes `heads`, in order, each with two
-        members left; acc, missing and start are theirs, one per prefix,
-        and end bounds every first member."""
-        stop = np.maximum(start, np.minimum(np.searchsorted(caps, -((missing - 1) // 2)), min(end, n - 1)))
-        # per prefix a row for its cut, then a row per first member f from
-        # start to stop.  A row's span is what it charges: the cut's first
-        # members, or f's last members, from f + 1 to the cut of f's own
-        # missing rows.  A prefix that covers need, as all its pairs do, is
-        # charged nothing
-        size = stop - start + 1
-        ends = np.cumsum(size)
-        owner = np.repeat(np.arange(len(heads)), size)
-        first = np.arange(ends[-1]) - np.repeat(ends - stop, size)
-        cut_row = first < start[owner]
-        a = acc[owner] | masks[first]  # a cut row's f is start - 1 and its OR unused
-        top = np.maximum(np.searchsorted(caps, 1 - _popcount(rows & ~a)), first + 1)
-        span = np.where(cut_row, stop[owner], top) - first - 1
-        live = np.flatnonzero(np.where(cut_row, 0, span))
-        full = (acc == need).all(axis=1)
-        if full.any():
-            span[full[owner]] = 0
-
-        def prefix_of(x):
-            return heads[owner[x]] + (() if cut_row[x] else (int(first[x]),))
-
-        paid = 0  # rows charged so far
-        for lo in range(0, live.size, chunk):
-            r = live[lo : lo + chunk]
-            # every pair of the chunk's rows, from the first row's prefix on,
-            # is tested; the hits, row-major and so in the pairs' order, are
-            # kept where h is past f (the cut never drops a cover)
-            h0, h1 = int(start[owner[r[0]]]) + 1, int(top[r].max())
-            ok = (a[r, 0, None] | masks[h0:h1, 0]) == need[0]
-            for w in range(1, need.size):
-                ok &= (a[r, w, None] | masks[h0:h1, w]) == need[w]
-            i, h = np.divmod(np.flatnonzero(ok), h1 - h0)
-            row, last = r[i], h + h0
-            after = last > first[row]
-            for x, y in zip(row[after].tolist(), last[after].tolist()):
-                if x >= paid:
-                    work.add_run(span, paid, x + 1, c, prefix_of)
-                    paid = x + 1
-                yield heads[owner[x]] + (int(first[x]), y)
-        work.add_run(span, paid, span.size, c, prefix_of)
-
-    def covers(j, end, start, acc, missing, prefix, covers):
-        if (acc == need).all():
-            for rest in itertools.combinations(range(start, n), j):
-                if rest and rest[0] >= end:
-                    return
-                yield prefix + rest
-        elif j == 1:
-            # the range and its charge do not stop at end; the covers do
-            stop = cut(1, start, n, missing, prefix)
-            hits = ((acc | masks[start:stop]) == need).all(axis=1)
-            for i in np.flatnonzero(hits[: max(end - start, 0)]).tolist():
-                yield prefix + (start + i,)
-        elif j == 2:
-            yield from block([prefix], acc[None], np.array([missing]), np.array([start]), end)
-        elif j > 2:
-            stop = cut(j, start, end, missing, prefix)
-            a = acc | masks[start:stop]
-            left = _popcount(rows & ~a)
-            # a member whose extension's own cut falls at its first index is
-            # skipped: more rows missing than j - 1 members after it cover
-            keep = np.flatnonzero(left <= (1 - j) * caps[start + 1 : stop + 1])
-            if j > 3:
-                for x in keep.tolist():
-                    yield from covers(j - 1, n, start + x + 1, a[x], int(left[x]), prefix + (start + x,), covers)
-            elif keep.size:
-                # whole prefixes per block, split where the rows they may
-                # bring (n - 1 - i for prefix i) pass a multiple of chunk^2
-                total = np.cumsum(n - 1 - start - keep) // (chunk * chunk)
-                for x in np.split(keep, np.flatnonzero(np.diff(total)) + 1):
-                    heads = [prefix + (start + i,) for i in x.tolist()]
-                    yield from block(heads, a[x], left[x], start + x + 1, n)
-
-    # covers is handed itself, so no closure refers to itself and a column's
-    # masks are freed with its last reference, not by the cycle collector
-    root = np.zeros_like(rows)
-    yield from covers(k, n if end is None else end, 0, root, weight, (), covers)
+def _search(entries: np.ndarray, j: int, selective: bool, work: _Work, end=lambda: None):
+    """`_covers` over every column `_unsettled` leaves, end() giving each
+    block's `end`, in blocks that double from one column, so that a caller
+    that stops at the first cover searches little past its column, up to
+    AGREEMENT_BLOCK columns and AGREEMENT_BLOCK^2 masks, but at least one."""
+    columns, size, n = _unsettled(entries, j), 1, entries.shape[1]
+    while block := list(itertools.islice(columns, size)):
+        yield from _covers(entries, block, j, selective, work, end())
+        size = min(2 * size, core.AGREEMENT_BLOCK, max(1, core.AGREEMENT_BLOCK**2 // n))
 
 
 def _framings(entries: np.ndarray, k: int, what: str):
@@ -327,9 +330,9 @@ def _framings(entries: np.ndarray, k: int, what: str):
     column c in every row (symbol 0 included), in lexicographic order; the
     scan is one call of `what` against the budget."""
     work = _Work(what)
-    for c in _unsettled(entries, k):
-        for hit in _covers(entries, c, k, False, work):
-            yield c, tuple(i + (i >= c) for i in hit)
+    for c, covers in _search(entries, k, False, work):
+        for group in covers:
+            yield c, group
 
 
 def is_frameproof(matrix: CodeMatrix, k: int) -> VerificationReport:
@@ -352,10 +355,8 @@ def is_strongly_selective(matrix: CodeMatrix, k: int) -> VerificationReport:
     within each set.  Column by column, the first k-1 others that block c
     on its nonzero rows give the least failing set holding c (inserting c
     keeps the order of the sets), and the least (set, c) over the columns
-    is the first failure.  Once one is known, a later column can beat it
-    only with a set whose least member, one of the others, is at most the
-    known set's, so the scan of the others stops there.  One column's
-    masks are held at a time.
+    is the first failure.  Once one is known, a later column beats it only
+    with a set whose least member, one of the others, is at most its own.
     """
     n = matrix.n
     if not 1 <= k <= n:
@@ -363,11 +364,10 @@ def is_strongly_selective(matrix: CodeMatrix, k: int) -> VerificationReport:
     params = {"k": k}
     work = _Work("selectivity")
     best = None  # (set, member) of the least failure so far
-    for c in _unsettled(matrix.entries, k - 1):
-        end = n if best is None else best[0][0] + 1
-        hit = next(_covers(matrix.entries, c, k - 1, True, work, end), None)
+    for c, covers in _search(matrix.entries, k - 1, True, work, lambda: best and best[0][0]):
+        hit = next(covers, None)
         if hit is not None:
-            failure = (tuple(sorted([c, *(i + (i >= c) for i in hit)])), c)
+            failure = (tuple(sorted((c, *hit))), c)
             best = failure if best is None else min(best, failure)
             if k == 1:
                 break  # a lone member's set is itself: later ones come after

@@ -47,11 +47,11 @@ def kautz_singleton(p, m, points):
 def fan(n):
     """Column 0 is all ones over 2 rows; columns 1..n-1 agree with it in
     row 0 only.  No column settles at the root for k = 2 framing or k = 3
-    blocking, so the oracles pack masks and count ORs for every column.
-    For column 0 every mask covers 1 of its 2 rows: n - 1 masks packed,
-    n - 2 ORs at the root, then n - 2, n - 3, ... last-member ORs after
-    members 1, 2, ..., and no set covers.  Column 1 is covered by {0, j}
-    for every j >= 2."""
+    blocking, so the cover kernel searches every column, each node testing
+    the n - 1 others.  For column 0 every other column covers row 0 and
+    none row 1, so each is heavy at the root, the node through it finds
+    nothing more, and no set covers.  Column 1 is covered by {0, j} for
+    every j >= 2, and by any two of columns 2 to n - 1."""
     e = np.zeros((2, n), dtype=np.uint16)
     e[0] = 1
     e[1, 0] = 1

@@ -9,7 +9,7 @@ import pytest
 import fpcodes.lll
 import fpcodes.verify
 from fpcodes.cli import main
-from fpcodes.core import CodeMatrix, ConstructionError, read_code
+from fpcodes.core import MAX_N, MAX_WORDS, CodeMatrix, ConstructionError, read_code
 
 
 def run(capsys, *argv):
@@ -82,6 +82,19 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", kind, "--q", "70000", "--k", "2", "--n", n)
         assert (code, out) == (2, "")
         assert err == "error: q=70000 exceeds 65536, the largest alphabet a code stores\n"
+
+    @pytest.mark.parametrize("kind,n,message", [
+        ("lll-ss", 10**30, f"columns exceeds {MAX_N} symbols"),
+        ("diagonal", 10**30, f"columns exceeds {MAX_N} symbols"),
+        ("expurgate", 10**30, f"over the {MAX_WORDS} one stream yields"),
+        ("expurgate", 10**6, f"over the {MAX_WORDS} one stream yields"),
+    ])
+    def test_huge_n_exit_2(self, capsys, kind, n, message):
+        # more symbols than numpy can shape, or than the expurgation's draw
+        # takes from its stream: refused before any array is sized
+        code, out, err = run(capsys, "construct", kind, "--q", "3", "--k", "3", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a ") and err.endswith(message + "\n")
 
     def test_huge_k_weight_exit_2(self, capsys):
         # (k - 1) ln(2en) past the float range
@@ -164,14 +177,15 @@ class TestVerify:
         assert "witness_coalition " + ",".join(map(str, range(1, 61))) in out
 
     def test_capacity_exit_2(self, tmp_path, capsys, monkeypatch):
-        # column 0 is all ones, the others agree with it in row 0 only: 5
-        # masks, 4 root ORs and 4 ORs after member 1 pass a budget of 12
+        # column 0 is all ones, the others agree with it in row 0 only: its
+        # root tests the 5 other columns, and its nodes through members 1
+        # to 5 test 5 each, so the second of those passes a budget of 12
         path = tmp_path / "fan.code"
         path.write_bytes(b"2 2 6\n1 1 1 1 1 1\n1 0 0 0 0 0\n")
         monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 12)
         code, out, err = run(capsys, "verify", "--in", str(path), "--property", "fp", "--k", "2")
         assert code == 2 and out == ""
-        assert "after 13 coalition checks, over the 12 budget, at column 0, coalition prefix (1,)" in err
+        assert "after 15 coalition checks, over the 12 budget, at column 0, coalition prefix (2,)" in err
 
     def test_missing_k_exit_2(self, tmp_path, capsys):
         path = tmp_path / "d.code"

@@ -175,16 +175,16 @@ class TestExhaustive:
         # the selectivity oracle's guard counts the checks it makes: in a
         # lambda code with 2 lam < w every column settles at the root and
         # costs none, while no column of fan(6) settles and the whole call
-        # makes 72 (as counted in test_verify)
+        # makes 60 (as counted in test_verify)
         matrix, params, _ = build_strongly_selective(3, 3, 40, seed=1)
         assert 2 * params.lam < params.w
         monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 0)
         assert exhaustive_guarantee(matrix, 3) == (True, None)
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 71)
-        with pytest.raises(CapacityError, match=r"selectivity check refused after 72 coalition checks, "
-                                                r"over the 71 budget, at column 5, coalition prefix \(0,\)"):
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 59)
+        with pytest.raises(CapacityError, match=r"selectivity check refused after 60 coalition checks, "
+                                                r"over the 59 budget, at column 5, coalition prefix \(\)"):
             exhaustive_guarantee(fan(6), 3)
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 72)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 60)
         assert exhaustive_guarantee(fan(6), 3) == (False, (0, 1, 2))
 
     @given(code_matrices(min_n=2, max_n=6, max_t=4), st.integers(1, 6))

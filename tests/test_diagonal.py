@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpcodes.core import ParameterError
+from fpcodes.core import MAX_N, ParameterError
 from fpcodes.diagonal import build_diagonal
 from fpcodes.verify import is_frameproof, is_strongly_selective
 
@@ -45,6 +45,13 @@ def test_frameproof_for_every_k():
 
 def test_strongly_selective_small():
     assert is_strongly_selective(build_diagonal(3, 4), 2).passed
+
+
+def test_refuses_codes_numpy_cannot_shape():
+    # ceil(n / (q - 1)) rows of n columns, past MAX_N symbols, refused
+    # before the array is made
+    with pytest.raises(ParameterError, match=f"a code of {5 * 10**29} rows and {10**30} columns exceeds {MAX_N}"):
+        build_diagonal(3, 10**30)
 
 
 def test_rejects_bad_parameters():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fpcodes.bounds
 import fpcodes.verify
-from fpcodes.core import CapacityError, ConstructionError, ParameterError
+from fpcodes.core import MAX_N, MAX_WORDS, CapacityError, ConstructionError, ParameterError
 from fpcodes.expurgate import (
     ExpurgationParams,
     corollary_length,
@@ -196,6 +196,21 @@ class TestSymbolDistribution:
         with pytest.raises(ParameterError, match="exceeds 65536"):
             expurgate_run(70000, 2, 10)
 
+    def test_refuses_draws_past_one_stream_call(self):
+        # the draw takes two words per symbol of its t x (n + ell) matrix
+        # from one getrandbits call: past MAX_WORDS it is refused before it
+        # is sized, as is everything up to MAX_N symbols and past it
+        n = 10**6
+        width = n + n // 2
+        t = MAX_WORDS // (2 * width)
+        ExpurgationParams(k=2, q=3, n=n, t=t, seed=0)
+        with pytest.raises(ParameterError, match=f"a draw of {t + 1} rows and {width} columns takes "
+                                                 f"{2 * (t + 1) * width} random words, over the {MAX_WORDS}"):
+            ExpurgationParams(k=2, q=3, n=n, t=t + 1, seed=0)
+        for n in (10**6, MAX_N, 10**30):
+            with pytest.raises(ParameterError, match=f"over the {MAX_WORDS} one stream yields"):
+                expurgate_run(3, 3, n)
+
     @pytest.mark.parametrize("call,message", [
         (lambda: ExpurgationParams(k=1, q=3, n=10, t=5, seed=0), "k=1 must be at least 2"),
         (lambda: ExpurgationParams(k=2, q=1, n=10, t=5, seed=0), "q=1 must be at least 2"),
@@ -341,14 +356,16 @@ class TestBuild:
         assert bound < params.ell + 1  # the feasibility margin itself
 
     def test_capacity_guard(self, monkeypatch):
-        # the bad-event scan of each draw is one call against the budget
+        # the bad-event scan of each draw is one call against the budget;
+        # each node of the cover search tests the 44 other columns of the
+        # 45-column draw, so the count passes the budget by at most 44
         monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 1000)
         with pytest.raises(CapacityError) as excinfo:
             expurgate_run(3, 2, 30, seed=0)
         match = re.search(r"bad-event check refused after (\d+) coalition checks, over the 1000 budget, "
                           r"at column (\d+), coalition prefix \(([\d, ]*)\)", str(excinfo.value))
         assert match, str(excinfo.value)
-        assert 1000 < int(match[1]) <= 1000 + 45
+        assert 1000 < int(match[1]) <= 1000 + 44
         column, prefix = int(match[2]), [int(x) for x in match[3].split(",") if x.strip()]
         assert len(prefix) < 2 and column not in prefix and all(0 <= j < 45 for j in [column, *prefix])
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fpcodes._util import substream
-from fpcodes.core import MAX_Q, CodeMatrix, ConstructionError, ParameterError
+from fpcodes.core import MAX_N, MAX_Q, CodeMatrix, ConstructionError, ParameterError
 import fpcodes.lll
 from fpcodes.lll import (
     ConstructionParams,
@@ -355,6 +355,18 @@ class TestBuild:
         ConstructionParams(**fields)
         with pytest.raises(ParameterError, match=message):
             ConstructionParams(**{**fields, field: value})
+
+    def test_refuses_codes_numpy_cannot_shape(self):
+        # t * n above MAX_N symbols is refused by the parameters, as the
+        # reader refuses it, before the draw sizes an array
+        fields = dict(k=2, q=3, w=3, lam=1, t=5, seed=0)
+        ConstructionParams(**fields, n=MAX_N // 5)
+        with pytest.raises(ParameterError, match="a code of 5 rows and"):
+            ConstructionParams(**fields, n=MAX_N // 5 + 1)
+        with pytest.raises(ParameterError, match=f"exceeds {MAX_N} symbols"):
+            build_strongly_selective(3, 3, 10**30, seed=0)
+        with pytest.raises(ParameterError, match=f"exceeds {MAX_N} symbols"):
+            build_frameproof(3, 3, 10**30, seed=0)
 
     def test_guard_arguments(self):
         with pytest.raises(ParameterError):

@@ -19,6 +19,7 @@ from fpcodes.core import (
     agreement_slabs,
     agreements_with,
     complement,
+    stack_rows,
 )
 from fpcodes.diagonal import build_diagonal
 from fpcodes.expurgate import draw_matrix, enumerate_bad_events, expurgation_params
@@ -157,9 +158,18 @@ def plant_mix(entries, c, a, b, seed):
 
 
 def kernel_covers(entries, c, j, selective, end=None):
-    """Every j-tuple of mask indices the cover kernel yields for column c."""
+    """Every j-tuple of mask indices (column i is mask i - (i > c)) the
+    cover kernel yields for column c alone, the first below end.  Given
+    end, the kernel is bounded by the column of mask end - 1, and all it
+    yields is in order and a cover."""
     work = fpcodes.verify._Work("test")
-    return list(fpcodes.verify._covers(entries, c, j, selective, work, end))
+    bound = None if end is None else end - 1 + (end - 1 >= c)
+    [(column, covers)] = fpcodes.verify._covers(entries, [c], j, selective, work, bound)
+    assert column == c
+    hits = [tuple(i - (i > c) for i in hit) for hit in covers]
+    if end is not None:
+        assert hits == sorted(hits) and set(hits) <= set(kernel_covers(entries, c, j, selective))
+    return [h for h in hits if end is None or not h or h[0] < end]
 
 
 def reference_kernel(entries, c, j, selective, end=None):
@@ -260,13 +270,15 @@ class TestCoverCut:
 
     def test_cut_before_the_column_is_charged(self):
         # column 5 is nonzero in all 4 rows; column 0 agrees with it in 3,
-        # columns 1 to 4 in the last row only.  Two members from mask 1 on
-        # cover at most 2 rows, so only mask 0 may lead: 5 masks, 1 root OR
-        # and 4 last-member ORs.  Column 5's own count, its weight, must
-        # not enter the caps, or no lead would be cut before it
+        # columns 1 to 4 in the last row only.  Of two members, one covers at
+        # least 2 rows, so only column 0 is heavy: the root and the node
+        # through column 0 each test the 5 other columns.  Column 5 itself,
+        # which covers every row, must not be a candidate, or it would lead
+        # a second node and join the covers
         e = np.array([[1, 0, 0, 0, 0, 1]] * 3 + [[0, 1, 1, 1, 1, 1]], dtype=np.uint16)
         work = fpcodes.verify._Work("test")
-        assert list(fpcodes.verify._covers(e, 5, 2, False, work)) == [(0, 1), (0, 2), (0, 3), (0, 4)]
+        [(column, covers)] = fpcodes.verify._covers(e, [5], 2, False, work)
+        assert (column, list(covers)) == (5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         assert work.done == 10
 
     @pytest.mark.parametrize("t", [63, 64, 65, 128, 129])
@@ -305,6 +317,95 @@ class TestCoverCut:
         drawn = draw_matrix(expurgation_params(q, k, n, 0))
         assert_kernel_matches_reference(drawn, range(drawn.shape[1]), (0, 1, 2))
         assert_kernel_matches_reference(drawn, deep, (3,) if k == 2 else (3, 4))
+
+
+@st.composite
+def cover_codes(draw):
+    """(entries, q): codes of 63, 64, 65 or 129 rows whose columns take each
+    row from one of three base columns, so that sets of them cover, with
+    some columns forced to zero and some repeating another."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    t = draw(st.sampled_from([63, 64, 65, 129]))
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, q, size=(t, 3))
+    mixed = base[np.arange(t)[:, None], rng.integers(0, 3, size=(t, n))]
+    noise = rng.random((t, n)) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    entries = np.where(noise, rng.integers(0, q, size=(t, n)), mixed).astype(np.uint16)
+    entries[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
+        entries[:, a] = entries[:, b]
+    return entries, q
+
+
+class TestPigeonhole:
+    """The pigeonhole kernel against `reference_covers`: each cover once,
+    in order, through members at exactly the bound ceil(|R| / j)."""
+
+    @given(cover_codes(), st.integers(1, 4), st.sampled_from([1, 3, fpcodes.core.AGREEMENT_BLOCK]), st.integers(-1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_in_both_modes(self, code, j, block, end):
+        # bounded by end, the kernel yields, in order, only covers, and
+        # every cover whose least member is at most end
+        entries, q = code
+        n = entries.shape[1]
+        j = min(j, n - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+            for selective in (False, True):
+                expect = {
+                    c: [tuple(i + (i >= c) for i in hit) for hit in reference_kernel(entries, c, j, selective)]
+                    for c in range(n)
+                }
+                for bound in (None, end):
+                    work = fpcodes.verify._Work("test")
+                    found = dict(fpcodes.verify._covers(entries, range(n), j, selective, work, bound))
+                    found = {c: list(covers) for c, covers in found.items()}
+                    if bound is None:
+                        assert found == expect
+                    for c, covers in found.items():
+                        assert covers == sorted(covers) and set(covers) <= set(expect[c])
+                        assert [x for x in covers if x[0] <= end] == [x for x in expect[c] if x[0] <= end]
+            assert_cut_matches_reference(q, entries, (j, j + 1))
+
+    @pytest.mark.parametrize("runs", [(3, 2), (2, 2), (3, 2, 2), (2, 2, 2)])
+    def test_member_at_the_bound(self, runs):
+        # column 0 is 1 in every row, member i is 1 on its own run of
+        # runs[i - 1] rows and 2 elsewhere, and the last column is all 2s.
+        # The j = len(runs) members cover column 0, and the first holds
+        # exactly ceil(t / j) of its rows: a member at the bound must be
+        # heavy, at the root and, for j = 3, at the node below it
+        j, t = len(runs), sum(runs)
+        e = np.full((t, j + 2), 2, dtype=np.uint16)
+        e[:, 0] = 1
+        for i, (lo, size) in enumerate(zip(np.cumsum((0,) + runs), runs), start=1):
+            e[lo : lo + size, i] = 1
+        assert runs[0] == -(-t // j)
+        for selective in (False, True):
+            assert kernel_covers(e, 0, j, selective) == [tuple(range(j))]
+        assert is_frameproof(CodeMatrix(3, e), j).witness == Witness(0, tuple(range(1, j + 1)))
+        assert_cut_matches_reference(3, e, (j, j + 1))
+
+    def test_cover_of_two_heavy_members_once(self):
+        # column 0 is 1 in 4 rows; columns 1 and 2 each agree with it on 3 of
+        # them and together on all 4, so both are heavy at the root.  The
+        # pair is found through column 1 only: the node through column 2 no
+        # longer allows column 1.  3 nodes test 3 candidates each
+        e = np.array([[1, 1, 2, 2], [1, 1, 1, 2], [1, 1, 1, 2], [1, 2, 1, 2]], dtype=np.uint16)
+        for selective in (False, True):
+            work = fpcodes.verify._Work("test")
+            [(column, covers)] = fpcodes.verify._covers(e, [0], 2, selective, work)
+            assert list(covers) == [(1, 2)]
+            assert work.done == 9
+        assert [event for event in enumerate_bad_events(e, 2) if event[0] == 0] == [(0, (1, 2))]
+
+    def test_families_at_width(self):
+        # every column of a one-row zero code covers every other: each node
+        # through one member leaves a family, whose completions come out
+        # lazily, so the first set of each column costs one batch
+        big = CodeMatrix(2, np.zeros((1, 1200), dtype=np.uint16))
+        assert is_frameproof(big, 2).witness == Witness(0, (1, 2))
+        assert is_strongly_selective(big, 3).witness == Witness(0, (0, 1, 2))
 
 
 def refusal(excinfo):
@@ -353,27 +454,31 @@ class TestFrameproof:
         assert report.witness == Witness(0, tuple(range(1, 61)))
 
     def test_capacity_guard(self, monkeypatch):
-        # fan(6), column 0: 5 masks, 4 root ORs, then 4 ORs after member 1
+        # fan(6), column 0: its root tests the 5 other columns, then one
+        # batch holds its nodes through members 1 to 5, 5 tests each
         monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 12)
         with pytest.raises(CapacityError) as excinfo:
             is_frameproof(fan(6), 2)
         assert "frameproof check refused" in str(excinfo.value)
-        assert refusal(excinfo) == (13, 12, 0, (1,))
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 8)
+        assert refusal(excinfo) == (15, 12, 0, (2,))
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 4)
         with pytest.raises(CapacityError) as excinfo:
             is_frameproof(fan(6), 2)
-        assert refusal(excinfo) == (9, 8, 0, ())
+        assert refusal(excinfo) == (5, 4, 0, ())
 
     def test_budget_counts_the_whole_call(self, monkeypatch):
-        # fan(6): column 0 costs 5 masks, 4 root ORs and 4 + 3 + 2 + 1
-        # last-member ORs; column 1 costs 5 masks, 4 root ORs and 4 ORs
-        # after member 0, which frame it with {0, 2}: 19 + 13 checks
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 32)
+        # fan(6) in blocks of 1, 2 and 3 columns, 5 checks a node.  Column
+        # 0 costs its root and its nodes through members 1 to 5, which find
+        # nothing (30 checks); the block of columns 1 and 2 costs their roots
+        # and a node each through member 0 (20).  Columns 2 to 5 alone cover
+        # column 1, so its root leaves a family, and the first completion,
+        # primed to merge with the cover {0, 2}, costs 1: 30 + 20 + 1
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 51)
         assert is_frameproof(fan(6), 2).witness == Witness(1, (0, 2))
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 31)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 50)
         with pytest.raises(CapacityError) as excinfo:
             is_frameproof(fan(6), 2)
-        assert refusal(excinfo) == (32, 31, 1, (0,))
+        assert refusal(excinfo) == (51, 50, 1, ())
 
     def test_no_rows(self):
         # t = 0: every coalition agrees with every column in all (no) rows
@@ -426,17 +531,18 @@ class TestStronglySelective:
         with pytest.raises(CapacityError) as excinfo:
             is_strongly_selective(fan(6), 3)
         assert "selectivity check refused" in str(excinfo.value)
-        assert refusal(excinfo) == (13, 12, 0, (1,))
-        # the whole call: 19 checks for column 0, 5 masks + 4 + 4 ORs for
-        # column 1, blocked by {0, 2}, then 5 masks + 1 + 4 ORs for each
-        # later column, whose scan stops at sets led by 0: 19 + 13 + 4 * 10
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 72)
+        assert refusal(excinfo) == (15, 12, 0, (2,))
+        # the whole call: column 0 costs 30 checks.  Every other column is
+        # blocked by any one other on its one nonzero row, so its root node
+        # (5 checks) leaves a family, whose first completion, 1 more, is its
+        # first cover: 30 + 5 * 6
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 60)
         report = is_strongly_selective(fan(6), 3)
         assert (report.witness.column, report.witness.coalition) == (1, (0, 1, 2))
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 71)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 59)
         with pytest.raises(CapacityError) as excinfo:
             is_strongly_selective(fan(6), 3)
-        assert refusal(excinfo) == (72, 71, 5, (0,))
+        assert refusal(excinfo) == (60, 59, 5, ())
 
     def test_kautz_singleton_at_961_columns(self):
         # the (1, 31) lambda code over GF(31) is strongly 31-selective, hence
@@ -445,6 +551,27 @@ class TestStronglySelective:
         assert code.n == 961
         assert is_strongly_selective(code, 31).passed
         assert is_frameproof(code, 30).passed
+
+    def test_later_blocks_search_below_the_known_failure(self, monkeypatch):
+        # an unexpurgated draw stacked over its complement fails at column
+        # 41 with the set (0, 24, 41, 44); once a block has found a failure,
+        # later blocks take only covers whose least member is at most the
+        # known set's, which gives the same witness for fewer checks
+        drawn = CodeMatrix(5, draw_matrix(expurgation_params(5, 3, 40, 0)))
+        stacked = stack_rows(drawn, complement(drawn))
+        calls, works = [], []
+        kernel, init = fpcodes.verify._covers, fpcodes.verify._Work.__init__
+
+        def spy(entries, cols, j, selective, work, end=None):
+            calls.append(end)
+            return kernel(entries, cols, j, selective, work, end if bounded else None)
+
+        monkeypatch.setattr(fpcodes.verify, "_covers", spy)
+        monkeypatch.setattr(fpcodes.verify._Work, "__init__", lambda self, what: (init(self, what), works.append(self))[0])
+        for bounded in (True, False):
+            assert is_strongly_selective(stacked, 4).witness == Witness(41, (0, 24, 41, 44))
+        assert calls[0] is None and any(end is not None for end in calls)
+        assert works[0].done < works[1].done
 
     @given(st.one_of(code_matrices(max_n=8), wide_codes()), st.integers(1, 8))
     @example(zero_last(6), 4)
@@ -461,59 +588,82 @@ class TestStronglySelective:
 
 
 class TestBlockGuard:
-    """A budget crossed inside a pair block: the refusal names the first
-    charge that crosses it, with the count, column and prefix of a
-    pair-at-a-time scan, and comes after the covers of the members before it, at any
+    """A budget crossed inside a batch of nodes: the refusal names the first
+    node whose charge crosses it, with the count, column and prefix, and
+    comes after the covers of the columns the search has left, at any
     block size.
 
-    fan(6) framed by 3.  Column 0 costs 5 masks and a root cut of 3, then
-    one block: prefix (1,) cuts 3 and its first members 2, 3, 4 range over
-    3, 2, 1; prefix (2,) cuts 2, ranges 2, 1; prefix (3,) cuts 1, ranges 1:
-    24 checks, no cover.  Column 1 costs 5 + 3, then prefix (0,) cuts 3
-    and first member 2 ranges over 3 covers, (0, 2, 3), (0, 2, 4) and
-    (0, 2, 5); members 3 and 4 range over 2 and 1.  Prefixes (2,), (3,)
-    and (4,) cover column 1 alone: their pairs all cover and cost nothing.
-    The expected counts are those of the pair-at-a-time kernel."""
+    fan(6) framed by 3, 5 checks a node.  Column 0 has its root and, as
+    every other column covers its row 0, a node through each of members 1
+    to 5, which find nothing: 30 checks.  Column 1 has its root and a node
+    through member 0; columns 2 to 5 cover it alone, so both leave a
+    family, whose first completions are primed, 1 check each, before its
+    first cover (0, 2, 3) is yielded.  Blocks double from one column up to
+    AGREEMENT_BLOCK^2 masks: with the default block, columns 1 and 2 share
+    one, and column 2's root and node are charged before column 1's covers
+    are yielded; at 2, a block holds one column of 6 masks.
+
+    The ids name each case by the budget, column, prefix and count it had
+    when the guard charged a pair-at-a-time scan."""
 
     @pytest.mark.parametrize("block", [1, 2, fpcodes.core.AGREEMENT_BLOCK])
     @pytest.mark.parametrize(
-        "budget,column,prefix,count",
+        "budget,expect",
         [
-            (8, 0, (1,), 11),  # the block's first charge, prefix (1,)'s cut
-            (15, 0, (1, 3), 16),  # in the middle of prefix (1,)'s members
-            (20, 0, (2, 3), 21),  # a later prefix's member
-            (37, 1, (0, 2), 38),  # a first member whose own pairs cover
+            # among column 0's nodes, in one batch or in several
+            (8, {1: (10, 0, (1,)), 2: (10, 0, (1,)), 128: (10, 0, (1,))}),
+            (15, {1: (20, 0, (3,)), 2: (20, 0, (3,)), 128: (20, 0, (3,))}),
+            (20, {1: (25, 0, (4,)), 2: (25, 0, (4,)), 128: (25, 0, (4,))}),
+            # column 1's node, or column 2's root in the same batch as 1's
+            (37, {1: (40, 1, (0,)), 2: (40, 1, (0,)), 128: (40, 2, ())}),
         ],
+        ids=["8-0-prefix0-11", "15-0-prefix1-16", "20-0-prefix2-21", "37-1-prefix3-38"],
     )
-    def test_refusal_inside_block(self, monkeypatch, block, budget, column, prefix, count):
+    def test_refusal_inside_block(self, monkeypatch, block, budget, expect):
         monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
         monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", budget)
         with pytest.raises(CapacityError) as excinfo:
             is_frameproof(fan(6), 3)
+        count, column, prefix = expect[block]
         assert refusal(excinfo) == (count, budget, column, prefix)
 
     @pytest.mark.parametrize("block", [1, 2, fpcodes.core.AGREEMENT_BLOCK])
     def test_cover_before_crossing_is_returned(self, monkeypatch, block):
-        # at 38 the witness's first member is paid for; the members after it
-        # in the same block (2 + 1 more) are never charged
+        # the witness is returned once column 1's nodes and its two primed
+        # completions are paid for, and column 2's with them if they share
+        # a block; columns 3 to 5 are never searched
         monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 38)
+        paid = 52 if block**2 >= 2 * 6 else 42  # columns 1 and 2 share a block
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", paid)
         assert is_frameproof(fan(6), 3).witness == Witness(1, (0, 2, 3))
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", paid - 1)
+        with pytest.raises(CapacityError) as excinfo:
+            is_frameproof(fan(6), 3)
+        assert refusal(excinfo) == (paid, paid - 1, 1, (0,))
 
     @pytest.mark.parametrize("block", [1, 2, fpcodes.core.AGREEMENT_BLOCK])
     def test_covers_yielded_up_to_the_crossing(self, monkeypatch, block):
-        # a caller that takes every cover gets those of the members before
-        # the crossing member, then the refusal; prefixes that cover alone
-        # add their pairs and nothing to the count
+        # a caller that takes every cover gets those yielded before the
+        # crossing, then the refusal.  Each completion is charged as the
+        # merge draws it, one ahead of the cover yielded: (0, 2, 3) to (0,
+        # 4, 5) come from the family of column 1's node through member 0,
+        # the rest from its root's.  Sharing a block with column 2 adds that
+        # column's 10 checks before column 1's covers; the last crossing is
+        # column 2's root, or the first completion of its family
         monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
         firsts = [(1, (0, 2, 3)), (1, (0, 2, 4)), (1, (0, 2, 5))]
         lasts = [(1, (0, 3, 4)), (1, (0, 3, 5)), (1, (0, 4, 5))]
         alone = [(1, (2, 3, 4)), (1, (2, 3, 5)), (1, (2, 4, 5)), (1, (3, 4, 5))]
-        for budget, events, expect in (
-            (39, firsts, (40, 1, (0, 3))),
-            (40, firsts + lasts[:2], (41, 1, (0, 4))),
-            (41, firsts + lasts + alone, (46, 2, ())),
-        ):
+        cases = [
+            (44, firsts, (45, 1, (0,))),
+            (47, firsts + lasts + alone[:1], (48, 1, ())),
+            (52, firsts + lasts + alone, (55, 2, ())),
+        ] if block**2 < 2 * 6 else [
+            (54, firsts, (55, 1, (0,))),
+            (57, firsts + lasts + alone[:1], (58, 1, ())),
+            (60, firsts + lasts + alone, (61, 2, ())),
+        ]
+        for budget, events, expect in cases:
             monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", budget)
             found = []
             with pytest.raises(CapacityError) as excinfo:
@@ -524,16 +674,15 @@ class TestBlockGuard:
             assert refusal(excinfo) == (count, budget, column, prefix)
 
     def test_blocks_of_covering_prefixes_cost_nothing(self, monkeypatch):
-        # blocking by 3 others: column 0 costs 24 as for framing.  Every
-        # mask of column 1 is its one nonzero row, so each first member
-        # blocks it alone and the column costs its 5 masks and root cut of 3
-        # only; columns 2 to 5, whose scan stops at sets led by 0 once
-        # column 1 has failed, cost 5 + 1 each: 24 + 8 + 4 * 6
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 55)
+        # blocking by 3 others: column 0 costs 30 as for framing.  Column
+        # 1's one nonzero row is covered by each other column alone, so its
+        # root leaves a family and no node below it is evaluated; the first
+        # completion costs 1, and so on for columns 2 to 5: 30 + 5 * 6
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 59)
         with pytest.raises(CapacityError) as excinfo:
             is_strongly_selective(fan(6), 4)
-        assert refusal(excinfo) == (56, 55, 5, ())
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 56)
+        assert refusal(excinfo) == (60, 59, 5, ())
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 60)
         assert is_strongly_selective(fan(6), 4).witness == Witness(1, (0, 1, 2, 3))
 
 
@@ -779,9 +928,9 @@ class TestBlockSettle:
         searched = []
         covers = fpcodes.verify._covers
 
-        def spy(entries, c, *args):
-            searched.append(c)
-            return covers(entries, c, *args)
+        def spy(entries, cols, *args):
+            searched.extend(cols)
+            return covers(entries, cols, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
