@@ -21,11 +21,11 @@ the report are stable strings used by the text serialization:
 
 The module also holds the formulas the builders derive their parameters
 from: the local-lemma chain (`derive_weight`, `derive_lambda`,
-`derive_length`) that `lll` runs, and the expurgation length with its
-survival probability (`p_qk`, `expurgation_length`, `corollary_length`)
-that `expurgate` draws at.  It is plain integer, float and rational
-arithmetic and imports no numpy, so a process that only evaluates bounds
-never loads it.
+`derive_length`) that `lll` runs, with `lll_threshold`, the criterion's
+one statement, and the expurgation length with its survival probability
+(`p_qk`, `expurgation_length`, `corollary_length`) that `expurgate`
+draws at.  It is plain integer, float and rational arithmetic and
+imports no numpy, so a process that only evaluates bounds never loads it.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ def derive_weight(k: int, n: int) -> int:
     return ceil_tol(weight)
 
 
-def derive_length(lam: int, w: int, n: int, q: int) -> int:
-    """Smallest row count for which the resampling criterion holds.
-
-    Returns max of 2w-(lam+1) and the ceiling of
+def lll_threshold(lam: float, w: int, n: int, q: int) -> float:
+    """Real t from which the resampling criterion e P (2n-4) <= 1 holds, P =
+    (e w (w - lam/2) / ((lam+1) (q-1) (t - lam/2)))^(lam+1) the paper's bound
+    on a pair's violation probability (lam may be real):
       lam/2 + (1/(q-1)) (e w/(lam+1)) (w - lam/2) (e(2n-4))^(1/(lam+1)).
     """
     if q < 2:
@@ -92,12 +92,16 @@ def derive_length(lam: int, w: int, n: int, q: int) -> int:
     check_float_n(n)
     if not 0 <= lam < w:
         raise ParameterError(f"need 0 <= lam < w, got lam={lam}, w={w}")
-    first = 2 * w - (lam + 1)
     root = (math.e * (2 * n - 4)) ** (1.0 / (lam + 1))
-    second = lam / 2 + (math.e * w / (lam + 1)) * (w - lam / 2) * root / (q - 1)
-    if not math.isfinite(second):
+    theta = lam / 2 + (math.e * w / (lam + 1)) * (w - lam / 2) * root / (q - 1)
+    if not math.isfinite(theta):
         raise ParameterError("length formula overflows for these parameters")
-    return max(first, ceil_tol(second))
+    return theta
+
+
+def derive_length(lam: int, w: int, n: int, q: int) -> int:
+    """Smallest row count of at least 2w-(lam+1) that `lll_threshold` admits."""
+    return max(2 * w - (lam + 1), ceil_tol(lll_threshold(lam, w, n, q)))
 
 
 def _p_fraction(q: int, k: int) -> Fraction:
@@ -143,8 +147,6 @@ def expurgation_length(q: int, k: int, n: int) -> int:
     count = (k + 1) * math.comb(n + ell, k)
     p = _p_fraction(q, k)
     base = 1 - p
-    if not 0 < base < 1:
-        raise ParameterError(f"degenerate survival probability for q={q}, k={k}")
     if p <= 0.5:
         rate = -math.log1p(-float(p))
     else:  # 1-p <= 1/2, scaled by 2^e into (1/2, 2) so that no q underflows it
@@ -196,22 +198,15 @@ def ss_theorem35(q: int, k: int, n: int) -> float:
     """Length of the weight-w selective construction at w = derive_weight(k, n).
 
     1 + max(2w - r, r/2 + (e w (k-1)/((q-1)(w-1))) (w - r/2 + 1/2) (e(2n-4))^((k-1)/(w-1)))
-    with r = (w-1)/(k-1).
+    with r = (w-1)/(k-1); the second term is lll_threshold(r - 1, w, n, q) + 1/2.
     """
     _check_triple(q, k, n)
     w = derive_weight(k, n)
     r = (w - 1) / (k - 1)
     try:
-        first = 2 * w - r
-        second = (
-            r / 2
-            + (math.e * w * (k - 1)) / ((q - 1) * (w - 1))
-            * (w - r / 2 + 0.5)
-            * (math.e * (2 * n - 4)) ** ((k - 1) / (w - 1))
-        )
+        return 1 + max(2 * w - r, lll_threshold(r - 1, w, n, q) + 0.5)
     except OverflowError:  # 2w past the float range
         raise ParameterError("ss_theorem35 overflows for these parameters") from None
-    return 1 + max(first, second)
 
 
 def _weight_optimized_length(q: int, r: int, n: int) -> float:

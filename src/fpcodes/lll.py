@@ -26,8 +26,8 @@ redrawn columns and re-adds those still violated, found in O(w n) by
 parameters the set holds a few dozen pairs at most, so memory stays O(t n).
 
 The parameter chain w, lam, t (`derive_weight`, `derive_lambda`,
-`derive_length`) is numpy-free arithmetic that lives in `bounds`, which
-reports the same lengths; it is imported here.
+`derive_length`) and the threshold on t it admits (`lll_threshold`) are
+numpy-free arithmetic that lives in `bounds`; they are imported here.
 
 Such a matrix is a strongly selective code for k when lam = floor((w-1)/(k-1)):
 in any k columns, some member has more nonzero rows than its k-1 partners
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import substream
-from .bounds import derive_lambda, derive_length, derive_weight
+from ._util import ceil_tol, substream
+from .bounds import derive_lambda, derive_length, derive_weight, lll_threshold
 from .core import (
     CodeMatrix,
     ConstructionError,
@@ -124,27 +124,17 @@ def derived_params(k: int, q: int, n: int, seed: int) -> ConstructionParams:
     return ConstructionParams(k=k, q=q, n=n, w=w, lam=lam, t=t, seed=seed)
 
 
-def _log_violation_probability(params: ConstructionParams) -> float:
-    # log space: the (lam+1)-th powers overflow doubles for large lam
-    lam, w, t, q = params.lam, params.w, params.t, params.q
-    return (lam + 1) * (
-        math.log(math.e * w / (lam + 1))
-        - math.log(q - 1)
-        + math.log((w - lam / 2) / (t - lam / 2))
-    )
-
-
 def lll_satisfiability_check(params: ConstructionParams) -> bool:
-    """True when e * P * D <= 1 for P the pair violation bound and D = 2n-4.
+    """True when e * P * D <= 1 for P the pair violation bound and D = 2n-4:
+    when t reaches the ceiling of `lll_threshold`, as `derive_length`'s t does.
 
     D <= 0 (n <= 2) means the dependency graph is empty and any positive
     success probability suffices, and with lam >= w no pair can be
     violated; either way the check passes vacuously.
     """
-    d = 2 * params.n - 4
-    if d <= 0 or params.lam >= params.w:
+    if params.n <= 2 or params.lam >= params.w:
         return True
-    return 1 + _log_violation_probability(params) + math.log(d) <= 0
+    return params.t >= ceil_tol(lll_threshold(params.lam, params.w, params.n, params.q))
 
 
 def resample_budget(n: int) -> int:

@@ -6,14 +6,14 @@ Strongly selective, for size k: for every k-set G and every c in G there
 is a row where c is nonzero and the other members all differ from it.
 
 Both are one cover condition.  Pack, for column c, the rows where column
-h agrees with c into a mask (for selectivity, only c's nonzero rows), 64
-rows to a uint64 word; G frames c, or blocks it, exactly when the OR of
-its members' masks covers every row that counts.  One kernel, `_covers`,
-enumerates the covering coalitions for all the oracles and for the
-expurgation's bad events.  It is a pigeonhole search: of j members that
-cover R rows one covers at least ceil(R / j) of them, so only such heavy
-members are tried, and each cover is found once, through its least heavy
-member.  At the root that test needs no mask: a column that no j others
+h agrees with c into a mask, 64 rows to a uint64 word; G frames c exactly
+when the OR of its members' masks covers every row, and blocks it when it
+covers S, c's nonzero rows: selectivity is framing on S.  One kernel,
+`_covers`, enumerates the covering coalitions for all the oracles and for
+the expurgation's bad events.  It is a pigeonhole search: of j members
+that cover R rows one covers at least ceil(R / j) of them, so only such
+heavy members are tried, and each cover is found once, through its least
+heavy member.  At the root that test needs no mask: a column that no j others
 can cover is settled by its largest agreement with another column, read
 off the upper-triangle slabs of the one-hot B^T B (`core.agreement_slabs`),
 and never reaches the kernel; in a lambda code with j lambda < w that is
@@ -189,7 +189,7 @@ def _completions(prefix: tuple, allowed, heavy, ends, size: int, work: _Work, co
 def _in_order(parts: list):
     """The covers of a column, arrays of sorted rows, as tuples in
     lexicographic order, converted a slice at a time as they are taken."""
-    rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    rows = np.concatenate(parts)
     rows = rows[np.lexsort(rows.T[::-1])]
     for lo in range(0, len(rows), 64):
         yield from map(tuple, rows[lo : lo + 64].tolist())
@@ -200,19 +200,19 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
     `cols`, ascending, covers iterating over the j-sets of other columns
     that cover c, as sorted tuples, in lexicographic order.
 
-    Column h covers c in the rows where it equals c (symbol 0 included), or
-    with `selective` where it holds c's nonzero symbol; need is every row
-    to frame c, S, c's nonzero rows, to block it.  The masks are one
-    (words, columns, n) uint64 array.  A node holds its column, members,
-    the rows R of need they leave and the columns it allows; its children
-    are its allowed heavy members, by the rule that admits fewer: those
-    covering at least ceil(|R| / left) rows of R or, to frame c, of R & S,
-    or at a root, given `end`, the columns up to it (then only the covers
-    with such a least member are found).  A child no longer allows its
-    parent's heavy members up to its own, so a cover is found through its
-    least heavy member only.  The last member covers R alone, an equality
-    test; a child whose R is empty leaves a family, which `_completions`
-    emits lazily.
+    Column h covers c in the rows where it equals c (symbol 0 included);
+    need is every row to frame c, S, c's nonzero rows, to block it.  The
+    masks are one (words, columns, n) uint64 array; a node's rows R lie
+    within need, so none needs S masked in.  A node holds its column,
+    members, the rows R of need they leave and the columns it allows; its
+    children are its allowed heavy members, by the rule that admits fewer:
+    those covering at least ceil(|R| / left) rows of R or, to frame c, of
+    R & S, or at a root, given `end`, the columns up to it (then only the
+    covers with such a least member are found).  A child no longer allows
+    its parent's heavy members up to its own, so a cover is found through
+    its least heavy member only.  The last member covers R alone, an
+    equality test; a child whose R is empty leaves a family, which
+    `_completions` emits lazily.
 
     Nodes are evaluated AGREEMENT_BLOCK at a time, one masked AND and
     popcount over (nodes x n), and a batch's children depth first before
@@ -224,13 +224,11 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
     cs = np.asarray(cols, dtype=np.int64)
     block = core.AGREEMENT_BLOCK
     # a bool row per column, then one for S, padded to whole 64-bit words;
-    # column c's own row is need, as c equals itself in every row
+    # column c's own row is every row, as c equals itself
     bits = np.zeros((cs.size, n + 1, 64 * max(1, -(-t // 64))), dtype=bool)
     ref = entries[:, cs].T
     np.equal(entries.T, ref[:, None], out=bits[:, :n, :t])
     bits[:, n, :t] = ref != 0
-    if selective:
-        bits[:, :n] &= bits[:, n:]
     words = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64).transpose(2, 0, 1).copy()
     del bits
     masks, support = words[:, :, :n], words[:, :, n]
@@ -241,7 +239,7 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
     # members, its uncovered rows and the columns it allows
     col = np.arange(cs.size)
     chosen = np.zeros((cs.size, 0), dtype=np.int64)
-    resid = masks[:, col, cs]
+    resid = support if selective else masks[:, col, cs]
     allowed = index != cs[:, None]
     live = resid.any(axis=0)
     if not (j and live.all()):
@@ -287,11 +285,8 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
                     x, qx = x[keep], qx[keep]
                     rows = np.sort(np.concatenate((chosen[qx], hq[x, None], g[keep, None]), axis=1), axis=1)
                     owner = col[qx]
-                    if owner.size and owner[0] == owner[-1]:  # one column's, as in a block of one
-                        found[owner[0]].append(rows)
-                    else:
-                        for b in np.flatnonzero(np.bincount(owner)).tolist():  # np.unique loads numpy.ma
-                            found[b].append(rows[owner == b])
+                    for b in np.flatnonzero(np.bincount(owner)).tolist():  # np.unique loads numpy.ma
+                        found[b].append(rows[owner == b])
         # the next batch: the first children left of the deepest batch
         while stack and (at := next(stack[-1][7], None)) is None:
             stack.pop()
@@ -307,7 +302,7 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
             c = int(cs[b])
             runs = [_in_order(found[b])] if found[b] else []
             runs += [_completions(*f, work, c) for f in families[b]]
-            yield c, heapq.merge(*runs) if len(runs) > 1 else iter(runs[0] if runs else ())
+            yield c, heapq.merge(*runs)
             found[b] = families[b] = None
         emitted = upto
         if not stack:

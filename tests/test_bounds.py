@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fpcodes._util import ceil_tol
 from fpcodes.bounds import (
@@ -130,6 +132,12 @@ class TestHighPrecisionAgreement:
         for q, k, n in self.GRID:
             w = derive_weight(k, n)
             assert ss_theorem35(q, k, n) == pytest.approx(float(mp_ss35(q, k, n, w)), rel=1e-12)
+
+    @given(st.integers(2, 65536), st.integers(2, 100), st.integers(1, 10**12))
+    def test_ss35_random(self, q, k, above):
+        n = k + above
+        w = derive_weight(k, n)
+        assert ss_theorem35(q, k, n) == pytest.approx(float(mp_ss35(q, k, n, w)), rel=1e-12)
 
     def test_debonis_order(self):
         assert ss_debonis_order(2, 2, 100) == pytest.approx(4 * math.log(50), rel=1e-12)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fpcodes.bounds
 import fpcodes.lll
 import fpcodes.verify
 from fpcodes.cli import main
@@ -390,6 +391,16 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
         assert code == 3
         assert "bench cell q=3 k=2 n=10 seed=1 failed verification" in err
+
+    def test_below_lower_bound_exits_3(self, capsys, monkeypatch):
+        # a verified cell whose t falls below the frameproof lower bound is a
+        # construction failure; no real cell does, so the bound is raised
+        monkeypatch.setattr(fpcodes.bounds, "fp_bounds_theorem310", lambda q, k, n: (n, 10**6))
+        code, out, err = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
+        assert code == 3
+        assert out == "q k n t fp_theorem38 expurgation_43 fp_upper_diag fp_lower_shann\n"
+        assert "bench cell q=3 k=2 n=10: constructed t=" in err
+        assert "below lower bound 1000000" in err
 
     def test_empty_grid_term_skipped(self, capsys):
         expected = run(capsys, "bench", "--grid", "q=3;k=2;n=20")

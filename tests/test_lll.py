@@ -4,17 +4,17 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fpcodes._util import substream
+from fpcodes.bounds import lll_threshold
 from fpcodes.core import MAX_N, MAX_Q, CodeMatrix, ConstructionError, ParameterError
 import fpcodes.lll
 from fpcodes.lll import (
     ConstructionParams,
     ResampleLog,
     _draw_columns,
-    _log_violation_probability,
     _word_budget,
     build_frameproof,
     build_lambda_matrix,
@@ -185,6 +185,33 @@ class TestSatisfiability:
                         below = ConstructionParams(k=k, q=q, n=n, w=p.w, lam=p.lam, t=p.t - 1, seed=0)
                         assert not lll_satisfiability_check(below), (k, q, n)
 
+    @given(st.integers(1, 400), st.data(), st.integers(3, 10**13), st.integers(2, MAX_Q))
+    def test_derived_length_is_first_admissible(self, w, data, n, q):
+        # the grid test above at random points, lam < w <= 400
+        lam = data.draw(st.integers(0, w - 1))
+        t = derive_length(lam, w, n, q)
+        assume(t * n <= MAX_N)
+        assert lll_satisfiability_check(ConstructionParams(k=2, q=q, n=n, w=w, lam=lam, t=t, seed=0))
+        if t - 1 >= max(w, 2 * w - (lam + 1)):
+            below = ConstructionParams(k=2, q=q, n=n, w=w, lam=lam, t=t - 1, seed=0)
+            assert not lll_satisfiability_check(below)
+
+    @given(st.integers(1, 400), st.data(), st.integers(3, 10**6), st.integers(2, MAX_Q))
+    def test_admission_is_the_criterion_at_the_threshold(self, w, data, n, q):
+        # at each t next to the threshold, admission is e P (2n-4) <= 1 for
+        # P the pair violation bound, evaluated directly in mpmath.  Where the
+        # threshold lies within 1e-9 of an integer (relative past 1, the float
+        # formula's own error) the tolerant ceiling decides, so it is skipped
+        lam = data.draw(st.integers(0, w - 1))
+        theta = lll_threshold(lam, w, n, q)
+        assume(abs(theta - round(theta)) > 1e-9 * max(1.0, theta))
+        for t in {math.floor(theta), math.ceil(theta), math.ceil(theta) - 1, math.ceil(theta) + 1}:
+            if w <= t and t * n <= MAX_N:
+                half = mp.mpf(lam) / 2
+                p_hat = (mp.e * w * (w - half) / ((lam + 1) * (q - 1) * (t - half))) ** (lam + 1)
+                p = ConstructionParams(k=2, q=q, n=n, w=w, lam=lam, t=t, seed=0)
+                assert (mp.e * p_hat * (2 * n - 4) <= 1) == lll_satisfiability_check(p), t
+
     def test_vacuous_for_tiny_n(self):
         p = ConstructionParams(k=2, q=2, n=2, w=3, lam=0, t=3, seed=0)
         assert lll_satisfiability_check(p)
@@ -201,7 +228,6 @@ class TestSatisfiability:
             * (math.e * p.w / (p.lam + 1)) ** (p.lam + 1)
             * ((p.w - p.lam / 2) / (p.t - p.lam / 2)) ** (p.lam + 1)
         )
-        assert math.exp(_log_violation_probability(p)) == pytest.approx(direct, rel=1e-12)
         assert (math.e * direct * (2 * p.n - 4) <= 1) == lll_satisfiability_check(p)
 
 

@@ -195,8 +195,9 @@ def assert_kernel_matches_reference(entries, columns, js, ends=(None,)):
 
 
 class TestCoverCut:
-    """The popcount cut skips only prefixes that cannot cover: every output
-    is that of the uncut kernel, kept here as `reference_covers`."""
+    """The pigeonhole search skips only members that cannot lead a cover:
+    every output is that of the exhaustive kernel, kept here as
+    `reference_covers`."""
 
     @pytest.mark.parametrize("k,q,n,seed", [(3, 3, 30, 0), (4, 3, 20, 1), (2, 3, 12, 2)])
     def test_lambda_codes_with_planted_failures(self, k, q, n, seed):
@@ -254,10 +255,10 @@ class TestCoverCut:
 
     def test_tight_bound_still_covers(self):
         # column 0 has 4 nonzero rows; columns 1 and 2 each agree with it on
-        # 2 of them, disjoint, and column 3 on none: at the root the missing
-        # rows equal j * suffixmax = 2 * 2 and {1, 2} covers, for framing
-        # (k = 2) and blocking (k = 3) alike.  A cut taken at equality
-        # (>= for >) loses these sets.
+        # 2 of them, disjoint, and column 3 on none: at the root each of 1
+        # and 2 covers exactly ceil(4 / 2) rows, so is heavy, and {1, 2}
+        # covers, for framing (k = 2) and blocking (k = 3) alike.  A heavy
+        # test taken strictly (> for >=) loses these sets.
         e = np.array([[1, 1, 2, 0], [1, 1, 2, 0], [1, 2, 1, 0], [1, 2, 1, 0]], dtype=np.uint16)
         full = (1 << 4) - 1
         masks = reference_masks(e[:, 1:] == e[:, :1])
@@ -446,8 +447,9 @@ class TestFrameproof:
             is_frameproof(m, 4)
 
     def test_all_zero_wide_fails_at_once(self):
-        # C(119, 60) coalitions per column: the first prefix covers, so the
-        # first set is the witness after 119 + 60 checks
+        # C(119, 60) coalitions per column: the root leaves no row to cover,
+        # so its 119 checks leave a family whose first completion, 1 more
+        # check, is the witness: 119 + 1 checks
         big = CodeMatrix(2, np.zeros((1, 120), dtype=np.uint16))
         report = is_frameproof(big, 60)
         assert not report.passed
