@@ -1,7 +1,7 @@
 """Shared helpers that need no numpy: the package's exception classes, the
-tolerant ceiling, the float range of q and n, and reproducible RNG
-substreams.  The length formulas in `bounds` import only this module, so
-they load without numpy."""
+tolerant ceiling, the one statement of each input rule the modules share
+(q >= 2, k >= 2, and the formulas' float and exact ranges), and
+reproducible RNG substreams.  `bounds` imports only this module."""
 
 import hashlib
 import math
@@ -45,6 +45,18 @@ def ceil_tol(x: float) -> int:
     if not math.isfinite(x):
         raise OverflowError(f"cannot take ceiling of {x!r}")
     return math.ceil(x - CEIL_TOL)
+
+
+def check_q(q: int) -> None:
+    """Refuse an alphabet of fewer than two symbols."""
+    if q < 2:
+        raise ParameterError(f"q={q} must be at least 2")
+
+
+def check_k(k: int) -> None:
+    """Refuse a coalition or selectivity size below 2."""
+    if k < 2:
+        raise ParameterError(f"k={k} must be at least 2")
 
 
 def check_float_q(q: int) -> None:

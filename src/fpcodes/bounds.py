@@ -20,21 +20,26 @@ the report are stable strings used by the text serialization:
   compare_46         expurgation beats shangguan_42 here (bool, q <= k)
 
 The module also holds the formulas the builders derive their parameters
-from: the local-lemma chain (`derive_weight`, `derive_lambda`,
+from: the local-lemma chain `lll_chain` (`derive_weight`, `derive_lambda`,
 `derive_length`) that `lll` runs, with `lll_threshold`, the criterion's
 one statement, and the expurgation length with its survival probability
 (`p_qk`, `expurgation_length`, `corollary_length`) that `expurgate`
 draws at.  It is plain integer, float and rational arithmetic and
 imports no numpy, so a process that only evaluates bounds never loads it.
+The shared input rules are `_util`'s checks; a formula states only its
+own regime.  Each formula with float arithmetic of its own carries the
+one overflow refusal, `_guarded`, and the formulas that combine others
+pass their refusals on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-from ._util import ParameterError, ceil_tol, check_exact_k, check_float_n, check_float_q
+from ._util import ParameterError, ceil_tol, check_exact_k, check_float_n, check_float_q, check_k, check_q
 
 DIAG_LOWER_COEFF = (15 + math.sqrt(33)) / 24  # ~0.86436
 # relative error allowed for the float length in `expurgation_length`: 3x its 10 * 2^-53 bound
@@ -45,11 +50,26 @@ class ApplicabilityError(ParameterError):
     """A bound was evaluated outside its stated regime."""
 
 
+def _guarded(fn):
+    """fn refusing a float overflow inside it, or a non-finite float result,
+    with ParameterError("<fn's name> overflows for these parameters")."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+        except OverflowError:
+            value = math.inf  # refused below, as a non-finite result
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{fn.__name__} overflows for these parameters")
+        return value
+
+    return guarded
+
+
 def _check_triple(q: int, k: int, n: int):
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
+    check_q(q)
+    check_k(k)
     if n <= k:
         raise ParameterError(f"need n > k, got n={n}, k={k}")
     check_float_q(q)
@@ -58,34 +78,30 @@ def _check_triple(q: int, k: int, n: int):
 
 def derive_lambda(w: int, k: int) -> int:
     """Largest agreement bound that still forces selectivity: floor((w-1)/(k-1))."""
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
+    check_k(k)
     if w < 1:
         raise ParameterError(f"w={w} must be positive")
     return (w - 1) // (k - 1)
 
 
+@_guarded
 def derive_weight(k: int, n: int) -> int:
     """Column weight ceil(1 + (k-1) ln(2 e n)) used by the standard chain."""
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
+    check_k(k)
     if n <= k:
         raise ParameterError(f"need n > k, got n={n}, k={k}")
     check_float_n(n)
-    weight = 1 + (k - 1) * math.log(2 * math.e * n)
-    if not math.isfinite(weight):
-        raise ParameterError("derive_weight overflows for these parameters")
-    return ceil_tol(weight)
+    return ceil_tol(1 + (k - 1) * math.log(2 * math.e * n))
 
 
+@_guarded
 def lll_threshold(lam: float, w: int, n: int, q: int) -> float:
     """Real t from which the resampling criterion e P (2n-4) <= 1 holds, P =
     (e w (w - lam/2) / ((lam+1) (q-1) (t - lam/2)))^(lam+1) the paper's bound
     on a pair's violation probability (lam may be real):
       lam/2 + (1/(q-1)) (e w/(lam+1)) (w - lam/2) (e(2n-4))^(1/(lam+1)).
     """
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
+    check_q(q)
     check_float_q(q)
     if n < 3:
         raise ParameterError(f"n={n} must be at least 3")
@@ -93,10 +109,7 @@ def lll_threshold(lam: float, w: int, n: int, q: int) -> float:
     if not 0 <= lam < w:
         raise ParameterError(f"need 0 <= lam < w, got lam={lam}, w={w}")
     root = (math.e * (2 * n - 4)) ** (1.0 / (lam + 1))
-    theta = lam / 2 + (math.e * w / (lam + 1)) * (w - lam / 2) * root / (q - 1)
-    if not math.isfinite(theta):
-        raise ParameterError("length formula overflows for these parameters")
-    return theta
+    return lam / 2 + (math.e * w / (lam + 1)) * (w - lam / 2) * root / (q - 1)
 
 
 def derive_length(lam: int, w: int, n: int, q: int) -> int:
@@ -104,13 +117,26 @@ def derive_length(lam: int, w: int, n: int, q: int) -> int:
     return max(2 * w - (lam + 1), ceil_tol(lll_threshold(lam, w, n, q)))
 
 
+def lll_chain(q: int, k: int, n: int) -> tuple[int, int, int]:
+    """The local-lemma chain (w, lam, t) for target k: w = derive_weight(k, n),
+    lam = derive_lambda(w, k), t = derive_length(lam, w, n, q)."""
+    w = derive_weight(k, n)
+    lam = derive_lambda(w, k)
+    return w, lam, derive_length(lam, w, n, q)
+
+
 def _p_fraction(q: int, k: int) -> Fraction:
+    """`p_qk` as an exact rational, with the input rules it takes."""
+    check_exact_k(k)
+    check_k(k)
+    check_q(q)
     if q > k:
         return (Fraction(q - 1, q)) ** k
     a = Fraction(q - 1, k + 1)  # total nonzero mass
     return (1 - a) * a**k + a * (1 - Fraction(1, k + 1)) ** k
 
 
+@_guarded
 def p_qk(q: int, k: int) -> float:
     """Per-row probability that a fixed column separates from k fixed others.
 
@@ -119,14 +145,10 @@ def p_qk(q: int, k: int) -> float:
       (1 - (q-1)/(k+1)) ((q-1)/(k+1))^k + ((q-1)/(k+1)) (1 - 1/(k+1))^k,
     evaluated exactly in rationals before conversion to float.
     """
-    check_exact_k(k)
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
     return float(_p_fraction(q, k))
 
 
+@_guarded
 def expurgation_length(q: int, k: int, n: int) -> int:
     """Smallest t with (k+1) C(n+ell, k) (1-p)^t <= 1, ell = floor(n/k).
 
@@ -136,16 +158,10 @@ def expurgation_length(q: int, k: int, n: int) -> int:
     integer lies within LENGTH_REL_ERR x of it the ceiling is exact; else
     the exact rational test picks t among the candidates in that range.
     """
-    check_exact_k(k)
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
+    p = _p_fraction(q, k)
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
-    ell = n // k
-    count = (k + 1) * math.comb(n + ell, k)
-    p = _p_fraction(q, k)
+    count = (k + 1) * math.comb(n + n // k, k)
     base = 1 - p
     if p <= 0.5:
         rate = -math.log1p(-float(p))
@@ -160,6 +176,7 @@ def expurgation_length(q: int, k: int, n: int) -> int:
     return t
 
 
+@_guarded
 def corollary_length(q: int, k: int, n: int) -> float:
     """Closed-form length estimate ln(n^k (k+1)/k! * ((k+1)/k)^k) / -ln(1-p).
 
@@ -174,26 +191,23 @@ def corollary_length(q: int, k: int, n: int) -> float:
     return log_count / -math.log1p(-p)
 
 
+@_guarded
 def ss_debonis_order(q: int, k: int, n: int) -> float:
     """Reference value k^2/v * ln(n/k) with v = min(k, q-1).
 
     Order-level only (no constant is known); never used in comparisons.
     """
     _check_triple(q, k, n)
-    v = min(k, q - 1)
-    try:
-        return k * k / v * math.log(n / k)
-    except OverflowError:
-        raise ParameterError("ss_debonis_order overflows for these parameters") from None
+    return k * k / min(k, q - 1) * math.log(n / k)
 
 
 def lll_lambda_length(q: int, k: int, n: int) -> int:
     """Integer length of the resampling construction for target k."""
     _check_triple(q, k, n)
-    w = derive_weight(k, n)
-    return derive_length(derive_lambda(w, k), w, n, q)
+    return lll_chain(q, k, n)[2]
 
 
+@_guarded
 def ss_theorem35(q: int, k: int, n: int) -> float:
     """Length of the weight-w selective construction at w = derive_weight(k, n).
 
@@ -203,27 +217,18 @@ def ss_theorem35(q: int, k: int, n: int) -> float:
     _check_triple(q, k, n)
     w = derive_weight(k, n)
     r = (w - 1) / (k - 1)
-    try:
-        return 1 + max(2 * w - r, lll_threshold(r - 1, w, n, q) + 0.5)
-    except OverflowError:  # 2w past the float range
-        raise ParameterError("ss_theorem35 overflows for these parameters") from None
+    return 1 + max(2 * w - r, lll_threshold(r - 1, w, n, q) + 0.5)
 
 
 def _weight_optimized_length(q: int, r: int, n: int) -> float:
     """Corollary 3.7's length with r = k-1; Theorem 3.8 is the same at r = k."""
     log2en = math.log(2 * math.e * n)
     first = 2 * r * log2en - math.log(n)
-    try:
-        second = (
-            math.log(n) / 2
-            + math.e**2 * r**2 / (q - 1) * log2en
-            + 7 * math.e**2 * r / (2 * (q - 1))
-        )
-    except OverflowError:  # r^2 past the float range
-        raise ParameterError("weight-optimized length overflows for these parameters") from None
+    second = math.log(n) / 2 + math.e**2 * r**2 / (q - 1) * log2en + 7 * math.e**2 * r / (2 * (q - 1))
     return max(first, second)
 
 
+@_guarded
 def ss_corollary37(q: int, k: int, n: int) -> float:
     """Weight-optimized selective length, additive constant dropped.
 
@@ -233,6 +238,7 @@ def ss_corollary37(q: int, k: int, n: int) -> float:
     return _weight_optimized_length(q, k - 1, n)
 
 
+@_guarded
 def fp_theorem38(q: int, k: int, n: int) -> float:
     """Frameproof length via the selective construction, constant dropped.
 
@@ -242,48 +248,44 @@ def fp_theorem38(q: int, k: int, n: int) -> float:
     return _weight_optimized_length(q, k, n)
 
 
+@_guarded
 def fp_bounds_theorem310(q: int, k: int, n: int) -> tuple[int, int]:
     """(upper, lower) pair: ceil(n/(q-1)) and ceil(min(n, 0.86436 k^2)/q)."""
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
+    check_q(q)
     if k < 1 or n < 1:
         raise ParameterError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
     check_float_q(q)
-    upper = -(-n // (q - 1))
-    lower = ceil_tol(min(n, DIAG_LOWER_COEFF * k * k) / q)
-    return upper, lower
+    return -(-n // (q - 1)), ceil_tol(min(n, DIAG_LOWER_COEFF * k * k) / q)
 
 
+@_guarded
 def stinson_41(q: int, k: int, n: int) -> float:
     """Classical bound -k ln(n k!/(k!-1)) / ln(1 - (1-1/q)^k).
 
     ln(k!/(k!-1)) is computed as -log1p(-1/k!) with 1/k! = exp(-lgamma(k+1)),
     which underflows to 0 for k around 170 and beyond; the term then
     contributes 0, the correct limit.  ((q-1)/q)^k underflows too at large
-    k, and then the bound is not representable: that is a ParameterError.
+    k, and then the bound is not representable: the guard refuses it.
     """
-    if q < 2 or k < 2 or n < 2:
-        raise ParameterError(f"need q >= 2, k >= 2, n >= 2, got q={q}, k={k}, n={n}")
+    check_q(q)
+    check_k(k)
+    if n < 2:
+        raise ParameterError(f"n={n} must be at least 2")
     check_float_q(q)
-    try:
-        inv_fact = math.exp(-math.lgamma(k + 1))
-    except OverflowError:  # ln k! past the float range
-        raise ParameterError("stinson_41 overflows for these parameters") from None
+    inv_fact = math.exp(-math.lgamma(k + 1))
     tail = -math.log1p(-inv_fact) if inv_fact > 0 else 0.0
     numerator = -k * (math.log(n) + tail)
     denominator = math.log1p(-((q - 1) / q) ** k)
-    value = numerator / denominator if denominator else math.inf
-    if not math.isfinite(value):
-        raise ParameterError("stinson_41 overflows for these parameters")
-    return value
+    return numerator / denominator if denominator else math.inf
 
 
+@_guarded
 def shangguan_42(q: int, k: int, n: int) -> float:
     """Biased-draw bound (-k ln n - (k+1) ln 2) / ln(1 - p_qk); regime q <= k."""
-    if k < 2 or n < 2:
-        raise ParameterError(f"need k >= 2 and n >= 2, got k={k}, n={n}")
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
+    check_q(q)
+    check_k(k)
+    if n < 2:
+        raise ParameterError(f"n={n} must be at least 2")
     if q > k:
         raise ApplicabilityError(f"stated only for q <= k, got q={q}, k={k}")
     numerator = -k * math.log(n) - (k + 1) * math.log(2)
@@ -307,28 +309,29 @@ def compare_46(q: int, k: int, n: int) -> bool:
     return corollary_length(q, k, n) < shangguan_42(q, k, n)
 
 
+@_guarded
 def core_inequality_45(k: int) -> bool:
     """Exact check of ((k+1)/k)^k (k+1)/k! < (k!/(k!-1))^k."""
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
+    check_k(k)
     f = math.factorial(k)
     lhs = Fraction(k + 1, k) ** k * Fraction(k + 1, f)
     rhs = Fraction(f, f - 1) ** k
     return lhs < rhs
 
 
+@_guarded
 def core_inequality_46(k: int) -> bool:
     """Exact check of ((k+1)/k)^k (k+1)/k! < 2^(k+1)."""
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
-    lhs = Fraction(k + 1, k) ** k * Fraction(k + 1, math.factorial(k))
+    check_k(k)
+    # k! first: past 2^63 it overflows at once, where the power would run without end
+    lhs = Fraction(k + 1, math.factorial(k)) * Fraction(k + 1, k) ** k
     return lhs < 2 ** (k + 1)
 
 
+@_guarded
 def relaxed_inequality_45(k: int) -> bool:
     """Check of (e/k)^k (k+1) < 1 in log space; first true at k = 5."""
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
+    check_k(k)
     return k * (1 - math.log(k)) + math.log(k + 1) < 0
 
 
@@ -360,29 +363,21 @@ class BoundReport(namedtuple("BoundReport", "q k n entries flags")):
             elif isinstance(value, int):
                 lines.append(f"{key} {value}")
             else:
-                if ceil_reals:
-                    lines.append(f"{key} {ceil_tol(value)}")
-                else:
-                    lines.append(f"{key} {value:.6g}")
+                lines.append(f"{key} {ceil_tol(value) if ceil_reals else format(value, '.6g')}")
         return "\n".join(lines) + "\n"
 
 
 def bound_report(q: int, k: int, n: int) -> BoundReport:
     """Evaluate every bound at (q, k, n), flagging inapplicable regimes."""
     entries: dict = {}
-    flags: dict = {}
+    flags = {"ss_debonis_order": "order-level", "ss_corollary37": "constant-free", "fp_theorem38": "constant-free"}
 
     entries["ss_debonis_order"] = ss_debonis_order(q, k, n)
-    flags["ss_debonis_order"] = "order-level"
     entries["lll_lambda_length"] = lll_lambda_length(q, k, n)
     entries["ss_theorem35"] = ss_theorem35(q, k, n)
     entries["ss_corollary37"] = ss_corollary37(q, k, n)
-    flags["ss_corollary37"] = "constant-free"
     entries["fp_theorem38"] = fp_theorem38(q, k, n)
-    flags["fp_theorem38"] = "constant-free"
-    upper, lower = fp_bounds_theorem310(q, k, n)
-    entries["fp_upper_diag"] = upper
-    entries["fp_lower_shann"] = lower
+    entries["fp_upper_diag"], entries["fp_lower_shann"] = fp_bounds_theorem310(q, k, n)
     entries["stinson_41"] = stinson_41(q, k, n)
     entries["expurgation_43"] = expurgation_length(q, k, n)
     entries["expurgation_cor44"] = corollary_length(q, k, n)

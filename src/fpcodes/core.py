@@ -23,14 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # the exception classes live in the numpy-free `_util`; core re-exports them
-from ._util import CapacityError, CodeFormatError, ConstructionError, ParameterError
+from ._util import CapacityError, CodeFormatError, ConstructionError, ParameterError, check_q
 
 MAX_Q = 1 << 16  # largest alphabet: symbols are stored as uint16
 MAX_N = sys.maxsize // 2  # most uint16 columns numpy can shape, even with no rows
 
 
 def _check_alphabet(q: int) -> None:
-    """Refuse an alphabet a code cannot store, before any work is done for it."""
+    """Refuse an alphabet a code cannot store, outside [2, MAX_Q], up front."""
+    check_q(q)
     if q > MAX_Q:
         raise ParameterError(f"q={q} exceeds {MAX_Q}, the largest alphabet a code stores")
 
@@ -50,8 +51,6 @@ class CodeMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ParameterError(f"alphabet size q={self.q} must be at least 2")
         _check_alphabet(self.q)
         arr = np.asarray(self.entries)
         if arr.ndim != 2:

@@ -17,8 +17,6 @@ from .core import CodeMatrix, ParameterError, _check_alphabet, _check_shape
 def build_diagonal(q: int, n: int) -> CodeMatrix:
     """Weight-1 frameproof code with t = ceil(n/(q-1)) rows."""
     _check_alphabet(q)
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
     if n < 1:
         raise ParameterError(f"n={n} must be positive")
     depth = -(-n // (q - 1))

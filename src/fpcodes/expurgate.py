@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_k, check_q
 # the length formulas live in the numpy-free `bounds`; expurgate re-exports them
 from .bounds import corollary_length, expurgation_length, p_qk
 from .core import MAX_WORDS, CodeMatrix, ConstructionError, ParameterError, _check_alphabet, stream_words
@@ -46,10 +47,7 @@ class ExpurgationParams:
     seed: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ParameterError(f"k={self.k} must be at least 2")
-        if self.q < 2:
-            raise ParameterError(f"q={self.q} must be at least 2")
+        check_k(self.k)
         _check_alphabet(self.q)
         if self.n < self.k:
             raise ParameterError(f"need n >= k, got n={self.n}, k={self.k}")
@@ -75,8 +73,8 @@ class ExpurgationParams:
 
 def symbol_distribution(q: int, k: int) -> tuple[float, ...]:
     """Draw distribution mu over {0, ..., q-1}: uniform iff q > k."""
-    if k < 2 or q < 2:
-        raise ParameterError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
+    check_k(k)
+    check_q(q)
     if q > k:
         return tuple([1.0 / q] * q)
     head = 1.0 - (q - 1) / (k + 1)

@@ -25,9 +25,9 @@ redrawn columns and re-adds those still violated, found in O(w n) by
 `core.agreements_with` on the columns' support rows.  At admissible
 parameters the set holds a few dozen pairs at most, so memory stays O(t n).
 
-The parameter chain w, lam, t (`derive_weight`, `derive_lambda`,
-`derive_length`) and the threshold on t it admits (`lll_threshold`) are
-numpy-free arithmetic that lives in `bounds`; they are imported here.
+The parameter chain w, lam, t (`lll_chain`) and the threshold on t it
+admits (`lll_threshold`) are numpy-free arithmetic that lives in
+`bounds`; they are imported here, and the chain's steps re-exported.
 
 Such a matrix is a strongly selective code for k when lam = floor((w-1)/(k-1)):
 in any k columns, some member has more nonzero rows than its k-1 partners
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import ceil_tol, substream
-from .bounds import derive_lambda, derive_length, derive_weight, lll_threshold
+from ._util import ceil_tol, check_k, substream
+from .bounds import derive_lambda, derive_length, derive_weight, lll_chain, lll_threshold
 from .core import (
     CodeMatrix,
     ConstructionError,
@@ -85,10 +85,8 @@ class ConstructionParams:
     seed: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ParameterError(f"k={self.k} must be at least 2")
-        if self.q < 2:
-            raise ParameterError(f"q={self.q} must be at least 2")
+        check_k(self.k)
+        _check_alphabet(self.q)
         if self.n < 1:
             raise ParameterError(f"n={self.n} must be positive")
         if self.w < 1:
@@ -117,10 +115,8 @@ class ResampleLog:
 
 
 def derived_params(k: int, q: int, n: int, seed: int) -> ConstructionParams:
-    """Standard chain: w from (k, n), lam from (w, k), t from (lam, w, n, q)."""
-    w = derive_weight(k, n)
-    lam = derive_lambda(w, k)
-    t = derive_length(lam, w, n, q)
+    """Standard chain, `lll_chain`: w from (k, n), lam from (w, k), t from (lam, w, n, q)."""
+    w, lam, t = lll_chain(q, k, n)
     return ConstructionParams(k=k, q=q, n=n, w=w, lam=lam, t=t, seed=seed)
 
 
@@ -138,11 +134,9 @@ def lll_satisfiability_check(params: ConstructionParams) -> bool:
 
 
 def resample_budget(n: int) -> int:
-    """Hard cap on resampling events: 100x the worst of n and the expected count."""
-    pairs = n * (n - 1) // 2
-    d = 2 * n - 4
-    expected = pairs / d if d > 0 else 0.0
-    return int(100 * max(n, expected))
+    """Hard cap on resampling events: 100x the worst of n and the expected
+    count n(n-1) / (2 (2n-4)), which stays below n."""
+    return 100 * n
 
 
 def sample_column(t: int, w: int, q: int, rng) -> np.ndarray:
@@ -152,8 +146,6 @@ def sample_column(t: int, w: int, q: int, rng) -> np.ndarray:
     only the first w positions of the index array are settled), and each
     support row gets an independent uniform symbol from {1, ..., q-1}.
     """
-    if q < 2:
-        raise ParameterError(f"q={q} must be at least 2")
     _check_alphabet(q)
     if not 0 <= w <= t:
         raise ParameterError(f"need 0 <= w <= t, got w={w}, t={t}")
@@ -243,12 +235,11 @@ def _draw_columns(params: ConstructionParams):
 def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, ResampleLog]:
     """Run the resampling loop until no column pair exceeds the agreement bound.
 
-    Raises ParameterError when q exceeds core.MAX_Q or the satisfiability
-    criterion fails for the given parameters, and ConstructionError (with the partial log attached)
+    Raises ParameterError when the satisfiability criterion fails for the
+    given parameters, and ConstructionError (with the partial log attached)
     if the event budget is exhausted; the budget is 100x the expected event
     count, so for admissible parameters that is a <= 1% tail event.
     """
-    _check_alphabet(params.q)
     if not lll_satisfiability_check(params):
         raise ParameterError(
             f"resampling criterion fails for lam={params.lam}, w={params.w}, "
@@ -301,8 +292,7 @@ def build_frameproof(k: int, q: int, n: int, seed: int = 0):
     Returns (matrix, params, log); params.k is k+1, the selectivity the
     build actually targets.
     """
-    if k < 2:
-        raise ParameterError(f"k={k} must be at least 2")
+    check_k(k)
     if n <= k + 1:
         raise ParameterError(f"need n > k+1, got n={n}, k={k}")
     return build_strongly_selective(k + 1, q, n, seed)

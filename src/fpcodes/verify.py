@@ -163,27 +163,34 @@ def _completions(prefix: tuple, allowed, heavy, ends, size: int, work: _Work, co
     """Every sorted prefix + X, X a size-set of allowed columns whose least
     heavy member is one of ends, in lexicographic order (prefix and X are
     disjoint, so the order of the Xs is kept), each charged as it is
-    emitted."""
+    emitted.  X grows on a stack of places, so no size recurses."""
     pool = np.flatnonzero(allowed)
     heavy, ends, pool = heavy[pool].tolist(), ends[pool].tolist(), pool.tolist()
     last = len(ends) - 1 - ends[::-1].index(True) if True in ends else -1  # the last end's place
-
-    def pick(at, size, seen):
-        for i in range(at, len(pool) - size + 1):
-            if not seen:
-                if i > last:
-                    return  # no end is left to take
-                if heavy[i] and not ends[i]:
-                    continue
-            if size == 1:
-                if seen or heavy[i]:
-                    yield (pool[i],)
-            else:
-                yield from ((pool[i],) + rest for rest in pick(i + 1, size - 1, seen or heavy[i]))
-
-    for rest in pick(0, size, False) if size else [()]:
+    if not size:
         work.add(1, column, prefix)
-        yield tuple(sorted(prefix + rest))
+        yield tuple(sorted(prefix))
+        return
+    taken = []  # (place, whether a heavy member is taken up to it) of X's first members
+    i = 0  # the next place to try
+    while True:
+        seen = bool(taken) and taken[-1][1]
+        stop = len(pool) if seen else last + 1  # from it on, no end is left to take
+        if len(taken) == size - 1:
+            # the last member: each place from i on that completes X
+            head = prefix + tuple(pool[x] for x, _ in taken)
+            for x in range(i, stop):
+                if seen or heavy[x] and ends[x]:
+                    work.add(1, column, prefix)
+                    yield tuple(sorted(head + (pool[x],)))
+        elif i < min(stop, len(pool) - size + len(taken) + 1):
+            if seen or not heavy[i] or ends[i]:  # X's least heavy member must be an end
+                taken.append((i, seen or heavy[i]))
+            i += 1
+            continue
+        if not taken:
+            return
+        i = taken.pop()[0] + 1
 
 
 def _in_order(parts: list):

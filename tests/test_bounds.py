@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fpcodes.bounds
 from fpcodes._util import ceil_tol
 from fpcodes.bounds import (
     ApplicabilityError,
@@ -19,6 +22,7 @@ from fpcodes.bounds import (
     fp_bounds_theorem310,
     fp_theorem38,
     lll_lambda_length,
+    lll_threshold,
     relaxed_inequality_45,
     shangguan_42,
     ss_corollary37,
@@ -371,14 +375,14 @@ class TestReport:
     @pytest.mark.parametrize("call,error,message", [
         (lambda: ss_debonis_order(3, 1, 10), ParameterError, "k=1 must be at least 2"),
         (lambda: derive_lambda(0, 2), ParameterError, "w=0 must be positive"),
-        (lambda: derive_length(0, 2**600, 10, 3), ParameterError, "length formula overflows"),
+        (lambda: derive_length(0, 2**600, 10, 3), ParameterError, "lll_threshold overflows"),
         (lambda: expurgation_length(1, 2, 10), ParameterError, "q=1 must be at least 2"),
         (lambda: corollary_length(3, 3, 2), ParameterError, "need n >= k, got n=2, k=3"),
         (lambda: fp_bounds_theorem310(1, 2, 10), ParameterError, "q=1 must be at least 2"),
         (lambda: fp_bounds_theorem310(3, 0, 10), ParameterError, "need k >= 1 and n >= 1, got k=0, n=10"),
         (lambda: fp_bounds_theorem310(3, 2, 0), ParameterError, "need k >= 1 and n >= 1, got k=2, n=0"),
-        (lambda: stinson_41(3, 2, 1), ParameterError, "need q >= 2, k >= 2, n >= 2, got q=3, k=2, n=1"),
-        (lambda: shangguan_42(2, 1, 10), ParameterError, "need k >= 2 and n >= 2, got k=1, n=10"),
+        (lambda: stinson_41(3, 2, 1), ParameterError, "n=1 must be at least 2"),
+        (lambda: shangguan_42(2, 1, 10), ParameterError, "k=1 must be at least 2"),
         (lambda: shangguan_42(1, 3, 10), ParameterError, "q=1 must be at least 2"),
         (lambda: core_inequality_45(1), ParameterError, "k=1 must be at least 2"),
         (lambda: core_inequality_46(1), ParameterError, "k=1 must be at least 2"),
@@ -387,13 +391,40 @@ class TestReport:
         (lambda: ceil_tol(math.nan), OverflowError, "cannot take ceiling of nan"),
         (lambda: expurgation_length(3, 2**14 + 1, 2**15), ParameterError, "k=16385 exceeds 2\\^14"),
         (lambda: corollary_length(2**20, 2**14 + 1, 2**15), ParameterError, "k=16385 exceeds 2\\^14"),
+        (lambda: derive_length(0, 2**1100, 10, 3), ParameterError, "lll_threshold overflows"),
+        (lambda: fp_bounds_theorem310(3, 2**1100, 10), ParameterError, "fp_bounds_theorem310 overflows"),
+        (lambda: shangguan_42(2**1100, 2**1100, 10), ParameterError, "shangguan_42 overflows"),
     ], ids=["triple k<2", "lambda w<1", "length overflow", "expurgation q<2", "corollary n<k",
             "diag q<2", "diag k<1", "diag n<1", "stinson n<2", "shangguan k<2", "shangguan q<2",
             "core45", "core46", "relaxed45", "ceil inf", "ceil nan", "expurgation k>2^14",
-            "corollary k>2^14"])
+            "corollary k>2^14", "length w=2^1100", "diag k=2^1100", "shangguan q=k=2^1100"])
     def test_refusals(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
+
+    @pytest.mark.parametrize("huge", [2**600, 2**1100], ids=["2^600", "2^1100"])
+    def test_overflow_guard_grid(self, huge):
+        # every public formula, each nonempty set of its arguments q, k, n, w
+        # at `huge` (n one above, so that n > k holds) and the others small,
+        # returns finite values or refuses with ParameterError, never
+        # OverflowError
+        small = {"q": 3, "k": 3, "n": 100, "w": 9, "lam": 2}
+        formulas = [fn for name, fn in vars(fpcodes.bounds).items()
+                    if inspect.isfunction(fn) and fn.__module__ == "fpcodes.bounds" and not name.startswith("_")]
+        assert {lll_threshold, derive_length, bound_report} <= set(formulas) and len(formulas) >= 22
+        for fn in formulas:
+            names = list(inspect.signature(fn).parameters)
+            free = [x for x in names if x in "qknw"]
+            for chosen in itertools.chain.from_iterable(itertools.combinations(free, r) for r in range(1, 5)):
+                args = [huge + (x == "n") if x in chosen else small[x] for x in names]
+                try:
+                    value = fn(*args)
+                except ParameterError:
+                    continue
+                if isinstance(value, BoundReport):
+                    value = [v for v in value.entries.values() if v is not None]
+                for v in value if isinstance(value, (tuple, list)) else (value,):
+                    assert isinstance(v, int) or math.isfinite(v), (fn.__name__, chosen)
 
     def test_lll_entry_matches_chain(self):
         assert lll_lambda_length(2, 2, 100) == 31

@@ -136,6 +136,20 @@ class TestVerify:
         assert "witness_column 0" in out
         assert "witness_coalition 1" in out
 
+    @pytest.mark.parametrize("prop,k,column,q,n,coalition", [
+        ("fp", 520, [1, 2, 0], 3, 600, range(1, 521)),
+        ("ss", 500, [0, 0], 2, 1500, range(500)),
+    ], ids=["fp 600 same", "ss 1500 zero"])
+    def test_family_of_hundreds_exit_1(self, tmp_path, capsys, prop, k, column, q, n, coalition):
+        # a failed check with a coalition of hundreds answers with its
+        # witness, not a traceback
+        path = tmp_path / "same.code"
+        rows = [" ".join([str(s)] * n) for s in column]
+        path.write_text("\n".join([f"{q} {len(column)} {n}", *rows]) + "\n")
+        code, out, err = run(capsys, "verify", "--in", str(path), "--property", prop, "--k", str(k))
+        assert (code, err) == (1, "")
+        assert "passed false\nwitness_column 0\nwitness_coalition " + ",".join(map(str, coalition)) + "\n" in out
+
     def test_lambda_property(self, tmp_path, capsys):
         path = tmp_path / "i.code"
         run(capsys, "construct", "diagonal", "--q", "2", "--n", "4", "--out", str(path))

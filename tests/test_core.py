@@ -84,6 +84,10 @@ class TestCodeMatrix:
             CodeMatrix(core.MAX_Q + 1, np.zeros((1, 1), dtype=np.uint16))
         assert CodeMatrix(core.MAX_Q, np.array([[core.MAX_Q - 1]])).q == core.MAX_Q
 
+    def test_rejects_alphabet_below_two(self):
+        with pytest.raises(ParameterError, match="^q=1 must be at least 2$"):
+            CodeMatrix(1, np.zeros((1, 1), dtype=np.uint16))
+
 
 class TestWeights:
     def test_column_weight_counts_nonzero(self):

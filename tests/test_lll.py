@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fpcodes._util import substream
-from fpcodes.bounds import lll_threshold
+from fpcodes.bounds import lll_lambda_length, lll_threshold
 from fpcodes.core import MAX_N, MAX_Q, CodeMatrix, ConstructionError, ParameterError
 import fpcodes.lll
 from fpcodes.lll import (
@@ -311,10 +311,11 @@ class TestBuild:
         assert log.history[-1][1] == 0
 
     def test_rejects_alphabet_above_max_q(self):
-        # the parameters resolve (the bounds use them at any q); the build is refused
-        p = derived_params(2, MAX_Q + 1, 10, seed=0)
+        # the chain resolves (the bounds use it at any q); the parameter
+        # record, and so every build, is refused
+        assert lll_lambda_length(MAX_Q + 1, 2, 10) >= 1
         with pytest.raises(ParameterError, match="exceeds 65536"):
-            build_lambda_matrix(p)
+            derived_params(2, MAX_Q + 1, 10, seed=0)
         with pytest.raises(ParameterError, match="exceeds 65536"):
             build_strongly_selective(2, 70000, 10)
 

@@ -408,6 +408,34 @@ class TestPigeonhole:
         assert is_frameproof(big, 2).witness == Witness(0, (1, 2))
         assert is_strongly_selective(big, 3).witness == Witness(0, (0, 1, 2))
 
+    def test_families_of_hundreds_of_members(self):
+        # a family's completions are walked on a stack, not by recursion per
+        # member: 600 identical columns frame each other at k = 520, and 600
+        # zero columns block each other at k = 550
+        same = CodeMatrix(3, np.tile(np.array([[1], [2], [0]], dtype=np.uint16), 600))
+        assert is_frameproof(same, 520).witness == Witness(0, tuple(range(1, 521)))
+        zero = CodeMatrix(2, np.zeros((2, 600), dtype=np.uint16))
+        assert is_strongly_selective(zero, 550).witness == Witness(0, tuple(range(550)))
+
+    @given(st.lists(st.sampled_from(["out", "light", "heavy", "end"]), max_size=9),
+           st.integers(0, 5), st.lists(st.integers(20, 29), max_size=3, unique=True), st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_completions_match_reference(self, kinds, size, prefix, take):
+        # every size-set of allowed columns whose least heavy member is an
+        # end, in lexicographic order, each charged as it is emitted
+        allowed, heavy, ends = (np.array([kind in names for kind in kinds], dtype=bool)
+                                for names in (("light", "heavy", "end"), ("heavy", "end"), ("end",)))
+        expect = [
+            tuple(sorted(prefix + list(x)))
+            for x in itertools.combinations(np.flatnonzero(allowed).tolist(), size)
+            if size == 0 or heavy[list(x)].any() and ends[next(m for m in x if heavy[m])]
+        ]
+        work = fpcodes.verify._Work("test")
+        found = fpcodes.verify._completions(tuple(prefix), allowed, heavy, ends, size, work, 0)
+        head = list(itertools.islice(found, take))
+        assert head == expect[:take] and work.done == len(head)
+        assert head + list(found) == expect and work.done == len(expect)
+
 
 def refusal(excinfo):
     """(count, budget, column, prefix) of a CapacityError message."""
