@@ -108,8 +108,11 @@ def _onehot(entries: np.ndarray) -> np.ndarray:
     least two columns.  Pairs held by a single column add nothing off the
     diagonal and are dropped, so B has at most min(t(q-1), nnz/2) rows
     whatever the alphabet, and its diagonal is not the column weight.
-    Counts are at most t, exact in float32 for t < 2^24."""
-    n = entries.shape[1]
+    A count is at most its columns' weights, exact in float32 up to 2^24:
+    a column of more nonzero symbols, which needs t > 2^24, is refused."""
+    t, n = entries.shape
+    if t > 2**24 and any(np.count_nonzero(entries[:, j]) > 2**24 for j in range(n)):
+        raise ParameterError("a column holds more than 2^24 nonzero symbols, past exact float32 agreement counts")
     rows, cols = np.nonzero(entries)
     keys = (rows.astype(np.int64) << 16) | entries[rows, cols]
     _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
@@ -368,7 +371,7 @@ def read_code(data: bytes) -> CodeMatrix:
         try:
             data.decode("ascii")
         except UnicodeDecodeError as exc:
-            raise CodeFormatError(f"not ASCII text: {exc.reason}", 1) from None
+            raise CodeFormatError(f"not ASCII text: {exc.reason}", data.count(b"\n", 0, exc.start) + 1) from None
     cr = data.find(b"\r")
     if cr >= 0:
         raise CodeFormatError("carriage returns are not allowed", data.count(b"\n", 0, cr) + 1)

@@ -111,9 +111,6 @@ def enumerate_bad_events(entries: np.ndarray, k: int) -> list[tuple[int, tuple[i
     Zero symbols count as agreement here, matching the framing notion.
     Pairs are reported with B in lexicographic order for each i.
     """
-    m = entries.shape[1]
-    if not 1 <= k <= m - 1:
-        raise ParameterError(f"need 1 <= k <= {m - 1}, got k={k}")
     return list(_framings(entries, k, "bad-event"))
 
 

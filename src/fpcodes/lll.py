@@ -14,9 +14,9 @@ The initial draw (`_draw_columns`) replays, in numpy and bit for bit, the
 `sample_column` call of every column on its stream `substream(seed, "col",
 j)`: it takes each stream's raw 32-bit words and consumes them as CPython's
 `randrange` does, DRAW_BLOCK columns at a time, and replays a column that
-runs short with more words.  No stream outlives its block.  A column that
-is resampled gets its stream back on its first event, re-derived and
-advanced past the words the draw took, and is redrawn by `sample_column`.
+runs short with more words, and returns only the columns.  A column that is
+resampled gets its stream back on its first event: re-derived, and taken
+past its initial draw by one `sample_column` call, which then redraws it.
 
 Violated pairs are kept in a set, filled once by `core.agreement_pairs`
 (read off the B^T B slabs of `core.agreement_slabs`; shared with
@@ -184,14 +184,10 @@ def _draw_columns(params: ConstructionParams):
     symbols are the first w accepted words after the pointer.  A column that
     misses its window or runs out of words is short; the block replays its
     short columns from their streams with twice the words and twice the
-    window, until none is short.
-
-    Returns (cols, used): used[j] is the number of words column j took, the
-    position of its stream after the draw.
+    window, until none is short.  It returns the columns alone.
     """
     n, t, w, q, seed = params.n, params.t, params.w, params.q, params.seed
     cols = np.zeros((t, n), dtype=np.uint16)
-    used = np.zeros(n, dtype=np.int64)
     for j0 in range(0, n, DRAW_BLOCK):
         block = np.arange(j0, min(j0 + DRAW_BLOCK, n))
         budget, window = _word_budget(t, w, q), DRAW_WINDOW
@@ -226,10 +222,9 @@ def _draw_columns(params: ConstructionParams):
             at = accepted[first[full, None] + np.arange(w)]
             support = idx.reshape(m, t)[full, :w]
             cols[support, block[full, None]] = symbols.ravel()[at] + 1
-            used[block[full]] = at[:, -1] - full * stride + 1
             block = block[short]
             budget, window = 2 * budget, 2 * window
-    return cols, used
+    return cols
 
 
 def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, ResampleLog]:
@@ -247,7 +242,7 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
             f"derive_length gives the smallest admissible t"
         )
     n, t, w, q, lam = params.n, params.t, params.w, params.q, params.lam
-    cols, used = _draw_columns(params)
+    cols = _draw_columns(params)
     streams = {}  # the columns resampled so far, each on its stream
 
     bad = set(agreement_pairs(cols, lam))
@@ -261,9 +256,9 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
         a, b = min(bad)  # lexicographically first violated pair
         for x in (a, b):
             if x not in streams:
-                # the column's stream, past the words the initial draw took
+                # the column's stream, past its initial draw
                 streams[x] = substream(params.seed, "col", x)
-                streams[x].getrandbits(32 * int(used[x]))
+                sample_column(t, w, q, streams[x])
             cols[:, x] = sample_column(t, w, q, streams[x])
         events += 1
         bad = {p for p in bad if a not in p and b not in p}

@@ -9,17 +9,19 @@ Both are one cover condition.  Pack, for column c, the rows where column
 h agrees with c into a mask, 64 rows to a uint64 word; G frames c exactly
 when the OR of its members' masks covers every row, and blocks it when it
 covers S, c's nonzero rows: selectivity is framing on S.  One kernel,
-`_covers`, enumerates the covering coalitions for all the oracles and for
-the expurgation's bad events.  It is a pigeonhole search: of j members
-that cover R rows one covers at least ceil(R / j) of them, so only such
-heavy members are tried, and each cover is found once, through its least
-heavy member.  At the root that test needs no mask: a column that no j others
-can cover is settled by its largest agreement with another column, read
-off the upper-triangle slabs of the one-hot B^T B (`core.agreement_slabs`),
-and never reaches the kernel; in a lambda code with j lambda < w that is
-every column.  Runtime is combinatorial, so a capacity guard counts the
-member tests the kernel makes and refuses the call once they pass
-LEAF_BUDGET, naming where it stopped; it never returns a partial answer or
+`_covers`, enumerates the covers of j >= 1 members for all the oracles
+and the expurgation's bad events (k = 1 selectivity needs none: a lone
+member fails exactly when its column is zero).  It is a pigeonhole
+search: of j members that cover R rows one covers at least ceil(R / j) of
+them, so only such heavy members are tried, and each cover is found once,
+through its least heavy member.  At the root that test needs no mask: a
+column that no j others can cover is settled by its largest agreement
+with another column, read off the upper-triangle slabs of the one-hot
+B^T B (`core.agreement_slabs`), and never reaches the kernel; in a lambda
+code with j lambda < w that is every column.  Runtime is combinatorial,
+so a capacity guard with one charge, n - 1 checks a node and a completion
+a node of one, refuses the call once the kernel passes LEAF_BUDGET,
+naming where it stopped; it never returns a partial answer or
 subsamples.  The lambda-matrix check needs only column pairs and uses the
 agreement kernel shared with the local-lemma builder.
 """
@@ -110,29 +112,26 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
 class _Work:
     """Coalition checks of one oracle call, against LEAF_BUDGET: the member
     tests the cover kernel evaluates, n - 1 candidates per node, charged
-    before each batch of nodes, and each completion of a family, charged as
-    it is emitted."""
+    before each batch of nodes, and each completion of a family, a node of
+    one check, charged as it is emitted."""
 
     def __init__(self, what: str):
         self.what = what
         self.done = 0
 
-    def add(self, count: int, column: int, prefix) -> None:
-        """Charge `count` checks made at `column` under the coalition prefix
-        `prefix` (columns); past the budget, refuse the call."""
-        self.done += count
-        if self.done > LEAF_BUDGET:
+    def add(self, per: int, count: int, node) -> None:
+        """Charge `per` checks for each of `count` nodes, in order; past the
+        budget, refuse the call at the first node whose charge crosses it,
+        naming node(x) = (column, coalition prefix) of that node x."""
+        room = LEAF_BUDGET - self.done
+        if per * count > room:
+            x = room // per
+            self.done += (x + 1) * per
+            column, prefix = node(x)
             raise CapacityError(
                 f"{self.what} check refused after {self.done} coalition checks, over the "
                 f"{LEAF_BUDGET} budget, at column {column}, coalition prefix {tuple(sorted(prefix))}"
             )
-
-    def add_nodes(self, per: int, count: int, node) -> None:
-        """Charge `per` checks for each of `count` nodes of a batch as one `add`
-        per node would, naming node(x) = (column, prefix) of the first past it."""
-        fits = (LEAF_BUDGET - self.done) // max(per, 1)
-        if fits < count:
-            self.add((fits + 1) * per, *node(fits))
         self.done += per * count
 
 
@@ -167,10 +166,6 @@ def _completions(prefix: tuple, allowed, heavy, ends, size: int, work: _Work, co
     pool = np.flatnonzero(allowed)
     heavy, ends, pool = heavy[pool].tolist(), ends[pool].tolist(), pool.tolist()
     last = len(ends) - 1 - ends[::-1].index(True) if True in ends else -1  # the last end's place
-    if not size:
-        work.add(1, column, prefix)
-        yield tuple(sorted(prefix))
-        return
     taken = []  # (place, whether a heavy member is taken up to it) of X's first members
     i = 0  # the next place to try
     while True:
@@ -181,7 +176,7 @@ def _completions(prefix: tuple, allowed, heavy, ends, size: int, work: _Work, co
             head = prefix + tuple(pool[x] for x, _ in taken)
             for x in range(i, stop):
                 if seen or heavy[x] and ends[x]:
-                    work.add(1, column, prefix)
+                    work.add(1, 1, lambda _: (column, prefix))
                     yield tuple(sorted(head + (pool[x],)))
         elif i < min(stop, len(pool) - size + len(taken) + 1):
             if seen or not heavy[i] or ends[i]:  # X's least heavy member must be an end
@@ -249,17 +244,15 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
     resid = support if selective else masks[:, col, cs]
     allowed = index != cs[:, None]
     live = resid.any(axis=0)
-    if not (j and live.all()):
-        for b in np.flatnonzero(~live).tolist():
-            families[b].append(((), allowed[b], allowed[b], allowed[b], j))
-        live &= j > 0
-        col, chosen, resid, allowed = col[live], chosen[live], resid[:, live], allowed[live]
+    for b in np.flatnonzero(~live).tolist():  # no row to cover: every j-set of others does
+        families[b].append(((), allowed[b], allowed[b], allowed[b], j))
+    col, chosen, resid, allowed = col[live], chosen[live], resid[:, live], allowed[live]
     stack = []  # per batch with 3 or more members left: its nodes, children and child batches
     emitted = 0
     while True:
         if col.size:
             left = j - chosen.shape[1]
-            work.add_nodes(n - 1, col.size, lambda x: (int(cs[col[x]]), chosen[x].tolist()))
+            work.add(n - 1, col.size, lambda x: (int(cs[col[x]]), chosen[x].tolist()))
             # per node, the heavy members of the rule that admits fewer: under R,
             # to frame c under R & S, at a root given end the columns up to it
             rules = resid[:, None]
@@ -284,7 +277,7 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
                 # children with one member left, which covers their rows alone where the
                 # child allows it: its parent does, and it is no heavy parent member up to h
                 q, hq, rq = p[at : at + block], h[at : at + block], rest[:, at : at + block]
-                work.add_nodes(n - 1, q.size, lambda x: (int(cs[col[q[x]]]), chosen[q[x]].tolist() + [int(hq[x])]))
+                work.add(n - 1, q.size, lambda x: (int(cs[col[q[x]]]), chosen[q[x]].tolist() + [int(hq[x])]))
                 x, g = np.nonzero(((masks[:, col[q]] & rq[:, :, None]) == rq[:, :, None]).all(axis=0))
                 if x.size:
                     qx = q[x]
@@ -330,19 +323,17 @@ def _search(entries: np.ndarray, j: int, selective: bool, work: _Work, end=lambd
 def _framings(entries: np.ndarray, k: int, what: str):
     """Every (c, G), |G| = k, c not in G, where some member of G equals
     column c in every row (symbol 0 included), in lexicographic order; the
-    scan is one call of `what` against the budget."""
+    scan is one call of `what` against the budget, for 1 <= k <= n - 1."""
+    n = entries.shape[1]
+    if not 1 <= k <= n - 1:
+        raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     work = _Work(what)
-    for c, covers in _search(entries, k, False, work):
-        for group in covers:
-            yield c, group
+    return ((c, group) for c, covers in _search(entries, k, False, work) for group in covers)
 
 
 def is_frameproof(matrix: CodeMatrix, k: int) -> VerificationReport:
     """Exhaustive k-frameproof check; the witness is the first failure in
     lexicographic (column, coalition) order."""
-    n = matrix.n
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     params = {"k": k}
     for c, group in _framings(matrix.entries, k, "frameproof"):
         return VerificationReport("frameproof", params, False, Witness(c, group))
@@ -364,15 +355,17 @@ def is_strongly_selective(matrix: CodeMatrix, k: int) -> VerificationReport:
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     params = {"k": k}
-    work = _Work("selectivity")
     best = None  # (set, member) of the least failure so far
-    for c, covers in _search(matrix.entries, k - 1, True, work, lambda: best and best[0][0]):
-        hit = next(covers, None)
-        if hit is not None:
-            failure = (tuple(sorted((c, *hit))), c)
-            best = failure if best is None else min(best, failure)
-            if k == 1:
-                break  # a lone member's set is itself: later ones come after
+    if k == 1:  # a lone member is blocked exactly when its column is zero
+        zero = np.flatnonzero(~matrix.entries.any(axis=0)).tolist()
+        best = ((zero[0],), zero[0]) if zero else None
+    else:
+        work = _Work("selectivity")
+        for c, covers in _search(matrix.entries, k - 1, True, work, lambda: best and best[0][0]):
+            hit = next(covers, None)
+            if hit is not None:
+                failure = (tuple(sorted((c, *hit))), c)
+                best = failure if best is None else min(best, failure)
     if best is None:
         return VerificationReport("strongly_selective", params, True, None)
     group, c = best

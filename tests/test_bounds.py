@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -206,9 +207,20 @@ class TestComparisons:
         assert core_inequality_45(2) and core_inequality_46(2)
 
     def test_core_inequalities_hold_on_scan(self):
-        for k in range(2, 31):
-            assert core_inequality_45(k), k
-            assert core_inequality_46(k), k
+        # decided in log space: each verdict is true, as in exact rationals
+        for k in range(2, 101):
+            f = math.factorial(k)
+            lhs = Fraction(k + 1, k) ** k * Fraction(k + 1, f)
+            assert core_inequality_45(k) and lhs < Fraction(f, f - 1) ** k, k
+            assert core_inequality_46(k) and lhs < 2 ** (k + 1), k
+
+    def test_core_inequalities_at_large_k(self):
+        # no k-digit rational is formed, so k = 3000 answers at once and k
+        # past 2^63, where k! cannot be formed, is answered too
+        start = time.perf_counter()
+        assert core_inequality_45(3000) and core_inequality_46(3000)
+        assert time.perf_counter() - start < 0.1
+        assert core_inequality_45(2**63) and core_inequality_46(2**600)
 
     def test_relaxed_inequality_onset_at_5(self):
         verdicts = {k: relaxed_inequality_45(k) for k in range(2, 51)}
@@ -384,6 +396,7 @@ class TestReport:
         (lambda: stinson_41(3, 2, 1), ParameterError, "n=1 must be at least 2"),
         (lambda: shangguan_42(2, 1, 10), ParameterError, "k=1 must be at least 2"),
         (lambda: shangguan_42(1, 3, 10), ParameterError, "q=1 must be at least 2"),
+        (lambda: shangguan_42(2, 3, 1), ParameterError, "n=1 must be at least 2"),
         (lambda: core_inequality_45(1), ParameterError, "k=1 must be at least 2"),
         (lambda: core_inequality_46(1), ParameterError, "k=1 must be at least 2"),
         (lambda: relaxed_inequality_45(1), ParameterError, "k=1 must be at least 2"),
@@ -395,7 +408,7 @@ class TestReport:
         (lambda: fp_bounds_theorem310(3, 2**1100, 10), ParameterError, "fp_bounds_theorem310 overflows"),
         (lambda: shangguan_42(2**1100, 2**1100, 10), ParameterError, "shangguan_42 overflows"),
     ], ids=["triple k<2", "lambda w<1", "length overflow", "expurgation q<2", "corollary n<k",
-            "diag q<2", "diag k<1", "diag n<1", "stinson n<2", "shangguan k<2", "shangguan q<2",
+            "diag q<2", "diag k<1", "diag n<1", "stinson n<2", "shangguan k<2", "shangguan q<2", "shangguan n<2",
             "core45", "core46", "relaxed45", "ceil inf", "ceil nan", "expurgation k>2^14",
             "corollary k>2^14", "length w=2^1100", "diag k=2^1100", "shangguan q=k=2^1100"])
     def test_refusals(self, call, error, message):

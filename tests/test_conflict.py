@@ -187,6 +187,16 @@ class TestExhaustive:
         monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 60)
         assert exhaustive_guarantee(fan(6), 3) == (False, (0, 1, 2))
 
+    @pytest.mark.parametrize("zero", [(), (0,), (3,), (1, 4)])
+    def test_single_stations(self, zero):
+        # a set of one succeeds exactly when its station transmits in some
+        # slot: the first silent station is the first failing set
+        e = build_diagonal(3, 5).entries.copy()
+        e[:, list(zero)] = 0
+        m = CodeMatrix(3, e)
+        expect = (True, None) if not zero else (False, (zero[0],))
+        assert exhaustive_guarantee(m, 1) == simulated_guarantee(m, 1) == expect
+
     @given(code_matrices(min_n=2, max_n=6, max_t=4), st.integers(1, 6))
     @settings(max_examples=80)
     def test_agrees_with_oracle(self, m, k):

@@ -170,7 +170,7 @@ def reference_read_code(data):
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise CodeFormatError(f"not ASCII text: {exc.reason}", 1) from None
+        raise CodeFormatError(f"not ASCII text: {exc.reason}", data.count(b"\n", 0, exc.start) + 1) from None
     if "\r" in text:
         raise CodeFormatError("carriage returns are not allowed", text[: text.index("\r")].count("\n") + 1)
     if not text.endswith("\n"):
@@ -319,6 +319,7 @@ MALFORMED = {
     b"3 2 4\n1 0 2 0\n\n0 1 0 2\n": (3, "expected 4 symbols, got ''"),  # blank line
     b"3 2 0\n\n1\n": (3, "expected 0 symbols, got '1'"),
     b"3 2 4\r\n1 0 2 0\n0 1 0 2\n": (1, "carriage returns are not allowed"),
+    b"3 2 2\n0 1\n1 \xc3\xa9\n": (3, "not ASCII text: ordinal not in range(128)"),  # the byte's own line
     # tokens too long for int(): rejected by their width, quoted as text
     b"2 1 1\n" + WIDE + b"\n": (2, f"symbol {WIDE.decode()} out of range [0, 1]"),
     WIDE + b" 1 1\n0\n": (1, f"alphabet size {WIDE.decode()} exceeds 65536"),

@@ -313,9 +313,11 @@ class TestEnumerateBadEvents:
         assert (0, (1,)) in events and (1, (0,)) in events
 
     def test_k_range_checked(self):
+        # the range rule and message of is_frameproof, stated once
         entries = np.zeros((2, 3), dtype=np.uint16)
-        with pytest.raises(ParameterError):
-            enumerate_bad_events(entries, 3)
+        for k in (0, 3):
+            with pytest.raises(ParameterError, match=f"need 1 <= k <= n-1, got k={k}, n=3"):
+                enumerate_bad_events(entries, k)
 
 
 class TestBuild:

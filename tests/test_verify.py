@@ -297,7 +297,7 @@ class TestCoverCut:
         assert (4, 8) in kernel_covers(e, 0, 2, False)
         assert (4, 8) not in kernel_covers(broken, 0, 2, False)
         for m in (e, broken):
-            assert_kernel_matches_reference(m, (0, 11, 13), range(5), ends=(None, 3))
+            assert_kernel_matches_reference(m, (0, 11, 13), range(1, 5), ends=(None, 3))
 
     def test_member_that_covers_alone(self):
         # column 6 repeats column 2, so mask 2 alone frames it (and blocks
@@ -309,14 +309,14 @@ class TestCoverCut:
         e[:, 6] = e[:, 2]
         e[:, 3] = 0
         assert kernel_covers(e, 6, 1, False) == [(2,)]
-        assert_kernel_matches_reference(e, (2, 3, 6), range(5), ends=(None, 4))
+        assert_kernel_matches_reference(e, (2, 3, 6), range(1, 5), ends=(None, 4))
 
     @pytest.mark.parametrize("q,k,n,deep", [(2, 2, 40, (0, 29, 59)), (2, 3, 15, range(20))])
     def test_dense_draws_column_by_column(self, q, k, n, deep):
         # q <= k: most partners are heavy and the cut rarely bites; the
         # (2, 3, 15) draw has t = 68 rows, two words
         drawn = draw_matrix(expurgation_params(q, k, n, 0))
-        assert_kernel_matches_reference(drawn, range(drawn.shape[1]), (0, 1, 2))
+        assert_kernel_matches_reference(drawn, range(drawn.shape[1]), (1, 2))
         assert_kernel_matches_reference(drawn, deep, (3,) if k == 2 else (3, 4))
 
 
@@ -418,7 +418,7 @@ class TestPigeonhole:
         assert is_strongly_selective(zero, 550).witness == Witness(0, tuple(range(550)))
 
     @given(st.lists(st.sampled_from(["out", "light", "heavy", "end"]), max_size=9),
-           st.integers(0, 5), st.lists(st.integers(20, 29), max_size=3, unique=True), st.integers(0, 40))
+           st.integers(1, 5), st.lists(st.integers(20, 29), max_size=3, unique=True), st.integers(0, 40))
     @settings(max_examples=200, deadline=None)
     def test_completions_match_reference(self, kinds, size, prefix, take):
         # every size-set of allowed columns whose least heavy member is an
@@ -428,7 +428,7 @@ class TestPigeonhole:
         expect = [
             tuple(sorted(prefix + list(x)))
             for x in itertools.combinations(np.flatnonzero(allowed).tolist(), size)
-            if size == 0 or heavy[list(x)].any() and ends[next(m for m in x if heavy[m])]
+            if heavy[list(x)].any() and ends[next(m for m in x if heavy[m])]
         ]
         work = fpcodes.verify._Work("test")
         found = fpcodes.verify._completions(tuple(prefix), allowed, heavy, ends, size, work, 0)
@@ -543,6 +543,24 @@ class TestStronglySelective:
     def test_k1_needs_nonzero_columns(self):
         assert is_strongly_selective(mat(2, [[1, 1]]), 1).passed
         assert not is_strongly_selective(mat(2, [[0, 1]]), 1).passed
+
+    @given(code_matrices(max_n=8), st.integers(0, 7), st.booleans())
+    @settings(max_examples=100)
+    def test_k1_matches_naive(self, m, zero, plant):
+        # a lone member is blocked exactly when its column is zero: the
+        # witness is the first zero column, with or without one planted,
+        # and the call makes no coalition check
+        e = m.entries.copy()
+        if plant:
+            e[:, zero % m.n] = 0
+        m = CodeMatrix(m.q, e)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpcodes.verify, "LEAF_BUDGET", 0)
+            report = is_strongly_selective(m, 1)
+        ok, witness = naive_selective(m, 1)
+        assert report.passed == ok == e.any(axis=0).all()
+        if not ok:
+            assert (report.witness.column, report.witness.coalition) == witness
 
     def test_k_bounds(self):
         with pytest.raises(ParameterError):
@@ -796,6 +814,24 @@ class TestLambdaMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 6000**2 // 2
+
+    def test_refuses_counts_past_float32(self):
+        # two all-ones columns of 2^24 + 1 rows agree in every row, a count
+        # float32 cannot hold, and each oracle that reads the agreement
+        # kernel refuses the code; as tall a code of light columns answers
+        t = 2**24 + 1
+        heavy = CodeMatrix(2, np.ones((t, 2), dtype=np.uint16))
+        for check in (lambda m: is_lambda_matrix(m, t - 1, t), lambda m: is_frameproof(m, 1),
+                      lambda m: is_strongly_selective(m, 2)):
+            with pytest.raises(ParameterError, match="more than 2\\^24 nonzero symbols"):
+                check(heavy)
+        del heavy
+        light = np.zeros((t, 2), dtype=np.uint16)
+        light[:3, 0] = light[1:3, 1] = light[-1, 1] = 1
+        light = CodeMatrix(2, light)
+        assert is_lambda_matrix(light, 1, 3).witness == Witness(0, (1,), (1, 2))
+        assert is_frameproof(light, 1).passed
+        assert is_strongly_selective(light, 2).passed
 
     @given(code_matrices(min_n=1), st.integers(0, 3), st.integers(0, 4))
     @settings(max_examples=80)
