@@ -2,7 +2,8 @@
 """Resampling statistics for the local-lemma construction.
 
 Builds a strongly k-selective code for each seed in a range and reports the
-distribution of resampling events next to the n/3 expectation bound.
+distribution of resampling events next to the Moser-Tardos expectation
+bound n(n-1)/(2(2n-4)).
 
     python3 scripts/resample_stats.py --k 3 --q 3 --n 50 --seeds 20
 """
@@ -33,11 +34,12 @@ def main(argv=None):
     wall = time.perf_counter() - start
 
     counts = np.asarray(counts)
+    n = args.n
     print(f"k={args.k} q={args.q} n={args.n}  (w={params.w} lam={params.lam} t={params.t})")
     print(f"seeds 1..{args.seeds}  wall {wall:.2f}s")
     print(
         f"resamples min={counts.min()} mean={counts.mean():.2f} "
-        f"max={counts.max()}  expectation bound n/3={args.n / 3:.1f}"
+        f"max={counts.max()}  expectation bound n(n-1)/(2(2n-4))={n * (n - 1) / (2 * (2 * n - 4)):.1f}"
     )
     return 0
 

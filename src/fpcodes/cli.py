@@ -115,6 +115,8 @@ def cmd_simulate(args) -> int:
             raise ParameterError(f"bad --active list {args.active!r}") from None
     elif args.k is None:
         raise ParameterError("simulate needs --active or --k with --trials")
+    elif args.trace:
+        raise ParameterError("--trace requires --active")
     matrix = _read_matrix(args.infile)
     if args.active is not None:
         outcome = conflict.simulate(matrix, active)
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="guarantee mode: max active set size")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", action="store_true", help="print per-slot channel trace")
+    p.add_argument("--trace", action="store_true", help="print per-slot channel trace (with --active)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="construct over a grid and tabulate against bounds")

@@ -7,8 +7,8 @@ more than `lam` rows.  While violated pairs exist, the lexicographically
 first one is redrawn from its per-column streams.  When the parameters
 satisfy the local-lemma criterion (see `lll_satisfiability_check`) the
 expected number of resampling events is at most n(n-1)/(2*(2n-4)), which
-is under n/3, and the loop terminates with a matrix in which any column
-pair shares at most `lam` nonzero agreements.
+is under n/3 from n = 6 on (1.5 at n = 4), and the loop terminates with a
+matrix in which any column pair shares at most `lam` nonzero agreements.
 
 The initial draw (`_draw_columns`) replays, in numpy and bit for bit, the
 `sample_column` call of every column on its stream `substream(seed, "col",

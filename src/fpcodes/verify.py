@@ -14,16 +14,17 @@ and the expurgation's bad events (k = 1 selectivity needs none: a lone
 member fails exactly when its column is zero).  It is a pigeonhole
 search: of j members that cover R rows one covers at least ceil(R / j) of
 them, so only such heavy members are tried, and each cover is found once,
-through its least heavy member.  At the root that test needs no mask: a
-column that no j others can cover is settled by its largest agreement
-with another column, read off the upper-triangle slabs of the one-hot
-B^T B (`core.agreement_slabs`), and never reaches the kernel; in a lambda
-code with j lambda < w that is every column.  Runtime is combinatorial,
-so a capacity guard with one charge, n - 1 checks a node and a completion
-a node of one, refuses the call once the kernel passes LEAF_BUDGET,
-naming where it stopped; it never returns a partial answer or
-subsamples.  The lambda-matrix check needs only column pairs and uses the
-agreement kernel shared with the local-lemma builder.
+through its least heavy member, in one batch loop down to the last
+member, an equality test filtered through its parent's columns.  A column
+that no j others can cover is settled before any mask is packed, by its
+largest agreement with another column, off the upper-triangle slabs of
+the one-hot B^T B (`core.agreement_slabs`); in a lambda code with
+j lambda < w that is every column.  Runtime is combinatorial, so a
+capacity guard with one charge, n - 1 checks a node and a completion a
+node of one, refuses the call past LEAF_BUDGET, naming where it stopped;
+it never returns a partial answer or subsamples.  The lambda-matrix check
+needs only column pairs, on the agreement kernel of the local-lemma
+builder.
 """
 
 from __future__ import annotations
@@ -205,22 +206,23 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
     Column h covers c in the rows where it equals c (symbol 0 included);
     need is every row to frame c, S, c's nonzero rows, to block it.  The
     masks are one (words, columns, n) uint64 array; a node's rows R lie
-    within need, so none needs S masked in.  A node holds its column,
-    members, the rows R of need they leave and the columns it allows; its
-    children are its allowed heavy members, by the rule that admits fewer:
-    those covering at least ceil(|R| / left) rows of R or, to frame c, of
-    R & S, or at a root, given `end`, the columns up to it (then only the
-    covers with such a least member are found).  A child no longer allows
-    its parent's heavy members up to its own, so a cover is found through
-    its least heavy member only.  The last member covers R alone, an
-    equality test; a child whose R is empty leaves a family, which
-    `_completions` emits lazily.
+    within need, so none needs S masked in.  A node, a root with no row to
+    cover too, holds its column, members and the rows R of need they leave;
+    its children are its allowed heavy members, by the rule that admits
+    fewer: those covering at least ceil(|R| / left) rows of R or, to frame
+    c, of R & S, or at a root, given `end`, the columns up to it (then only
+    the covers with such a least member are found).  A child allows what
+    its parent does but the parent's heavy members up to its own, so a
+    cover is found through its least heavy member only.  A child whose R is
+    empty leaves a family, which `_completions` emits lazily; one with one
+    member left is an equality test over every column, its hits filtered
+    through its parent's allowed and heavy columns.
 
-    Nodes are evaluated AGREEMENT_BLOCK at a time, one masked AND and
-    popcount over (nodes x n), and a batch's children depth first before
-    its next batch: memory stays O(AGREEMENT_BLOCK n words), and a column's
-    covers are yielded as soon as the search has left it.  Each batch is
-    charged n - 1 checks per node to `work` before it is evaluated.
+    One loop evaluates every level's nodes AGREEMENT_BLOCK at a time, one
+    masked AND and popcount over (nodes x n), a batch's children depth
+    first before its next batch: memory stays O(AGREEMENT_BLOCK n words),
+    and a column's covers are yielded once the search has left it.  Each
+    batch is charged n - 1 checks a node to `work` before it is evaluated.
     """
     t, n = entries.shape
     cs = np.asarray(cols, dtype=np.int64)
@@ -237,22 +239,30 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
     index = np.arange(n)
     found = [[] for _ in range(cs.size)]  # arrays of the covers completed by a last member
     families = [[] for _ in range(cs.size)]  # _completions' arguments
-    # the batch to evaluate: each node's column (its row of the block), its
-    # members, its uncovered rows and the columns it allows
-    col = np.arange(cs.size)
+    # the batch to evaluate: each node's column (its row of the block), members and uncovered
+    # rows, its parent's allowed and heavy columns ok[p] and strong[p], and its last member h
+    col = p = np.arange(cs.size)
     chosen = np.zeros((cs.size, 0), dtype=np.int64)
     resid = support if selective else masks[:, col, cs]
-    allowed = index != cs[:, None]
-    live = resid.any(axis=0)
-    for b in np.flatnonzero(~live).tolist():  # no row to cover: every j-set of others does
-        families[b].append(((), allowed[b], allowed[b], allowed[b], j))
-    col, chosen, resid, allowed = col[live], chosen[live], resid[:, live], allowed[live]
-    stack = []  # per batch with 3 or more members left: its nodes, children and child batches
+    ok = strong = index != cs[:, None]
+    h = np.full(cs.size, -1)
+    stack = []  # per batch with 2 or more members left: its nodes, children and child batches
     emitted = 0
     while True:
-        if col.size:
-            left = j - chosen.shape[1]
-            work.add(n - 1, col.size, lambda x: (int(cs[col[x]]), chosen[x].tolist()))
+        left = j - chosen.shape[1]
+        work.add(n - 1, col.size, lambda x: (int(cs[col[x]]), chosen[x].tolist()))
+        if left == 1:
+            # the last member covers R alone, where the node allows it
+            hits = ((masks[:, col] & resid[:, :, None]) == resid[:, :, None]).all(axis=0)
+            x, g = divmod(np.flatnonzero(hits), n)
+            keep = ok[p[x], g] & ~(strong[p[x], g] & (g <= h[x]))
+            x, g = x[keep], g[keep]
+            rows = np.sort(np.concatenate((chosen[x], g[:, None]), axis=1), axis=1)
+            owner = col[x]
+            for b in np.flatnonzero(np.bincount(owner)).tolist():  # np.unique loads numpy.ma
+                found[b].append(rows[owner == b])
+        else:
+            allowed = ok[p] & ~(strong[p] & (index <= h[:, None]))
             # per node, the heavy members of the rule that admits fewer: under R,
             # to frame c under R & S, at a root given end the columns up to it
             rules = resid[:, None]
@@ -262,7 +272,7 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
             if end is not None and left == j:
                 heavy = np.concatenate((heavy, (allowed & (index <= end))[None]))
             heavy = heavy[heavy.sum(axis=2).argmin(axis=0), np.arange(col.size)]
-            p, h = np.nonzero(heavy)
+            p, h = divmod(np.flatnonzero(heavy), n)  # a 2-d np.nonzero is several times slower
             rest = resid[:, p] & ~masks[:, col[p], h]
             live = rest.any(axis=0)
             if not live.all():
@@ -271,22 +281,7 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
                 for x in np.flatnonzero(ends.any(axis=1)).tolist():
                     families[col[x]].append((tuple(chosen[x].tolist()), allowed[x], heavy[x], ends[x], left))
                 p, h, rest = p[live], h[live], rest[:, live]
-            if left > 2:
-                stack.append((col, chosen, allowed, heavy, p, h, rest, iter(range(0, p.size, block))))
-            for at in range(0, p.size if left == 2 else 0, block):
-                # children with one member left, which covers their rows alone where the
-                # child allows it: its parent does, and it is no heavy parent member up to h
-                q, hq, rq = p[at : at + block], h[at : at + block], rest[:, at : at + block]
-                work.add(n - 1, q.size, lambda x: (int(cs[col[q[x]]]), chosen[q[x]].tolist() + [int(hq[x])]))
-                x, g = np.nonzero(((masks[:, col[q]] & rq[:, :, None]) == rq[:, :, None]).all(axis=0))
-                if x.size:
-                    qx = q[x]
-                    keep = allowed[qx, g] & ~(heavy[qx, g] & (g <= hq[x]))
-                    x, qx = x[keep], qx[keep]
-                    rows = np.sort(np.concatenate((chosen[qx], hq[x, None], g[keep, None]), axis=1), axis=1)
-                    owner = col[qx]
-                    for b in np.flatnonzero(np.bincount(owner)).tolist():  # np.unique loads numpy.ma
-                        found[b].append(rows[owner == b])
+            stack.append((col, chosen, allowed, heavy, p, h, rest, iter(range(0, p.size, block))))
         # the next batch: the first children left of the deepest batch
         while stack and (at := next(stack[-1][7], None)) is None:
             stack.pop()
@@ -295,7 +290,6 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
             p, h = p[at : at + block], h[at : at + block]
             col, resid = parent[p], rest[:, at : at + block]
             chosen = np.concatenate((members[p], h[:, None]), axis=1)
-            allowed = ok[p] & ~(strong[p] & (index <= h[:, None]))
         # no node of a column before the next batch's is left
         upto = int(col[0]) if stack else cs.size
         for b in range(emitted, upto):

@@ -366,7 +366,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [([], "simulate needs --active or --k with --trials"), (["--active", "0,x"], "bad --active list '0,x'")],
+        [
+            ([], "simulate needs --active or --k with --trials"),
+            (["--active", "0,x"], "bad --active list '0,x'"),
+            (["--k", "2", "--trials", "5", "--trace"], "--trace requires --active"),
+        ],
     )
     def test_flag_error_before_reading_the_file(self, capsys, flags, message):
         code, out, err = run(capsys, "simulate", "--in", "no-such-file", *flags)

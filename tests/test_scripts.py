@@ -32,3 +32,9 @@ def test_resample_stats_runs(capsys):
     out = capsys.readouterr().out
     assert out.startswith("k=3 q=3 n=20 ")
     assert "resamples min=" in out
+
+
+def test_resample_stats_prints_the_moser_tardos_bound(capsys):
+    # n(n-1)/(2(2n-4)) is 1.5 at n = 4, above n/3
+    assert load("resample_stats").main(["--k", "2", "--q", "3", "--n", "4", "--seeds", "1"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("expectation bound n(n-1)/(2(2n-4))=1.5")

@@ -734,6 +734,72 @@ class TestBlockGuard:
         assert is_strongly_selective(fan(6), 4).witness == Witness(1, (0, 1, 2, 3))
 
 
+class TestOneLoop:
+    """Every node is a batch of the one loop: one with a member left is an
+    equality test charged n - 1 checks and nothing per cover, and a root
+    with no row to cover is a node of n - 1 checks like any other."""
+
+    def test_last_member_covers_are_not_charged(self, monkeypatch):
+        # columns 0 and 1 are equal and columns 2 and 3 settle: column 0's
+        # root, 3 checks, finds the cover (1,), which costs nothing more
+        m = mat(3, [[1, 1, 2, 0], [2, 2, 0, 1]])
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 3)
+        assert is_frameproof(m, 1).witness == Witness(0, (1,))
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 2)
+        with pytest.raises(CapacityError) as excinfo:
+            is_frameproof(m, 1)
+        assert refusal(excinfo) == (3, 2, 0, ())
+
+    @pytest.mark.parametrize(
+        "k,paid,refused",
+        [
+            # column 0 is zero: its root, 3 checks, covers at once, and
+            # every other column settles
+            (2, 3, (3, 2, 0, ())),
+            # column 0's root, 3 checks, leaves a family whose first
+            # completion costs 1; the witness is then known.  Columns 1 and
+            # 2 share a block: roots and nodes through member 3, 12 checks;
+            # column 3 takes member 0 (end = 0), a root and a node, 6
+            (3, 22, (22, 21, 3, (0,))),
+        ],
+    )
+    def test_root_with_no_row_to_cover(self, monkeypatch, k, paid, refused):
+        m = mat(3, [[0, 1, 2, 1], [0, 2, 1, 1]])
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", paid)
+        assert is_strongly_selective(m, k).witness == Witness(0, tuple(range(k)))
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", paid - 1)
+        with pytest.raises(CapacityError) as excinfo:
+            is_strongly_selective(m, k)
+        assert refusal(excinfo) == refused
+
+    @pytest.mark.parametrize("block", [1, 3, fpcodes.core.AGREEMENT_BLOCK])
+    def test_heavy_parent_member_that_covers_alone(self, monkeypatch, block):
+        # column 0 is 1 in its 4 rows; columns 1 to 5 agree with it on 2 or 3
+        # of them, so are heavy, and 6 and 7 on one.  Under the node through
+        # member 2, 4 or 5 the rows left are covered alone by a heavy member
+        # below it, so the cover is found through that member only, even when
+        # the nodes span several batches
+        e = np.array(
+            [
+                [1, 1, 2, 1, 2, 1, 2, 1],
+                [1, 1, 1, 1, 2, 2, 1, 2],
+                [1, 1, 1, 2, 1, 2, 2, 2],
+                [1, 2, 1, 2, 1, 1, 2, 2],
+            ],
+            dtype=np.uint16,
+        )
+        monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+        covers = [(1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (2, 7), (3, 4)]
+        for selective in (False, True):
+            work = fpcodes.verify._Work("test")
+            found = {c: list(hits) for c, hits in fpcodes.verify._covers(e, range(8), 2, selective, work)}
+            assert found[0] == covers
+            for c in range(8):
+                expect = [tuple(i + (i >= c) for i in hit) for hit in reference_kernel(e, c, 2, selective)]
+                assert found[c] == expect
+        assert_cut_matches_reference(3, e, (1, 2, 3))
+
+
 @st.composite
 def agreement_codes(draw):
     """Codes past one 64-bit word (t up to 130), alphabets up to the uint16
