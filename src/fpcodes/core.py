@@ -113,7 +113,7 @@ def _onehot(entries: np.ndarray) -> np.ndarray:
     t, n = entries.shape
     if t > 2**24 and any(np.count_nonzero(entries[:, j]) > 2**24 for j in range(n)):
         raise ParameterError("a column holds more than 2^24 nonzero symbols, past exact float32 agreement counts")
-    rows, cols = np.nonzero(entries)
+    rows, cols = divmod(np.flatnonzero(entries), n)  # a 2-d np.nonzero is slower
     keys = (rows.astype(np.int64) << 16) | entries[rows, cols]
     _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
     shared = counts >= 2

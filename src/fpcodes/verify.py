@@ -6,25 +6,26 @@ Strongly selective, for size k: for every k-set G and every c in G there
 is a row where c is nonzero and the other members all differ from it.
 
 Both are one cover condition.  Pack, for column c, the rows where column
-h agrees with c into a mask, 64 rows to a uint64 word; G frames c exactly
-when the OR of its members' masks covers every row, and blocks it when it
-covers S, c's nonzero rows: selectivity is framing on S.  One kernel,
-`_covers`, enumerates the covers of j >= 1 members for all the oracles
-and the expurgation's bad events (k = 1 selectivity needs none: a lone
-member fails exactly when its column is zero).  It is a pigeonhole
-search: of j members that cover R rows one covers at least ceil(R / j) of
-them, so only such heavy members are tried, and each cover is found once,
-through its least heavy member, in one batch loop down to the last
-member, an equality test filtered through its parent's columns.  A column
-that no j others can cover is settled before any mask is packed, by its
-largest agreement with another column, off the upper-triangle slabs of
-the one-hot B^T B (`core.agreement_slabs`); in a lambda code with
-j lambda < w that is every column.  Runtime is combinatorial, so a
-capacity guard with one charge, n - 1 checks a node and a completion a
-node of one, refuses the call past LEAF_BUDGET, naming where it stopped;
-it never returns a partial answer or subsamples.  The lambda-matrix check
-needs only column pairs, on the agreement kernel of the local-lemma
-builder.
+h agrees with c into a mask, 64 rows to a uint64 word, off bit planes of
+the code packed once a call: h agrees with c where no plane differs.  G
+frames c exactly when the OR of its members' masks covers every row, and
+blocks it when it covers S, c's nonzero rows, the OR of c's planes:
+selectivity is framing on S.  One kernel, `_covers`, enumerates the
+covers of j >= 1 members for all the oracles and the expurgation's bad
+events (k = 1 selectivity needs none: a lone member fails exactly when
+its column is zero).  It is a pigeonhole search: of j members that cover
+R rows one covers at least ceil(R / j) of them, so only such heavy
+members are tried, and each cover is found once, through its least heavy
+member, in one batch loop down to the last member, an equality test
+filtered through its parent's columns.  A column that no j others can
+cover is settled before any plane is packed, by its largest agreement
+with another column, off the upper-triangle slabs of the one-hot B^T B
+(`core.agreement_slabs`); in a lambda code with j lambda < w that is
+every column.  Runtime is combinatorial, so a capacity guard with one
+charge, n - 1 checks a node and a completion a node of one, refuses the
+call past LEAF_BUDGET, naming where it stopped; it never returns a
+partial answer or subsamples.  The lambda-matrix check needs only column
+pairs, on the agreement kernel of the local-lemma builder.
 """
 
 from __future__ import annotations
@@ -98,16 +99,43 @@ def nonzero_agreement_rows(matrix: CodeMatrix, a: int, b: int):
     return [i for i in range(matrix.t) if e[i, a] == e[i, b] and e[i, a] != 0]
 
 
-# set bits of every byte value
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
 def _popcount(masks: np.ndarray) -> np.ndarray:
     """Rows set in each mask of a (words, ...) uint64 array."""
-    # one multiply sums a word's eight byte counts into its top byte
-    per_word = _BYTE_BITS.take(np.ascontiguousarray(masks).view(np.uint8)).view(np.uint64)
-    per_word *= np.uint64(0x0101010101010101)
-    return (per_word >> np.uint64(56)).sum(axis=0, dtype=np.int64)
+    return np.bitwise_count(masks).sum(axis=0, dtype=np.int64)
+
+
+def _bit_planes(entries: np.ndarray):
+    """(planes, rows) of a code, the masks' input: planes[p, w, h] holds bit
+    p of column h's symbols, row 64 w + i at bit i, for each bit a symbol
+    uses, and rows has every one of the t rows set, padded to whole words."""
+    t, n = entries.shape
+    words = max(1, -(-t // 64))
+    width = int(entries.max(initial=0)).bit_length()
+    planes = np.empty((width, words, n), dtype=np.uint64)
+    bits = np.zeros((n, 64 * words), dtype=np.uint8)  # one plane's bits at a time
+    for p in range(width):
+        # the low byte of symbol >> p holds bit p at its bit 0
+        np.right_shift(entries.T, p, out=bits[:, :t], casting="unsafe")
+        bits &= 1
+        planes[p] = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64).T
+    rows = np.full(words, 2**64 - 1, dtype=np.uint64)
+    rows[t // 64 :] = (1 << t % 64) - 1  # no row past t is set
+    return planes, rows
+
+
+def _agreement_masks(code, cs: np.ndarray):
+    """(masks, S) of columns cs from `_bit_planes`' (planes, rows):
+    masks[w, i, h] has the rows where column h equals column cs[i], and
+    S[w, i] column cs[i]'s nonzero rows.  Column h agrees with c where no
+    bit plane differs, so column c's own mask is every row."""
+    planes, rows = code
+    masks = np.zeros((rows.size, cs.size, planes.shape[2]), dtype=np.uint64)
+    differ = np.empty_like(masks)
+    for plane in planes:
+        masks |= np.bitwise_xor(plane[:, None, :], plane[:, cs, None], out=differ)
+    np.invert(masks, out=masks)
+    masks &= rows[:, None, None]
+    return masks, np.bitwise_or.reduce(planes[:, :, cs], axis=0)
 
 
 class _Work:
@@ -198,15 +226,16 @@ def _in_order(parts: list):
         yield from map(tuple, rows[lo : lo + 64].tolist())
 
 
-def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end=None):
+def _covers(code, cols, j: int, selective: bool, work: _Work, end=None):
     """Cover kernel of a block of columns: (c, covers) for each column c of
     `cols`, ascending, covers iterating over the j-sets of other columns
     that cover c, as sorted tuples, in lexicographic order.
 
     Column h covers c in the rows where it equals c (symbol 0 included);
     need is every row to frame c, S, c's nonzero rows, to block it.  The
-    masks are one (words, columns, n) uint64 array; a node's rows R lie
-    within need, so none needs S masked in.  A node, a root with no row to
+    masks are one (words, columns, n) uint64 array, built from `code`, the
+    (planes, rows) of `_bit_planes`, by `_agreement_masks`; a node's rows R
+    lie within need, so none needs S masked in.  A node, a root with no row to
     cover too, holds its column, members and the rows R of need they leave;
     its children are its allowed heavy members, by the rule that admits
     fewer: those covering at least ceil(|R| / left) rows of R or, to frame
@@ -219,23 +248,16 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
     through its parent's allowed and heavy columns.
 
     One loop evaluates every level's nodes AGREEMENT_BLOCK at a time, one
-    masked AND and popcount over (nodes x n), a batch's children depth
-    first before its next batch: memory stays O(AGREEMENT_BLOCK n words),
-    and a column's covers are yielded once the search has left it.  Each
-    batch is charged n - 1 checks a node to `work` before it is evaluated.
+    masked AND and `np.bitwise_count` over (nodes x n), a batch's children
+    depth first before its next batch: memory stays O(AGREEMENT_BLOCK n
+    words), and a column's covers are yielded once the search has left it.
+    Each batch is charged n - 1 checks a node to `work` before it is
+    evaluated.
     """
-    t, n = entries.shape
     cs = np.asarray(cols, dtype=np.int64)
+    masks, support = _agreement_masks(code, cs)
+    n = masks.shape[2]
     block = core.AGREEMENT_BLOCK
-    # a bool row per column, then one for S, padded to whole 64-bit words;
-    # column c's own row is every row, as c equals itself
-    bits = np.zeros((cs.size, n + 1, 64 * max(1, -(-t // 64))), dtype=bool)
-    ref = entries[:, cs].T
-    np.equal(entries.T, ref[:, None], out=bits[:, :n, :t])
-    bits[:, n, :t] = ref != 0
-    words = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64).transpose(2, 0, 1).copy()
-    del bits
-    masks, support = words[:, :, :n], words[:, :, n]
     index = np.arange(n)
     found = [[] for _ in range(cs.size)]  # arrays of the covers completed by a last member
     families = [[] for _ in range(cs.size)]  # _completions' arguments
@@ -252,9 +274,12 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
         left = j - chosen.shape[1]
         work.add(n - 1, col.size, lambda x: (int(cs[col[x]]), chosen[x].tolist()))
         if left == 1:
-            # the last member covers R alone, where the node allows it
-            hits = ((masks[:, col] & resid[:, :, None]) == resid[:, :, None]).all(axis=0)
-            x, g = divmod(np.flatnonzero(hits), n)
+            # the last member covers R alone, leaving none of its rows, where the
+            # node allows it; in place, as the batch's one (words, nodes, n) array
+            miss = masks[:, col]
+            np.invert(miss, out=miss)
+            miss &= resid[:, :, None]
+            x, g = divmod(np.flatnonzero(~miss.any(axis=0)), n)
             keep = ok[p[x], g] & ~(strong[p[x], g] & (g <= h[x]))
             x, g = x[keep], g[keep]
             rows = np.sort(np.concatenate((chosen[x], g[:, None]), axis=1), axis=1)
@@ -305,13 +330,18 @@ def _covers(entries: np.ndarray, cols, j: int, selective: bool, work: _Work, end
 
 def _search(entries: np.ndarray, j: int, selective: bool, work: _Work, end=lambda: None):
     """`_covers` over every column `_unsettled` leaves, end() giving each
-    block's `end`, in blocks that double from one column, so that a caller
-    that stops at the first cover searches little past its column, up to
-    AGREEMENT_BLOCK columns and AGREEMENT_BLOCK^2 masks, but at least one."""
-    columns, size, n = _unsettled(entries, j), 1, entries.shape[1]
-    while block := list(itertools.islice(columns, size)):
-        yield from _covers(entries, block, j, selective, work, end())
-        size = min(2 * size, core.AGREEMENT_BLOCK, max(1, core.AGREEMENT_BLOCK**2 // n))
+    block's `end`, on bit planes packed at the first such column.  The first
+    block is one column, so that a caller that stops at a first cover there
+    searches no further; each later one takes at least AGREEMENT_BLOCK^2 /
+    (4 n) columns, 4096 masks, or twice the last block, so that few blocks
+    pay each block's fixed cost, up to AGREEMENT_BLOCK columns and
+    AGREEMENT_BLOCK^2 masks, but at least one."""
+    columns, size, n, code = _unsettled(entries, j), 1, entries.shape[1], None
+    block = core.AGREEMENT_BLOCK
+    while cols := list(itertools.islice(columns, size)):
+        code = code or _bit_planes(entries)
+        yield from _covers(code, cols, j, selective, work, end())
+        size = min(max(2 * size, block**2 // (4 * n)), block, max(1, block**2 // n))
 
 
 def _framings(entries: np.ndarray, k: int, what: str):

@@ -26,6 +26,7 @@ from fpcodes.expurgate import draw_matrix, enumerate_bad_events, expurgation_par
 from fpcodes.lll import build_frameproof, build_strongly_selective, sample_column
 from fpcodes.verify import (
     Witness,
+    _bit_planes,
     check_binary_expansion,
     check_reduction_fp_to_ss,
     check_reduction_ss_to_fp,
@@ -164,7 +165,7 @@ def kernel_covers(entries, c, j, selective, end=None):
     yields is in order and a cover."""
     work = fpcodes.verify._Work("test")
     bound = None if end is None else end - 1 + (end - 1 >= c)
-    [(column, covers)] = fpcodes.verify._covers(entries, [c], j, selective, work, bound)
+    [(column, covers)] = fpcodes.verify._covers(_bit_planes(entries), [c], j, selective, work, bound)
     assert column == c
     hits = [tuple(i - (i > c) for i in hit) for hit in covers]
     if end is not None:
@@ -278,7 +279,7 @@ class TestCoverCut:
         # a second node and join the covers
         e = np.array([[1, 0, 0, 0, 0, 1]] * 3 + [[0, 1, 1, 1, 1, 1]], dtype=np.uint16)
         work = fpcodes.verify._Work("test")
-        [(column, covers)] = fpcodes.verify._covers(e, [5], 2, False, work)
+        [(column, covers)] = fpcodes.verify._covers(_bit_planes(e), [5], 2, False, work)
         assert (column, list(covers)) == (5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         assert work.done == 10
 
@@ -360,7 +361,7 @@ class TestPigeonhole:
                 }
                 for bound in (None, end):
                     work = fpcodes.verify._Work("test")
-                    found = dict(fpcodes.verify._covers(entries, range(n), j, selective, work, bound))
+                    found = dict(fpcodes.verify._covers(_bit_planes(entries), range(n), j, selective, work, bound))
                     found = {c: list(covers) for c, covers in found.items()}
                     if bound is None:
                         assert found == expect
@@ -395,7 +396,7 @@ class TestPigeonhole:
         e = np.array([[1, 1, 2, 2], [1, 1, 1, 2], [1, 1, 1, 2], [1, 2, 1, 2]], dtype=np.uint16)
         for selective in (False, True):
             work = fpcodes.verify._Work("test")
-            [(column, covers)] = fpcodes.verify._covers(e, [0], 2, selective, work)
+            [(column, covers)] = fpcodes.verify._covers(_bit_planes(e), [0], 2, selective, work)
             assert list(covers) == [(1, 2)]
             assert work.done == 9
         assert [event for event in enumerate_bad_events(e, 2) if event[0] == 0] == [(0, (1, 2))]
@@ -435,6 +436,78 @@ class TestPigeonhole:
         head = list(itertools.islice(found, take))
         assert head == expect[:take] and work.done == len(head)
         assert head + list(found) == expect and work.done == len(expect)
+
+
+def packed_masks(entries, cols):
+    """(masks, S) of columns cols the byte-packed way: one bool row per
+    (column, other column) pair, and one for S, padded to whole 64-bit
+    words, through np.equal and np.packbits."""
+    t, n = entries.shape
+    cs = np.asarray(cols, dtype=np.int64)
+    bits = np.zeros((cs.size, n + 1, 64 * max(1, -(-t // 64))), dtype=bool)
+    ref = entries[:, cs].T
+    np.equal(entries.T, ref[:, None], out=bits[:, :n, :t])
+    bits[:, n, :t] = ref != 0
+    words = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64).transpose(2, 0, 1)
+    return words[:, :, :n], words[:, :, n]
+
+
+@st.composite
+def plane_codes(draw):
+    """Codes across the word edges (t from 0 to 130 rows) and the alphabets
+    up to 65536, whose symbol 65535 sets all 16 bit planes; some columns
+    zero, some all 65535 or q - 1."""
+    q = draw(st.sampled_from([2, 3, 11, 256, 65536]))
+    t = draw(st.sampled_from([0, 1, 63, 64, 65, 130]))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = rng.choice(sorted({0, 1, q // 2, q - 1}), size=(t, n))
+    entries = np.where(rng.random((t, n)) < 0.7, palette, rng.integers(0, q, size=(t, n))).astype(np.uint16)
+    entries[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0
+    entries[:, draw(st.lists(st.integers(0, n - 1), max_size=1))] = q - 1
+    return entries
+
+
+class TestBitPlanes:
+    """The masks from bit planes are those of the byte-packed kernel, and
+    the one-call popcount counts what int.bit_count does."""
+
+    @given(plane_codes(), st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
+    @example(np.array([[65535, 0, 65535, 1]] * 65, dtype=np.uint16), [2, 0, 1, 3])
+    @example(np.zeros((130, 3), dtype=np.uint16), [0, 2])
+    @example(np.zeros((0, 2), dtype=np.uint16), [1])
+    @settings(max_examples=150)
+    def test_masks_match_packed_reference(self, entries, picks):
+        # any columns of the block, in any order
+        cols = list(dict.fromkeys(c % entries.shape[1] for c in picks))
+        masks, support = fpcodes.verify._agreement_masks(_bit_planes(entries), np.array(cols))
+        expect_masks, expect_support = packed_masks(entries, cols)
+        assert masks.dtype == support.dtype == np.uint64
+        assert masks.tolist() == expect_masks.tolist()
+        assert support.tolist() == expect_support.tolist()
+
+    @pytest.mark.parametrize("t", [0, 1, 63, 64, 65, 130])
+    def test_planes_of_the_widest_symbol(self, t):
+        # symbol 65535 fills all 16 planes over the t rows and no padding
+        # bit; a zero column is clear in every plane
+        entries = np.zeros((t, 2), dtype=np.uint16)
+        entries[:, 1] = 65535
+        planes, rows = _bit_planes(entries)
+        words = max(1, -(-t // 64))
+        assert planes.shape == (16 if t else 0, words, 2) and rows.shape == (words,)
+        assert sum(int(w).bit_count() for w in rows) == t
+        assert not planes[:, :, 0].any() and (planes[:, :, 1] == rows).all()
+
+    @pytest.mark.parametrize("shape", [(1, 7), (1, 3, 5), (3, 4), (2, 3, 5)])
+    def test_popcount_matches_bit_count(self, shape):
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        masks = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+        edges = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        masks.reshape(-1)[: edges.size] = edges
+        counts = fpcodes.verify._popcount(masks)
+        expect = [sum(int(w).bit_count() for w in column) for column in masks.reshape(shape[0], -1).T]
+        assert counts.dtype == np.int64 and counts.shape == shape[1:]
+        assert counts.ravel().tolist() == expect
 
 
 def refusal(excinfo):
@@ -497,18 +570,18 @@ class TestFrameproof:
         assert refusal(excinfo) == (5, 4, 0, ())
 
     def test_budget_counts_the_whole_call(self, monkeypatch):
-        # fan(6) in blocks of 1, 2 and 3 columns, 5 checks a node.  Column
-        # 0 costs its root and its nodes through members 1 to 5, which find
-        # nothing (30 checks); the block of columns 1 and 2 costs their roots
-        # and a node each through member 0 (20).  Columns 2 to 5 alone cover
+        # fan(6) in blocks of 1 and 5 columns, 5 checks a node.  Column 0
+        # costs its root and its nodes through members 1 to 5, which find
+        # nothing (30 checks); the block of columns 1 to 5 costs their roots
+        # and a node each through member 0 (50).  Columns 2 to 5 alone cover
         # column 1, so its root leaves a family, and the first completion,
-        # primed to merge with the cover {0, 2}, costs 1: 30 + 20 + 1
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 51)
+        # primed to merge with the cover {0, 2}, costs 1: 30 + 50 + 1
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 81)
         assert is_frameproof(fan(6), 2).witness == Witness(1, (0, 2))
-        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 50)
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 80)
         with pytest.raises(CapacityError) as excinfo:
             is_frameproof(fan(6), 2)
-        assert refusal(excinfo) == (51, 50, 1, ())
+        assert refusal(excinfo) == (81, 80, 1, ())
 
     def test_no_rows(self):
         # t = 0: every coalition agrees with every column in all (no) rows
@@ -604,15 +677,18 @@ class TestStronglySelective:
         # an unexpurgated draw stacked over its complement fails at column
         # 41 with the set (0, 24, 41, 44); once a block has found a failure,
         # later blocks take only covers whose least member is at most the
-        # known set's, which gives the same witness for fewer checks
+        # known set's, which gives the same witness for fewer checks.  At
+        # the default block the 52 columns after the first share one block,
+        # so a smaller one splits them into blocks of 4, 8, 16, 19 and 5
+        monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", 32)
         drawn = CodeMatrix(5, draw_matrix(expurgation_params(5, 3, 40, 0)))
         stacked = stack_rows(drawn, complement(drawn))
         calls, works = [], []
         kernel, init = fpcodes.verify._covers, fpcodes.verify._Work.__init__
 
-        def spy(entries, cols, j, selective, work, end=None):
+        def spy(code, cols, j, selective, work, end=None):
             calls.append(end)
-            return kernel(entries, cols, j, selective, work, end if bounded else None)
+            return kernel(code, cols, j, selective, work, end if bounded else None)
 
         monkeypatch.setattr(fpcodes.verify, "_covers", spy)
         monkeypatch.setattr(fpcodes.verify._Work, "__init__", lambda self, what: (init(self, what), works.append(self))[0])
@@ -646,10 +722,12 @@ class TestBlockGuard:
     to 5, which find nothing: 30 checks.  Column 1 has its root and a node
     through member 0; columns 2 to 5 cover it alone, so both leave a
     family, whose first completions are primed, 1 check each, before its
-    first cover (0, 2, 3) is yielded.  Blocks double from one column up to
-    AGREEMENT_BLOCK^2 masks: with the default block, columns 1 and 2 share
-    one, and column 2's root and node are charged before column 1's covers
-    are yielded; at 2, a block holds one column of 6 masks.
+    first cover (0, 2, 3) is yielded.  The first block holds one column;
+    each later one at least AGREEMENT_BLOCK^2 / (4 n) columns, then twice
+    the last, up to AGREEMENT_BLOCK columns and AGREEMENT_BLOCK^2 masks:
+    with the default block, columns 1 to 5 share the second, and their
+    roots and nodes (50 checks) are charged before column 1's covers are
+    yielded; at 1 and 2, a block holds one column of 6 masks.
 
     The ids name each case by the budget, column, prefix and count it had
     when the guard charged a pair-at-a-time scan."""
@@ -678,10 +756,10 @@ class TestBlockGuard:
     @pytest.mark.parametrize("block", [1, 2, fpcodes.core.AGREEMENT_BLOCK])
     def test_cover_before_crossing_is_returned(self, monkeypatch, block):
         # the witness is returned once column 1's nodes and its two primed
-        # completions are paid for, and column 2's with them if they share
-        # a block; columns 3 to 5 are never searched
+        # completions are paid for, and those of columns 2 to 5 with them if
+        # they share a block; alone, columns 2 to 5 are never searched
         monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
-        paid = 52 if block**2 >= 2 * 6 else 42  # columns 1 and 2 share a block
+        paid = {1: 42, 2: 42, 128: 82}[block]
         monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", paid)
         assert is_frameproof(fan(6), 3).witness == Witness(1, (0, 2, 3))
         monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", paid - 1)
@@ -695,9 +773,10 @@ class TestBlockGuard:
         # crossing, then the refusal.  Each completion is charged as the
         # merge draws it, one ahead of the cover yielded: (0, 2, 3) to (0,
         # 4, 5) come from the family of column 1's node through member 0,
-        # the rest from its root's.  Sharing a block with column 2 adds that
-        # column's 10 checks before column 1's covers; the last crossing is
-        # column 2's root, or the first completion of its family
+        # the rest from its root's.  Sharing a block with columns 2 to 5 adds
+        # their 40 checks before column 1's covers; the last crossing is
+        # column 2's root, or, already paid for, the first completion of its
+        # root's family
         monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
         firsts = [(1, (0, 2, 3)), (1, (0, 2, 4)), (1, (0, 2, 5))]
         lasts = [(1, (0, 3, 4)), (1, (0, 3, 5)), (1, (0, 4, 5))]
@@ -706,10 +785,10 @@ class TestBlockGuard:
             (44, firsts, (45, 1, (0,))),
             (47, firsts + lasts + alone[:1], (48, 1, ())),
             (52, firsts + lasts + alone, (55, 2, ())),
-        ] if block**2 < 2 * 6 else [
-            (54, firsts, (55, 1, (0,))),
-            (57, firsts + lasts + alone[:1], (58, 1, ())),
-            (60, firsts + lasts + alone, (61, 2, ())),
+        ] if block <= 2 else [
+            (84, firsts, (85, 1, (0,))),
+            (87, firsts + lasts + alone[:1], (88, 1, ())),
+            (90, firsts + lasts + alone, (91, 2, ())),
         ]
         for budget, events, expect in cases:
             monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", budget)
@@ -720,6 +799,22 @@ class TestBlockGuard:
             assert found == events
             count, column, prefix = expect
             assert refusal(excinfo) == (count, budget, column, prefix)
+
+    @pytest.mark.parametrize("n,sizes", [(100, [1, 40, 59]), (2000, [1, 2, 4] + [8] * 249 + [1])])
+    def test_block_schedule(self, monkeypatch, n, sizes):
+        # every column of a zero code is unsettled.  After one column a
+        # block takes at least 128^2 / (4 n) columns, 40 at n = 100, then
+        # twice the last, up to 128^2 / n, 8 at n = 2000
+        blocks = []
+
+        def spy(code, cols, *args):
+            blocks.append(len(cols))
+            return iter(())
+
+        monkeypatch.setattr(fpcodes.verify, "_covers", spy)
+        entries = np.zeros((1, n), dtype=np.uint16)
+        assert list(fpcodes.verify._search(entries, 1, False, fpcodes.verify._Work("test"))) == []
+        assert blocks == sizes and sum(sizes) == n
 
     def test_blocks_of_covering_prefixes_cost_nothing(self, monkeypatch):
         # blocking by 3 others: column 0 costs 30 as for framing.  Column
@@ -792,7 +887,7 @@ class TestOneLoop:
         covers = [(1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (2, 7), (3, 4)]
         for selective in (False, True):
             work = fpcodes.verify._Work("test")
-            found = {c: list(hits) for c, hits in fpcodes.verify._covers(e, range(8), 2, selective, work)}
+            found = {c: list(hits) for c, hits in fpcodes.verify._covers(_bit_planes(e), range(8), 2, selective, work)}
             assert found[0] == covers
             for c in range(8):
                 expect = [tuple(i + (i >= c) for i in hit) for hit in reference_kernel(e, c, 2, selective)]
@@ -1060,9 +1155,9 @@ class TestBlockSettle:
         searched = []
         covers = fpcodes.verify._covers
 
-        def spy(entries, cols, *args):
+        def spy(code, cols, *args):
             searched.extend(cols)
-            return covers(entries, cols, *args)
+            return covers(code, cols, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
