@@ -3,7 +3,6 @@ tolerant ceiling, the one statement of each input rule the modules share
 (q >= 2, k >= 2, and the formulas' float and exact ranges), and
 reproducible RNG substreams.  `bounds` imports only this module."""
 
-import hashlib
 import math
 import random
 
@@ -92,6 +91,8 @@ def substream(seed: int, *path) -> random.Random:
     stream for a given path never changes when other paths draw more or
     fewer values.  This keeps per-column resampling reproducible.
     """
+    import hashlib  # here, so that the bounds never load OpenSSL
+
     tag = ":".join([str(seed)] + [str(p) for p in path])
     digest = hashlib.sha256(tag.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))

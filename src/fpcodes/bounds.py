@@ -24,8 +24,8 @@ from: the local-lemma chain `lll_chain` (`derive_weight`, `derive_lambda`,
 `derive_length`) that `lll` runs, with `lll_threshold`, the criterion's
 one statement, and the expurgation length with its survival probability
 (`p_qk`, `expurgation_length`, `corollary_length`) that `expurgate`
-draws at.  It is plain integer, float and rational arithmetic and
-imports no numpy, so a process that only evaluates bounds never loads it.
+draws at.  It is plain integer and float arithmetic and imports no
+numpy, so a process that only evaluates bounds never loads it.
 The shared input rules are `_util`'s checks; a formula states only its
 own regime.  Each formula with float arithmetic of its own carries the
 one overflow refusal, `_guarded`, and the formulas that combine others
@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from ._util import ParameterError, ceil_tol, check_exact_k, check_float_n, check_float_q, check_k, check_q
 
@@ -125,15 +124,19 @@ def lll_chain(q: int, k: int, n: int) -> tuple[int, int, int]:
     return w, lam, derive_length(lam, w, n, q)
 
 
-def _p_fraction(q: int, k: int) -> Fraction:
-    """`p_qk` as an exact rational, with the input rules it takes."""
+def _p_ratio(q: int, k: int) -> tuple[int, int]:
+    """`p_qk` as an exact ratio (num, den) in lowest terms, with the input
+    rules it takes.  For q <= k it is (1-a) a^k + a (k/(k+1))^k with
+    a = (q-1)/(k+1), over the one denominator (k+1)^(k+1)."""
     check_exact_k(k)
     check_k(k)
     check_q(q)
     if q > k:
-        return (Fraction(q - 1, q)) ** k
-    a = Fraction(q - 1, k + 1)  # total nonzero mass
-    return (1 - a) * a**k + a * (1 - Fraction(1, k + 1)) ** k
+        return (q - 1) ** k, q**k  # coprime, as q - 1 and q are
+    num = (k + 2 - q) * (q - 1) ** k + (q - 1) * k**k
+    den = (k + 1) ** (k + 1)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 @_guarded
@@ -143,9 +146,11 @@ def p_qk(q: int, k: int) -> float:
     For q > k this is (1-1/q)^k under the uniform draw; for q <= k it is
     the biased-draw value
       (1 - (q-1)/(k+1)) ((q-1)/(k+1))^k + ((q-1)/(k+1)) (1 - 1/(k+1))^k,
-    evaluated exactly in rationals before conversion to float.
+    evaluated exactly as an integer ratio, then divided once, correctly
+    rounded.
     """
-    return float(_p_fraction(q, k))
+    num, den = _p_ratio(q, k)
+    return num / den
 
 
 @_guarded
@@ -156,22 +161,22 @@ def expurgation_length(q: int, k: int, n: int) -> int:
     within 10 units of 2^-53 of the real one, relative (an ulp or two from
     each logarithm, the rounding of p or 1-p, the division), so where no
     integer lies within LENGTH_REL_ERR x of it the ceiling is exact; else
-    the exact rational test picks t among the candidates in that range.
+    the exact integer test picks t among the candidates in that range.
     """
-    p = _p_fraction(q, k)
+    num, den = _p_ratio(q, k)
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
     count = (k + 1) * math.comb(n + n // k, k)
-    base = 1 - p
-    if p <= 0.5:
-        rate = -math.log1p(-float(p))
-    else:  # 1-p <= 1/2, scaled by 2^e into (1/2, 2) so that no q underflows it
-        e = base.denominator.bit_length() - base.numerator.bit_length()
-        rate = e * math.log(2) - math.log(base * 2**e)
+    base = den - num  # 1 - p = base/den, in lowest terms as p is
+    if 2 * num <= den:
+        rate = -math.log1p(-(num / den))
+    else:  # 1-p < 1/2, scaled by 2^e into (1/2, 2) so that no q underflows it
+        e = den.bit_length() - base.bit_length()
+        rate = e * math.log(2) - math.log((base << e) / den)
     x = math.log(count) / rate
     err = x * LENGTH_REL_ERR
     t, hi = (max(1, math.ceil(v)) for v in (x - err, x + err))
-    while t < hi and count * base.numerator**t > base.denominator**t:
+    while t < hi and count * base**t > den**t:
         t += 1
     return t
 

@@ -40,7 +40,10 @@ def _emit(args, matrix, sidecar: dict) -> int:
 def cmd_construct(args) -> int:
     if args.kind != "diagonal" and args.k is None:
         raise ParameterError(f"construct {args.kind} requires --k")
-    from . import diagonal, expurgate, lll  # before the timer: wall_time_s is the build's alone
+    # before the timer, so that wall_time_s is the build's alone; hashlib is
+    # the module `_util.substream` imports at its first call
+    import hashlib  # noqa: F401
+    from . import diagonal, expurgate, lll
 
     start = time.perf_counter()
     sidecar = {"subcommand": args.kind, "q": args.q, "n": args.n, "seed": args.seed}

@@ -23,9 +23,10 @@ with another column, off the upper-triangle slabs of the one-hot B^T B
 (`core.agreement_slabs`); in a lambda code with j lambda < w that is
 every column.  Runtime is combinatorial, so a capacity guard with one
 charge, n - 1 checks a node and a completion a node of one, refuses the
-call past LEAF_BUDGET, naming where it stopped; it never returns a
-partial answer or subsamples.  The lambda-matrix check needs only column
-pairs, on the agreement kernel of the local-lemma builder.
+call past LEAF_BUDGET, naming where it stopped and estimating the whole
+call's checks; it never returns a partial answer or subsamples.  The
+lambda-matrix check needs only column pairs, on the agreement kernel of
+the local-lemma builder.
 """
 
 from __future__ import annotations
@@ -142,10 +143,12 @@ class _Work:
     """Coalition checks of one oracle call, against LEAF_BUDGET: the member
     tests the cover kernel evaluates, n - 1 candidates per node, charged
     before each batch of nodes, and each completion of a family, a node of
-    one check, charged as it is emitted."""
+    one check, charged as it is emitted.  A refusal estimates the whole
+    call's checks as those done, scaled from the columns reached to all n."""
 
-    def __init__(self, what: str):
+    def __init__(self, what: str, n: int):
         self.what = what
+        self.n = n
         self.done = 0
 
     def add(self, per: int, count: int, node) -> None:
@@ -159,7 +162,8 @@ class _Work:
             column, prefix = node(x)
             raise CapacityError(
                 f"{self.what} check refused after {self.done} coalition checks, over the "
-                f"{LEAF_BUDGET} budget, at column {column}, coalition prefix {tuple(sorted(prefix))}"
+                f"{LEAF_BUDGET} budget, at column {column}, coalition prefix {tuple(sorted(prefix))}; "
+                f"extrapolated to all {self.n} columns, about {self.done * self.n // (column + 1)} checks"
             )
         self.done += per * count
 
@@ -351,7 +355,7 @@ def _framings(entries: np.ndarray, k: int, what: str):
     n = entries.shape[1]
     if not 1 <= k <= n - 1:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    work = _Work(what)
+    work = _Work(what, n)
     return ((c, group) for c, covers in _search(entries, k, False, work) for group in covers)
 
 
@@ -384,7 +388,7 @@ def is_strongly_selective(matrix: CodeMatrix, k: int) -> VerificationReport:
         zero = np.flatnonzero(~matrix.entries.any(axis=0)).tolist()
         best = ((zero[0],), zero[0]) if zero else None
     else:
-        work = _Work("selectivity")
+        work = _Work("selectivity", n)
         for c, covers in _search(matrix.entries, k - 1, True, work, lambda: best and best[0][0]):
             hit = next(covers, None)
             if hit is not None:

@@ -202,6 +202,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "after 15 coalition checks, over the 12 budget, at column 0, coalition prefix (2,)" in err
 
+    def test_capacity_exit_2_carries_an_estimate(self, tmp_path, capsys, monkeypatch):
+        # the refusal scales the 15 checks made by column 0 to all 6 columns
+        path = tmp_path / "fan.code"
+        path.write_bytes(b"2 2 6\n1 1 1 1 1 1\n1 0 0 0 0 0\n")
+        monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 12)
+        code, out, err = run(capsys, "verify", "--in", str(path), "--property", "fp", "--k", "2")
+        assert code == 2 and out == ""
+        assert "coalition prefix (2,); extrapolated to all 6 columns, about 90 checks\n" in err
+
     def test_missing_k_exit_2(self, tmp_path, capsys):
         path = tmp_path / "d.code"
         run(capsys, "construct", "diagonal", "--q", "3", "--n", "6", "--out", str(path))

@@ -38,6 +38,21 @@ def exact_p(q, k):
     return (1 - a) * a**k + a * (1 - Fraction(1, k + 1)) ** k
 
 
+def assert_exact_p(q, k):
+    """`_p_ratio` is exact_p in lowest terms, and `p_qk` one correctly
+    rounded division of it: bit for bit float(Fraction), no double rounding."""
+    p = exact_p(q, k)
+    assert fpcodes.bounds._p_ratio(q, k) == (p.numerator, p.denominator)
+    assert p_qk(q, k).hex() == float(p).hex()
+
+
+# q = k (biased branch) and q = k + 1 (uniform), k = 2^14 at both, and
+# q = 2^53 against small and largest k
+RATIO_CELLS = [(k, k) for k in (2, 3, 8, 2**14)] + [(k + 1, k) for k in (2, 3, 8, 2**14)] + [
+    (2**53, 2), (2**53, 8), (2**53, 2**14), (2, 2**14), (3, 2**14), (2, 100), (50, 100),
+]
+
+
 class TestPqk:
     def test_exact_values(self):
         assert p_qk(3, 2) == float(Fraction(4, 9))
@@ -45,9 +60,13 @@ class TestPqk:
         assert p_qk(2, 3) == float(Fraction(15, 128))
         assert p_qk(4, 2) == float(Fraction(9, 16))
 
-    @given(st.integers(2, 12), st.integers(2, 12))
+    @given(st.integers(2, 12) | st.integers(2, 2**53), st.integers(2, 12) | st.integers(2, 300))
     def test_matches_exact_rational(self, q, k):
-        assert p_qk(q, k) == float(exact_p(q, k))
+        assert_exact_p(q, k)
+
+    @pytest.mark.parametrize("q, k", RATIO_CELLS)
+    def test_matches_exact_rational_at_edges(self, q, k):
+        assert_exact_p(q, k)
 
     def test_branch_boundary(self):
         # q = k uses the biased branch, q = k+1 the uniform one
@@ -119,6 +138,14 @@ class TestExpurgationLength:
 
     def test_matches_exact_search_on_grid(self):
         for q, k, n in LENGTH_GRID:
+            assert expurgation_length(q, k, n) == reference_length(q, k, n), (q, k, n)
+
+    @pytest.mark.parametrize("q", [65536, 2**20, 2**40])
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_matches_exact_search_where_p_exceeds_half(self, q, k):
+        # 1 - p < 1/2: the scaled logarithm, and the walk on the same ints
+        assert exact_p(q, k) > Fraction(1, 2)
+        for n in (k, k + 1, 1000, 10**6):
             assert expurgation_length(q, k, n) == reference_length(q, k, n), (q, k, n)
 
     def test_exact_walk_inside_a_wide_bound(self, monkeypatch):

@@ -1,5 +1,6 @@
 """The package surface: lazily resolved names, and the paths that answer
-without loading numpy or dataclasses (bounds, --help, the bound tables)."""
+without loading numpy, dataclasses, fractions, decimal or hashlib (bounds,
+--help, the bound tables)."""
 
 import functools
 import os
@@ -27,11 +28,16 @@ NUMPY_FREE = {
 }
 
 
+# standard modules the bounds paths need not load: fractions imports decimal,
+# and hashlib loads OpenSSL
+STDLIB_HEAVY = ("fractions", "decimal", "hashlib")
+
+
 @functools.lru_cache(maxsize=None)
-def loaded(code: str) -> frozenset:
+def loaded(code: str, names: tuple = ("numpy", "dataclasses")) -> frozenset:
     """Run `code` in a fresh interpreter with the package on the path; which
-    of numpy and dataclasses were imported by the end?"""
-    probe = code + "\nimport sys\nprint(*sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
+    of `names` were imported by the end?"""
+    probe = code + f"\nimport sys\nprint(*sorted({set(names)!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -47,6 +53,17 @@ def test_path_never_loads_numpy(code):
 def test_path_never_loads_dataclasses(code):
     # BoundReport is a named tuple, so a bounds-only process skips that import
     assert "dataclasses" not in loaded(code)
+
+
+@pytest.mark.parametrize("code", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
+def test_path_never_loads_fractions_decimal_or_hashlib(code):
+    # the survival probability is an integer ratio, and only `substream`,
+    # which the builders call, imports hashlib
+    assert loaded(code, STDLIB_HEAVY) == frozenset()
+
+
+def test_probe_sees_hashlib():
+    assert loaded("from fpcodes import _util\n_util.substream(0, 1)", STDLIB_HEAVY) == {"hashlib"}
 
 
 def test_probe_sees_numpy():
@@ -76,7 +93,7 @@ def test_moved_names_keep_their_old_homes():
     for name in ("derive_weight", "derive_lambda", "derive_length"):
         assert getattr(lll, name) is getattr(bounds, name)
         assert getattr(bounds, name).__module__ == "fpcodes.bounds"
-    for name in ("_p_fraction", "p_qk", "expurgation_length", "corollary_length"):
+    for name in ("_p_ratio", "p_qk", "expurgation_length", "corollary_length"):
         assert getattr(bounds, name).__module__ == "fpcodes.bounds"
     for name in ("p_qk", "expurgation_length", "corollary_length"):
         assert getattr(expurgate, name) is getattr(bounds, name)

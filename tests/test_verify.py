@@ -163,7 +163,7 @@ def kernel_covers(entries, c, j, selective, end=None):
     cover kernel yields for column c alone, the first below end.  Given
     end, the kernel is bounded by the column of mask end - 1, and all it
     yields is in order and a cover."""
-    work = fpcodes.verify._Work("test")
+    work = fpcodes.verify._Work("test", entries.shape[1])
     bound = None if end is None else end - 1 + (end - 1 >= c)
     [(column, covers)] = fpcodes.verify._covers(_bit_planes(entries), [c], j, selective, work, bound)
     assert column == c
@@ -278,7 +278,7 @@ class TestCoverCut:
         # which covers every row, must not be a candidate, or it would lead
         # a second node and join the covers
         e = np.array([[1, 0, 0, 0, 0, 1]] * 3 + [[0, 1, 1, 1, 1, 1]], dtype=np.uint16)
-        work = fpcodes.verify._Work("test")
+        work = fpcodes.verify._Work("test", e.shape[1])
         [(column, covers)] = fpcodes.verify._covers(_bit_planes(e), [5], 2, False, work)
         assert (column, list(covers)) == (5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         assert work.done == 10
@@ -360,7 +360,7 @@ class TestPigeonhole:
                     for c in range(n)
                 }
                 for bound in (None, end):
-                    work = fpcodes.verify._Work("test")
+                    work = fpcodes.verify._Work("test", n)
                     found = dict(fpcodes.verify._covers(_bit_planes(entries), range(n), j, selective, work, bound))
                     found = {c: list(covers) for c, covers in found.items()}
                     if bound is None:
@@ -395,7 +395,7 @@ class TestPigeonhole:
         # longer allows column 1.  3 nodes test 3 candidates each
         e = np.array([[1, 1, 2, 2], [1, 1, 1, 2], [1, 1, 1, 2], [1, 2, 1, 2]], dtype=np.uint16)
         for selective in (False, True):
-            work = fpcodes.verify._Work("test")
+            work = fpcodes.verify._Work("test", e.shape[1])
             [(column, covers)] = fpcodes.verify._covers(_bit_planes(e), [0], 2, selective, work)
             assert list(covers) == [(1, 2)]
             assert work.done == 9
@@ -431,7 +431,7 @@ class TestPigeonhole:
             for x in itertools.combinations(np.flatnonzero(allowed).tolist(), size)
             if heavy[list(x)].any() and ends[next(m for m in x if heavy[m])]
         ]
-        work = fpcodes.verify._Work("test")
+        work = fpcodes.verify._Work("test", len(kinds))
         found = fpcodes.verify._completions(tuple(prefix), allowed, heavy, ends, size, work, 0)
         head = list(itertools.islice(found, take))
         assert head == expect[:take] and work.done == len(head)
@@ -583,6 +583,15 @@ class TestFrameproof:
             is_frameproof(fan(6), 2)
         assert refusal(excinfo) == (81, 80, 1, ())
 
+    def test_refusal_extrapolates_the_whole_call(self, monkeypatch):
+        # the estimate is the checks done times n over the columns reached:
+        # 15 checks at column 0 of fan(6) give 90, 81 at column 1 give 243
+        for budget, estimate in ((12, 90), (80, 243)):
+            monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", budget)
+            with pytest.raises(CapacityError) as excinfo:
+                is_frameproof(fan(6), 2)
+            assert str(excinfo.value).endswith(f"; extrapolated to all 6 columns, about {estimate} checks")
+
     def test_no_rows(self):
         # t = 0: every coalition agrees with every column in all (no) rows
         m = CodeMatrix(2, np.zeros((0, 3), dtype=np.uint16))
@@ -691,7 +700,7 @@ class TestStronglySelective:
             return kernel(code, cols, j, selective, work, end if bounded else None)
 
         monkeypatch.setattr(fpcodes.verify, "_covers", spy)
-        monkeypatch.setattr(fpcodes.verify._Work, "__init__", lambda self, what: (init(self, what), works.append(self))[0])
+        monkeypatch.setattr(fpcodes.verify._Work, "__init__", lambda self, *args: (init(self, *args), works.append(self))[0])
         for bounded in (True, False):
             assert is_strongly_selective(stacked, 4).witness == Witness(41, (0, 24, 41, 44))
         assert calls[0] is None and any(end is not None for end in calls)
@@ -813,7 +822,7 @@ class TestBlockGuard:
 
         monkeypatch.setattr(fpcodes.verify, "_covers", spy)
         entries = np.zeros((1, n), dtype=np.uint16)
-        assert list(fpcodes.verify._search(entries, 1, False, fpcodes.verify._Work("test"))) == []
+        assert list(fpcodes.verify._search(entries, 1, False, fpcodes.verify._Work("test", n))) == []
         assert blocks == sizes and sum(sizes) == n
 
     def test_blocks_of_covering_prefixes_cost_nothing(self, monkeypatch):
@@ -886,7 +895,7 @@ class TestOneLoop:
         monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
         covers = [(1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (2, 7), (3, 4)]
         for selective in (False, True):
-            work = fpcodes.verify._Work("test")
+            work = fpcodes.verify._Work("test", e.shape[1])
             found = {c: list(hits) for c, hits in fpcodes.verify._covers(_bit_planes(e), range(8), 2, selective, work)}
             assert found[0] == covers
             for c in range(8):
