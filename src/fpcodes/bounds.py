@@ -22,10 +22,11 @@ the report are stable strings used by the text serialization:
 The module also holds the formulas the builders derive their parameters
 from: the local-lemma chain `lll_chain` (`derive_weight`, `derive_lambda`,
 `derive_length`) that `lll` runs, with `lll_threshold`, the criterion's
-one statement, and the expurgation length with its survival probability
-(`p_qk`, `expurgation_length`, `corollary_length`) that `expurgate`
-draws at.  It is plain integer and float arithmetic and imports no
-numpy, so a process that only evaluates bounds never loads it.
+one statement, and the expurgation's draw law `draw_law` with the
+survival probability and length over it (`p_qk`, `expurgation_length`,
+`corollary_length`) that `expurgate` draws from and at.  It is plain
+integer and float arithmetic and imports no numpy, so a process that
+only evaluates bounds never loads it.
 The shared input rules are `_util`'s checks; a formula states only its
 own regime.  Each formula with float arithmetic of its own carries the
 one overflow refusal, `_guarded`, and the formulas that combine others
@@ -124,31 +125,28 @@ def lll_chain(q: int, k: int, n: int) -> tuple[int, int, int]:
     return w, lam, derive_length(lam, w, n, q)
 
 
-def _p_ratio(q: int, k: int) -> tuple[int, int]:
-    """`p_qk` as an exact ratio (num, den) in lowest terms, with the input
-    rules it takes.  For q <= k it is (1-a) a^k + a (k/(k+1))^k with
-    a = (q-1)/(k+1), over the one denominator (k+1)^(k+1)."""
-    check_exact_k(k)
+def draw_law(q: int, k: int) -> tuple[int, int]:
+    """The expurgation's draw law mu as integers (d, h): symbol 0 weighs h
+    and each other symbol 1, out of d.  Uniform, (q, 1), when q > k; when
+    q <= k, (k+1, k+2-q), the biased law that maximizes p."""
     check_k(k)
     check_q(q)
-    if q > k:
-        return (q - 1) ** k, q**k  # coprime, as q - 1 and q are
-    num = (k + 2 - q) * (q - 1) ** k + (q - 1) * k**k
-    den = (k + 1) ** (k + 1)
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return (q, 1) if q > k else (k + 1, k + 2 - q)
+
+
+def _p_ratio(q: int, k: int) -> tuple[int, int]:
+    """`p_qk` as an exact, unreduced ratio (num, den): the sum over the
+    draw law of mu_s (1-mu_s)^k, over the one denominator d^(k+1)."""
+    check_exact_k(k)
+    d, h = draw_law(q, k)
+    return h * (d - h) ** k + (q - 1) * (d - 1) ** k, d ** (k + 1)
 
 
 @_guarded
 def p_qk(q: int, k: int) -> float:
-    """Per-row probability that a fixed column separates from k fixed others.
-
-    For q > k this is (1-1/q)^k under the uniform draw; for q <= k it is
-    the biased-draw value
-      (1 - (q-1)/(k+1)) ((q-1)/(k+1))^k + ((q-1)/(k+1)) (1 - 1/(k+1))^k,
-    evaluated exactly as an integer ratio, then divided once, correctly
-    rounded.
-    """
+    """Per-row probability that a fixed column separates from k fixed others:
+    the one sum p = sum_s mu_s (1-mu_s)^k over `draw_law`, exact as an
+    integer ratio, then divided once, correctly rounded."""
     num, den = _p_ratio(q, k)
     return num / den
 
@@ -167,7 +165,7 @@ def expurgation_length(q: int, k: int, n: int) -> int:
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
     count = (k + 1) * math.comb(n + n // k, k)
-    base = den - num  # 1 - p = base/den, in lowest terms as p is
+    base = den - num  # 1 - p = base/den
     if 2 * num <= den:
         rate = -math.log1p(-(num / den))
     else:  # 1-p < 1/2, scaled by 2^e into (1/2, 2) so that no q underflows it

@@ -52,6 +52,16 @@ def _stations(matrix: CodeMatrix, active) -> list[int]:
     return stations
 
 
+def _slots(matrix: CodeMatrix, stations: list[int]):
+    """(slot, {channel: its transmitting stations in order}) for each slot."""
+    for i, row in enumerate(matrix.entries[:, stations].tolist()):
+        users: dict[int, list[int]] = {}
+        for s, sym in zip(stations, row):
+            if sym:
+                users.setdefault(sym, []).append(s)
+        yield i, users
+
+
 def simulate(matrix: CodeMatrix, active) -> ScheduleOutcome:
     """Run the schedule for one active set; deterministic.
 
@@ -59,11 +69,7 @@ def simulate(matrix: CodeMatrix, active) -> ScheduleOutcome:
     """
     stations = _stations(matrix, active)
     success = {s: None for s in stations}
-    for i, row in enumerate(matrix.entries[:, stations].tolist()):
-        users: dict[int, list[int]] = {}
-        for s, sym in zip(stations, row):
-            if sym:
-                users.setdefault(sym, []).append(s)
+    for i, users in _slots(matrix, stations):
         for txs in users.values():
             if len(txs) == 1 and success[txs[0]] is None:
                 success[txs[0]] = i
@@ -140,17 +146,13 @@ def trace_lines(matrix: CodeMatrix, active) -> list[str]:
     One line per (slot, channel) pair: slot, channel, the transmitting
     stations as a comma list (or -), and idle/success/collision.
     """
-    stations = _stations(matrix, active)
     lines = []
-    for i, row in enumerate(matrix.entries[:, stations].tolist()):
+    for i, users in _slots(matrix, _stations(matrix, active)):
         for channel in range(1, matrix.q):
-            txs = [s for s, sym in zip(stations, row) if sym == channel]
-            if not txs:
-                outcome = "idle"
-            elif len(txs) == 1:
-                outcome = "success"
+            txs = users.get(channel)
+            if txs is None:
+                lines.append(f"{i}\t{channel}\t-\tidle")
             else:
-                outcome = "collision"
-            joined = ",".join(str(s) for s in txs) if txs else "-"
-            lines.append(f"{i}\t{channel}\t{joined}\t{outcome}")
+                outcome = "success" if len(txs) == 1 else "collision"
+                lines.append(f"{i}\t{channel}\t{','.join(map(str, txs))}\t{outcome}")
     return lines

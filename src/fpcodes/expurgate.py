@@ -6,13 +6,12 @@ is below 1.  By Markov's inequality a draw with at most ell bad events
 appears quickly; deleting one involved column per bad event leaves at
 least n columns forming a k-frameproof code.
 
-The symbol distribution mu is uniform when q > k.  When q <= k a uniform
-draw is too collision-prone, so symbol 0 gets probability 1-(q-1)/(k+1)
-and each nonzero symbol 1/(k+1), which maximizes the per-row survival
-probability p of a fixed column against k fixed others.
-
-The length t (`expurgation_length`), its closed-form estimate and p are
-numpy-free formulas of `bounds`, imported here.
+The symbol distribution mu is `bounds.draw_law`: uniform when q > k, and
+when q <= k, where a uniform draw is too collision-prone, biased toward
+symbol 0 so as to maximize the per-row survival probability p of a fixed
+column against k fixed others.  The length t (`expurgation_length`), its
+closed-form estimate and p are numpy-free formulas of `bounds` over that
+law, imported here.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_k, check_q
-# the length formulas live in the numpy-free `bounds`; expurgate re-exports them
-from .bounds import corollary_length, expurgation_length, p_qk
+from ._util import check_k
+# the law and the length formulas live in the numpy-free `bounds`; expurgate re-exports the formulas
+from .bounds import corollary_length, draw_law, expurgation_length, p_qk
 from .core import MAX_WORDS, CodeMatrix, ConstructionError, ParameterError, _check_alphabet, stream_words
 from .verify import _framings
 
@@ -72,13 +71,13 @@ class ExpurgationParams:
 
 
 def symbol_distribution(q: int, k: int) -> tuple[float, ...]:
-    """Draw distribution mu over {0, ..., q-1}: uniform iff q > k."""
-    check_k(k)
-    check_q(q)
-    if q > k:
-        return tuple([1.0 / q] * q)
-    head = 1.0 - (q - 1) / (k + 1)
-    return (head,) + tuple([1.0 / (k + 1)] * (q - 1))
+    """Draw distribution mu over {0, ..., q-1}, `draw_law` as floats: 1/d
+    each nonzero symbol, and symbol 0 too in the uniform law, else the rest,
+    1 - (q-1)/d (not h/d, which rounds differently; every draw's CDF is
+    built from these floats)."""
+    d, h = draw_law(q, k)
+    rest = 1.0 / d
+    return (rest if h == 1 else 1.0 - (q - 1) / d,) + (rest,) * (q - 1)
 
 
 def expurgation_params(q: int, k: int, n: int, seed: int = 0) -> ExpurgationParams:

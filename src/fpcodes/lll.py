@@ -248,9 +248,8 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
     bad = set(agreement_pairs(cols, lam))
     history = [(0, len(bad))]
     budget = resample_budget(n)
-    events = 0
     while bad:
-        if events >= budget:
+        if len(history) - 1 >= budget:  # one snapshot per event after the first
             log = ResampleLog(tuple(history))
             raise ConstructionError(f"resample budget of {budget} events exhausted", log=log)
         a, b = min(bad)  # lexicographically first violated pair
@@ -260,13 +259,12 @@ def build_lambda_matrix(params: ConstructionParams) -> tuple[CodeMatrix, Resampl
                 streams[x] = substream(params.seed, "col", x)
                 sample_column(t, w, q, streams[x])
             cols[:, x] = sample_column(t, w, q, streams[x])
-        events += 1
         bad = {p for p in bad if a not in p and b not in p}
         for x in (a, b):
             for y in np.flatnonzero(agreements_with(cols, x) > lam).tolist():
                 if y != x:
                     bad.add((min(x, y), max(x, y)))
-        history.append((events, len(bad)))
+        history.append((len(history), len(bad)))
 
     return CodeMatrix(q, cols), ResampleLog(tuple(history))
 

@@ -19,6 +19,11 @@ CELLS = [
     for q in (2, 3, 4, 16, 256, 65536, 2**40)
     for k in (2, 3, 5, 8, 16)
     for n in (k + 1, 1000, 10**6)
+] + [
+    # the exact survival probability's limit, k = 2^14, in both regimes
+    (q, 2**14, n)
+    for q in (2, 3, 2**14, 2**14 + 1, 2**53)
+    for n in (2**14 + 1, 10**6)
 ]
 
 

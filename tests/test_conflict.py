@@ -232,6 +232,25 @@ class TestTrace:
         m = mat(2, [[1, 1]])
         assert trace_lines(m, {0, 1}) == ["0\t1\t0,1\tcollision"]
 
+    def test_wide_alphabet_against_per_channel_scan(self):
+        # q = 65536: one line per (slot, channel), each channel's stations
+        # found by scanning every active station
+        rng = np.random.default_rng(5)
+        entries = rng.choice([0, 1, 2, 65535], size=(3, 12)).astype(np.uint16)
+        entries[1, 4] = 40000
+        m = CodeMatrix(65536, entries)
+        active = [9, 1, 4, 7]
+        stations = sorted(active)
+        want = []
+        for i in range(m.t):
+            for channel in range(1, m.q):
+                txs = [s for s in stations if int(entries[i, s]) == channel]
+                outcome = "idle" if not txs else "success" if len(txs) == 1 else "collision"
+                want.append(f"{i}\t{channel}\t{','.join(map(str, txs)) if txs else '-'}\t{outcome}")
+        lines = trace_lines(m, active)
+        assert lines == want
+        assert "1\t40000\t4\tsuccess" in lines
+
 
 class TestKautzSingleton:
     """Known answers (Kautz and Singleton 1964): the polynomial codes of

@@ -39,10 +39,14 @@ def exact_p(q, k):
 
 
 def assert_exact_p(q, k):
-    """`_p_ratio` is exact_p in lowest terms, and `p_qk` one correctly
-    rounded division of it: bit for bit float(Fraction), no double rounding."""
+    """`_p_ratio` is exact_p over the draw law's denominator d^(k+1), and
+    `p_qk` one correctly rounded division of it: bit for bit
+    float(Fraction), no double rounding."""
     p = exact_p(q, k)
-    assert fpcodes.bounds._p_ratio(q, k) == (p.numerator, p.denominator)
+    num, den = fpcodes.bounds._p_ratio(q, k)
+    d = q if q > k else k + 1
+    assert Fraction(num, den) == p
+    assert den == d ** (k + 1)
     assert p_qk(q, k).hex() == float(p).hex()
 
 
@@ -210,6 +214,16 @@ class TestSymbolDistribution:
         mu = symbol_distribution(3, 4)
         assert mu[1] == mu[2] == 1 / 5
         assert mu[0] == pytest.approx(1 - 2 / 5)
+
+    @pytest.mark.parametrize("q", [*range(2, 65), 65536])
+    def test_floats_as_the_two_expressions(self, q):
+        # every expurgation draw's CDF is built from these floats, bit for bit
+        for k in range(2, 65):
+            if q > k:
+                want = tuple([1.0 / q] * q)
+            else:
+                want = (1.0 - (q - 1) / (k + 1),) + tuple([1.0 / (k + 1)] * (q - 1))
+            assert [x.hex() for x in symbol_distribution(q, k)] == [x.hex() for x in want], (q, k)
 
     @given(st.integers(2, 10), st.integers(2, 10))
     def test_sums_to_one(self, q, k):
