@@ -16,8 +16,8 @@ the report are stable strings used by the text serialization:
   shangguan_42       biased-draw frameproof bound, needs q <= k (real)
   expurgation_43     integer length of the expurgation construction
   expurgation_cor44  closed-form estimate of the same (real)
-  compare_45         expurgation beats stinson_41 here (bool, q > k)
-  compare_46         expurgation beats shangguan_42 here (bool, q <= k)
+  compare_45         expurgation_cor44 < stinson_41, read off both (bool, q > k)
+  compare_46         expurgation_cor44 < shangguan_42, read off both (bool, q <= k)
 
 The module also holds the formulas the builders derive their parameters
 from: the local-lemma chain `lll_chain` (`derive_weight`, `derive_lambda`,
@@ -296,22 +296,6 @@ def shangguan_42(q: int, k: int, n: int) -> float:
     return numerator / denominator
 
 
-def compare_45(q: int, k: int, n: int) -> bool:
-    """True iff the expurgation estimate beats stinson_41 at (q, k, n); q > k only."""
-    _check_triple(q, k, n)
-    if q <= k:
-        raise ApplicabilityError(f"comparison stated for q > k, got q={q}, k={k}")
-    return corollary_length(q, k, n) < stinson_41(q, k, n)
-
-
-def compare_46(q: int, k: int, n: int) -> bool:
-    """True iff the expurgation estimate beats shangguan_42 at (q, k, n); q <= k only."""
-    _check_triple(q, k, n)
-    if q > k:
-        raise ApplicabilityError(f"comparison stated for q <= k, got q={q}, k={k}")
-    return corollary_length(q, k, n) < shangguan_42(q, k, n)
-
-
 def _log_core_lhs(k: int) -> float:
     """ln(((k+1)/k)^k (k+1)/k!), the left side of (4.5) and (4.6)."""
     return k * math.log1p(1 / k) + math.log(k + 1) - math.lgamma(k + 1)
@@ -390,10 +374,13 @@ def bound_report(q: int, k: int, n: int) -> BoundReport:
     entries["expurgation_43"] = expurgation_length(q, k, n)
     entries["expurgation_cor44"] = corollary_length(q, k, n)
 
-    for name, fn in (("shangguan_42", shangguan_42), ("compare_45", compare_45), ("compare_46", compare_46)):
-        try:
-            entries[name] = fn(q, k, n)
-        except ApplicabilityError as exc:
-            entries[name] = None
-            flags[name] = f"inapplicable: {exc}"
+    try:
+        entries["shangguan_42"] = shangguan_42(q, k, n)
+    except ApplicabilityError as exc:
+        entries["shangguan_42"] = None
+        flags["shangguan_42"] = f"inapplicable: {exc}"
+    rival, other, regime = ("stinson_41", "compare_46", "q <= k") if q > k else ("shangguan_42", "compare_45", "q > k")
+    beats = entries["expurgation_cor44"] < entries[rival]
+    entries["compare_45"], entries["compare_46"] = (beats, None) if q > k else (None, beats)
+    flags[other] = f"inapplicable: comparison stated for {regime}, got q={q}, k={k}"
     return BoundReport(q=q, k=k, n=n, entries=entries, flags=flags)

@@ -2,9 +2,9 @@
 
 Draw a t x (n + ell) matrix of i.i.d. symbols, ell = floor(n/k), with t
 chosen so the expected number of "bad events" (a column framed by k others)
-is below 1.  By Markov's inequality a draw with at most ell bad events
-appears quickly; deleting one involved column per bad event leaves at
-least n columns forming a k-frameproof code.
+is below 1.  A draw is decided after at most ell + 1 bad events, and by
+Markov's inequality one with at most ell appears quickly; deleting one
+involved column per bad event leaves n columns or more: a k-frameproof code.
 
 The symbol distribution mu is `bounds.draw_law`: uniform when q > k, and
 when q <= k, where a uniform draw is too collision-prone, biased toward
@@ -117,16 +117,16 @@ def expurgate_run(q: int, k: int, n: int, seed: int = 0):
     """Full pipeline with diagnostics: (matrix, params, info).
 
     info records the accepted attempt number, its bad-event count, and how
-    many columns the events removed.  Redraws with the next attempt number
-    when more than ell bad events occur, up to MAX_REDRAWS attempts; the
-    derived t keeps the expected event count below ell + 1, so acceptable
-    draws recur.
+    many columns the events removed.  A draw's scan stops at its ell + 1st
+    bad event, and the draw is redrawn with the next attempt number, up to
+    MAX_REDRAWS attempts; the derived t keeps the expected event count
+    below ell + 1, so acceptable draws recur.
     """
     params = expurgation_params(q, k, n, seed)
     m = n + params.ell
     for attempt in range(MAX_REDRAWS):
         drawn = draw_matrix(params, attempt)
-        bad = enumerate_bad_events(drawn, k)
+        bad = list(itertools.islice(_framings(drawn, k, "bad-event"), params.ell + 1))
         if len(bad) > params.ell:
             continue
         doomed = {i for i, _ in bad}

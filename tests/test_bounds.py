@@ -1,6 +1,8 @@
+import collections
 import inspect
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -16,8 +18,6 @@ from fpcodes.bounds import (
     BoundReport,
     DIAG_LOWER_COEFF,
     bound_report,
-    compare_45,
-    compare_46,
     core_inequality_45,
     core_inequality_46,
     fp_bounds_theorem310,
@@ -34,6 +34,7 @@ from fpcodes.bounds import (
 from fpcodes.core import ParameterError
 from fpcodes.expurgate import corollary_length, expurgation_length
 from fpcodes.lll import derive_lambda, derive_length, derive_weight
+from test_bound_golden import CELLS as GOLDEN_CELLS
 
 mp.mp.dps = 50
 
@@ -175,28 +176,77 @@ class TestShapeProperties:
             assert math.log1p(-p_qk(q, k)) == pytest.approx(exact, rel=1e-12)
 
 
+def reference_comparison(q, k, n):
+    """(4.5) when q > k, (4.6) when q <= k: the expurgation estimate against
+    the regime's rival bound, each evaluated afresh."""
+    rival = stinson_41 if q > k else shangguan_42
+    return corollary_length(q, k, n) < rival(q, k, n)
+
+
+def comparison_cells():
+    """Every golden cell, then 300 seeded random cells up to q = 2^40,
+    k = 2000 and n = 10^30 (those refused included)."""
+    rng = random.Random(2027)
+    cells = list(GOLDEN_CELLS)
+    for _ in range(300):
+        q, k = max(2, round(2 ** rng.uniform(1, 40))), max(2, round(2000 ** rng.uniform(0, 1)))
+        cells.append((q, k, k + 1 + round(10 ** rng.uniform(0, 30))))
+    return cells
+
+
 class TestComparisons:
     def test_compare_45_all_applicable_points(self):
         for q in range(2, 9):
-            for k in range(2, 9):
+            for k in range(2, q):
                 for n in (10, 100, 1000):
-                    if q > k:
-                        assert compare_45(q, k, n), (q, k, n)
+                    assert bound_report(q, k, n).entries["compare_45"] is True, (q, k, n)
 
     def test_compare_46_all_applicable_points(self):
         for q in range(2, 9):
-            for k in range(2, 9):
+            for k in range(q, 9):
                 for n in (10, 100, 1000):
-                    if q <= k:
-                        assert compare_46(q, k, n), (q, k, n)
+                    assert bound_report(q, k, n).entries["compare_46"] is True, (q, k, n)
 
     def test_regime_errors(self):
-        with pytest.raises(ApplicabilityError):
-            compare_45(2, 3, 100)
-        with pytest.raises(ApplicabilityError):
-            compare_46(5, 3, 100)
+        # outside its regime a comparison is an inapplicable entry with its
+        # flag; shangguan_42, a function of its own, raises outside its regime
+        report = bound_report(2, 3, 100)
+        assert report.entries["compare_45"] is None
+        assert report.flags["compare_45"] == "inapplicable: comparison stated for q > k, got q=2, k=3"
+        report = bound_report(5, 3, 100)
+        assert report.entries["compare_46"] is None
+        assert report.flags["compare_46"] == "inapplicable: comparison stated for q <= k, got q=5, k=3"
         with pytest.raises(ApplicabilityError):
             shangguan_42(3, 2, 100)
+
+    def test_entries_match_reference(self):
+        checked = 0
+        for q, k, n in comparison_cells():
+            try:
+                entries = bound_report(q, k, n).entries
+            except ParameterError:
+                continue
+            own, other = ("compare_45", "compare_46") if q > k else ("compare_46", "compare_45")
+            assert entries[own] is reference_comparison(q, k, n), (q, k, n)
+            assert entries[other] is None, (q, k, n)
+            checked += 1
+        assert checked >= 300
+
+    @pytest.mark.parametrize("q,k,n", [(5, 3, 1000), (3, 3, 1000), (2, 8, 10**6)])
+    def test_report_evaluates_each_rival_once(self, monkeypatch, q, k, n):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("corollary_length", "stinson_41", "shangguan_42"):
+            monkeypatch.setattr(fpcodes.bounds, name, counted(name, getattr(fpcodes.bounds, name)))
+        bound_report(q, k, n)
+        assert calls == {"corollary_length": 1, "stinson_41": 1, "shangguan_42": 1}
 
     def test_core_inequalities_exact_at_k2(self):
         # LHS = (3/2)^2 * 3/2 = 27/8; compare against 4 and 8
@@ -317,13 +367,12 @@ class TestReport:
         # bounds are not limited to the alphabets a code stores (q <= 65536), but
         # past 2^53 floats lose 1 - 1/q: every bound returns a finite value or refuses
         fns = [ss_debonis_order, lll_lambda_length, ss_theorem35, ss_corollary37, fp_theorem38,
-               fp_bounds_theorem310, stinson_41, shangguan_42, compare_45, compare_46,
-               corollary_length, expurgation_length]
+               fp_bounds_theorem310, stinson_41, shangguan_42, corollary_length, expurgation_length]
         for fn in fns:
             try:
                 value = fn(q, 3, 100)
             except ParameterError:
-                assert q > 2**53 or fn in (shangguan_42, compare_46), fn.__name__
+                assert q > 2**53 or fn is shangguan_42, fn.__name__
                 continue
             for v in value if isinstance(value, tuple) else (value,):
                 assert isinstance(v, bool) or math.isfinite(v), fn.__name__
@@ -338,10 +387,10 @@ class TestReport:
         # from 2^1021 on, 2 e n overflows a float: the formulas that take n
         # into floats refuse it, the others (exact or log-only) still answer
         fns = [ss_debonis_order, lll_lambda_length, ss_theorem35, ss_corollary37, fp_theorem38,
-               fp_bounds_theorem310, stinson_41, shangguan_42, compare_45, compare_46,
-               corollary_length, expurgation_length, derive_weight]
+               fp_bounds_theorem310, stinson_41, shangguan_42, corollary_length, expurgation_length,
+               derive_weight]
         float_n = {ss_debonis_order, lll_lambda_length, ss_theorem35, ss_corollary37, fp_theorem38,
-                   compare_45, compare_46, corollary_length, derive_weight}
+                   corollary_length, derive_weight}
         for q in (3, 5):  # both regimes, q <= k and q > k
             for fn in fns:
                 try:
@@ -424,7 +473,7 @@ class TestReport:
         small = {"q": 3, "k": 3, "n": 100, "w": 9, "lam": 2}
         formulas = [fn for name, fn in vars(fpcodes.bounds).items()
                     if inspect.isfunction(fn) and fn.__module__ == "fpcodes.bounds" and not name.startswith("_")]
-        assert {lll_threshold, derive_length, bound_report} <= set(formulas) and len(formulas) >= 22
+        assert {lll_threshold, derive_length, bound_report} <= set(formulas) and len(formulas) >= 21
         for fn in formulas:
             names = list(inspect.signature(fn).parameters)
             free = [x for x in names if x in "qknw"]

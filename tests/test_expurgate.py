@@ -223,7 +223,9 @@ class TestSymbolDistribution:
                 want = tuple([1.0 / q] * q)
             else:
                 want = (1.0 - (q - 1) / (k + 1),) + tuple([1.0 / (k + 1)] * (q - 1))
-            assert [x.hex() for x in symbol_distribution(q, k)] == [x.hex() for x in want], (q, k)
+            # every entry is a positive finite float, and for those == is bit
+            # identity (no NaN, no signed zero), so no hex strings are needed
+            assert symbol_distribution(q, k) == want, (q, k)
 
     @given(st.integers(2, 10), st.integers(2, 10))
     def test_sums_to_one(self, q, k):
@@ -425,11 +427,32 @@ class TestBuild:
 
         calls = {"n": 0}
 
-        def always_bad(entries, k):
+        def always_bad(entries, k, what):
             calls["n"] += 1
             return [(i, tuple(range(1, k + 1))) for i in range(20)]
 
-        monkeypatch.setattr(ex, "enumerate_bad_events", always_bad)
+        monkeypatch.setattr(ex, "_framings", always_bad)
         with pytest.raises(ConstructionError):
             ex.expurgate_run(3, 2, 10, seed=0)
         assert calls["n"] == ex.MAX_REDRAWS
+
+    def test_rejected_draw_scan_stops_after_ell_plus_one(self, monkeypatch):
+        import fpcodes.expurgate as ex
+
+        # an all-zero draw frames every column by every k others: 15 C(14, 2)
+        # events at (q, k, n) = (3, 2, 10), ell = 5; each draw's scan yields 6
+        zeros = np.zeros((10, 15), dtype=np.uint16)
+        assert len(enumerate_bad_events(zeros, 2)) == 15 * math.comb(14, 2)
+        monkeypatch.setattr(ex, "draw_matrix", lambda params, attempt: zeros)
+        pulled = []
+
+        def counted(entries, k, what):
+            pulled.append(0)
+            for event in fpcodes.verify._framings(entries, k, what):
+                pulled[-1] += 1
+                yield event
+
+        monkeypatch.setattr(ex, "_framings", counted)
+        with pytest.raises(ConstructionError):
+            ex.expurgate_run(3, 2, 10, seed=0)
+        assert pulled == [5 + 1] * ex.MAX_REDRAWS

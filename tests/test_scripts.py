@@ -85,3 +85,12 @@ def test_bench_record_refuses_a_failed_run(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="exited 2: error: src/fpcodes missing"):
         bench.main(["--label", "x"])
     assert not (tmp_path / "BENCH_x.json").exists()
+
+
+def test_ci_smoke_script_parses_and_runs_in_ci():
+    # the script's commands run end to end in CI (and locally, see its
+    # header); here it must parse, and the workflow must call it
+    script = SCRIPTS / "ci_smoke.sh"
+    subprocess.run(["bash", "-n", str(script)], check=True)
+    workflow = (SCRIPTS.parent / ".github" / "workflows" / "tests.yml").read_text()
+    assert "bash scripts/ci_smoke.sh" in workflow
