@@ -105,6 +105,8 @@ $FPCODES construct lll-ss --q 3 --k 3 --n 1000000000000000000000000000000; test 
 $FPCODES construct diagonal --q 3 --k 3 --n 1000000000000000000000000000000; test $? -eq 2 || exit 1
 $FPCODES construct expurgate --q 3 --k 3 --n 1000000000000000000000000000000; test $? -eq 2 || exit 1
 $FPCODES construct expurgate --q 3 --k 3 --n 1000000; test $? -eq 2 || exit 1
+# within MAX_N, but an array past any 64-bit address space: numpy refuses it
+$FPCODES construct lll-ss --q 3 --k 3 --n 1000000000000; test $? -eq 2 || exit 1
 $FPCODES bounds --q 100000000000000000 --k 3 --n 100; test $? -eq 2 || exit 1
 $FPCODES construct lll-ss --q 70000 --k 2 --n 10; test $? -eq 2 || exit 1
 $FPCODES bounds --q 3 --k "$(python -c 'print(2**513)')" --n "$(python -c 'print(2**513+1)')"; test $? -eq 2 || exit 1

@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, CapacityError, CodeFormatError, OSError) as exc:
+    except (ParameterError, CapacityError, CodeFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

@@ -231,9 +231,9 @@ def _in_order(parts: list):
 
 
 def _covers(code, cols, j: int, selective: bool, work: _Work, end=None):
-    """Cover kernel of a block of columns: (c, covers) for each column c of
-    `cols`, ascending, covers iterating over the j-sets of other columns
-    that cover c, as sorted tuples, in lexicographic order.
+    """Cover kernel of a block of columns: a list of (c, covers), one for
+    each column c of `cols`, ascending, covers iterating over the j-sets of
+    other columns that cover c, as sorted tuples, in lexicographic order.
 
     Column h covers c in the rows where it equals c (symbol 0 included);
     need is every row to frame c, S, c's nonzero rows, to block it.  The
@@ -254,9 +254,9 @@ def _covers(code, cols, j: int, selective: bool, work: _Work, end=None):
     One loop evaluates every level's nodes AGREEMENT_BLOCK at a time, one
     masked AND and `np.bitwise_count` over (nodes x n), a batch's children
     depth first before its next batch: memory stays O(AGREEMENT_BLOCK n
-    words), and a column's covers are yielded once the search has left it.
-    Each batch is charged n - 1 checks a node to `work` before it is
-    evaluated.
+    words), and every column's covers come back after the block's search,
+    so the block's masks are freed before any cover is taken.  Each batch
+    is charged n - 1 checks a node to `work` before it is evaluated.
     """
     cs = np.asarray(cols, dtype=np.int64)
     masks, support = _agreement_masks(code, cs)
@@ -273,7 +273,6 @@ def _covers(code, cols, j: int, selective: bool, work: _Work, end=None):
     ok = strong = index != cs[:, None]
     h = np.full(cs.size, -1)
     stack = []  # per batch with 2 or more members left: its nodes, children and child batches
-    emitted = 0
     while True:
         left = j - chosen.shape[1]
         work.add(n - 1, col.size, lambda x: (int(cs[col[x]]), chosen[x].tolist()))
@@ -314,29 +313,25 @@ def _covers(code, cols, j: int, selective: bool, work: _Work, end=None):
         # the next batch: the first children left of the deepest batch
         while stack and (at := next(stack[-1][7], None)) is None:
             stack.pop()
-        if stack:
-            parent, members, ok, strong, p, h, rest, _ = stack[-1]
-            p, h = p[at : at + block], h[at : at + block]
-            col, resid = parent[p], rest[:, at : at + block]
-            chosen = np.concatenate((members[p], h[:, None]), axis=1)
-        # no node of a column before the next batch's is left
-        upto = int(col[0]) if stack else cs.size
-        for b in range(emitted, upto):
-            c = int(cs[b])
-            runs = [_in_order(found[b])] if found[b] else []
-            runs += [_completions(*f, work, c) for f in families[b]]
-            yield c, heapq.merge(*runs)
-            found[b] = families[b] = None
-        emitted = upto
         if not stack:
-            return
+            break
+        parent, members, ok, strong, p, h, rest, _ = stack[-1]
+        p, h = p[at : at + block], h[at : at + block]
+        col, resid = parent[p], rest[:, at : at + block]
+        chosen = np.concatenate((members[p], h[:, None]), axis=1)
+    covers = []
+    for c, parts, fams in zip(cs.tolist(), found, families):
+        runs = [_in_order(parts)] if parts else []
+        covers.append((c, heapq.merge(*runs, *(_completions(*f, work, c) for f in fams))))
+    return covers
 
 
 def _search(entries: np.ndarray, j: int, selective: bool, work: _Work, end=lambda: None):
     """`_covers` over every column `_unsettled` leaves, end() giving each
     block's `end`, on bit planes packed at the first such column.  The first
     block is one column, so that a caller that stops at a first cover there
-    searches no further; each later one takes at least AGREEMENT_BLOCK^2 /
+    searches no further; a caller that stops later pays for the rest of
+    its block's search.  Each later block takes at least AGREEMENT_BLOCK^2 /
     (4 n) columns, 4096 masks, or twice the last block, so that few blocks
     pay each block's fixed cost, up to AGREEMENT_BLOCK columns and
     AGREEMENT_BLOCK^2 masks, but at least one."""

@@ -97,6 +97,14 @@ class TestConstruct:
         assert (code, out) == (2, "")
         assert err.startswith("error: a ") and err.endswith(message + "\n")
 
+    @pytest.mark.parametrize("kind,n", [("lll-ss", 10**12), ("diagonal", 10**9)])
+    def test_unallocatable_code_exit_2(self, capsys, kind, n):
+        # within MAX_N, but hundreds of TiB (lll-ss) or PiB (diagonal) of
+        # symbols, past any 64-bit address space: numpy refuses the array
+        code, out, err = run(capsys, "construct", kind, "--q", "3", "--k", "3", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_huge_k_weight_exit_2(self, capsys):
         # (k - 1) ln(2en) past the float range
         k = 2**1015

@@ -723,8 +723,8 @@ class TestStronglySelective:
 class TestBlockGuard:
     """A budget crossed inside a batch of nodes: the refusal names the first
     node whose charge crosses it, with the count, column and prefix, and
-    comes after the covers of the columns the search has left, at any
-    block size.
+    comes after the covers of the blocks whose search has finished, at any
+    block size: a block's covers come back after its whole search.
 
     fan(6) framed by 3, 5 checks a node.  Column 0 has its root and, as
     every other column covers its row 0, a node through each of members 1
@@ -836,6 +836,32 @@ class TestBlockGuard:
         assert refusal(excinfo) == (60, 59, 5, ())
         monkeypatch.setattr(fpcodes.verify, "LEAF_BUDGET", 60)
         assert is_strongly_selective(fan(6), 4).witness == Witness(1, (0, 1, 2, 3))
+
+    def test_results_do_not_depend_on_the_block_split(self, monkeypatch):
+        # the early-stopping callers across block boundaries.  At blocks of
+        # 1 to 3 every block past the first holds at most 3 columns; at the
+        # default one holds the rest of a code of n <= 40.  Columns below a
+        # random cut each hold a (row, symbol) no other column holds, so no
+        # one frames them, and the first failure often falls inside that block
+        rng = np.random.default_rng(29)
+        inside = 0
+        for _ in range(25):
+            q, t, n, k = (int(rng.integers(*span)) for span in ((2, 5), (3, 7), (4, 41), (1, 4)))
+            e = rng.integers(0, q, size=(t, n)).astype(np.uint16)
+            for c in range(int(rng.integers(0, min(n - 1, t * (q - 1)) + 1))):
+                r, s = c % t, 1 + c // t
+                e[r, e[r] == s] = 0
+                e[r, c] = s
+            m = CodeMatrix(q, e)
+            results = set()
+            for block in (fpcodes.core.AGREEMENT_BLOCK, 1, 2, 3):
+                monkeypatch.setattr(fpcodes.core, "AGREEMENT_BLOCK", block)
+                fp, ss = is_frameproof(m, k), is_strongly_selective(m, k)
+                results.add(repr((fp.witness, ss.witness, enumerate_bad_events(e, k))))
+            assert len(results) == 1
+            cols = list(fpcodes.verify._unsettled(e, k))
+            inside += fp.witness is not None and cols[0] < fp.witness.column < cols[-1]
+        assert inside >= 5
 
 
 class TestOneLoop:
