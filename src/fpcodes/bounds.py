@@ -255,8 +255,9 @@ def fp_theorem38(q: int, k: int, n: int) -> float:
 def fp_bounds_theorem310(q: int, k: int, n: int) -> tuple[int, int]:
     """(upper, lower) pair: ceil(n/(q-1)) and ceil(min(n, 0.86436 k^2)/q)."""
     check_q(q)
-    if k < 1 or n < 1:
-        raise ParameterError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    check_k(k)
+    if n < 1:
+        raise ParameterError(f"n={n} must be positive")
     check_float_q(q)
     return -(-n // (q - 1)), ceil_tol(min(n, DIAG_LOWER_COEFF * k * k) / q)
 

@@ -173,17 +173,13 @@ def cmd_bench(args) -> int:
         matrix, _, _ = lll.build_frameproof(k, q, n, seed)
         if not verify.is_frameproof(matrix, k).passed:
             raise ConstructionError(f"bench cell q={q} k={k} n={n} seed={seed} failed verification")
-        upper, lower = bounds_mod.fp_bounds_theorem310(q, k, n)
+        e = bounds_mod.bound_report(q, k, n).entries
+        upper, lower = e["fp_upper_diag"], e["fp_lower_shann"]
         if matrix.t < lower:
             raise ConstructionError(
                 f"bench cell q={q} k={k} n={n}: constructed t={matrix.t} below lower bound {lower}"
             )
-        row = (
-            f"{q} {k} {n} {matrix.t} "
-            f"{bounds_mod.fp_theorem38(q, k, n):.6g} "
-            f"{bounds_mod.expurgation_length(q, k, n)} {upper} {lower}"
-        )
-        print(row)
+        print(f"{q} {k} {n} {matrix.t} {e['fp_theorem38']:.6g} {e['expurgation_43']} {upper} {lower}")
     return 0
 
 

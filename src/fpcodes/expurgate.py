@@ -35,8 +35,8 @@ MAX_REDRAWS = 50
 class ExpurgationParams:
     """Resolved parameters of one expurgation run: t is the length drawn.
 
-    The column surplus `ell` and the symbol distribution `mu` (index =
-    symbol) follow from (q, k, n) and are derived, not stored.
+    The column surplus `ell` follows from (q, k, n) and is derived, not
+    stored; the draw reads `symbol_distribution(q, k)`.
     """
 
     k: int
@@ -64,11 +64,6 @@ class ExpurgationParams:
         """Column surplus floor(n/k)."""
         return self.n // self.k
 
-    @property
-    def mu(self) -> tuple[float, ...]:
-        """Draw distribution, `symbol_distribution(q, k)`."""
-        return symbol_distribution(self.q, self.k)
-
 
 def symbol_distribution(q: int, k: int) -> tuple[float, ...]:
     """Draw distribution mu over {0, ..., q-1}, `draw_law` as floats: 1/d
@@ -93,7 +88,7 @@ def draw_matrix(params: ExpurgationParams, attempt: int = 0) -> np.ndarray:
     """
     if attempt < 0:
         raise ParameterError(f"attempt={attempt} must be nonnegative")
-    cum = np.array(list(itertools.accumulate(params.mu)))
+    cum = np.array(list(itertools.accumulate(symbol_distribution(params.q, params.k))))
     cum[-1] = 1.0
     width = params.n + params.ell
     cells = params.t * width

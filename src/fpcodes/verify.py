@@ -251,12 +251,13 @@ def _covers(code, cols, j: int, selective: bool, work: _Work, end=None):
     member left is an equality test over every column, its hits filtered
     through its parent's allowed and heavy columns.
 
-    One loop evaluates every level's nodes AGREEMENT_BLOCK at a time, one
-    masked AND and `np.bitwise_count` over (nodes x n), a batch's children
-    depth first before its next batch: memory stays O(AGREEMENT_BLOCK n
-    words), and every column's covers come back after the block's search,
-    so the block's masks are freed before any cover is taken.  Each batch
-    is charged n - 1 checks a node to `work` before it is evaluated.
+    One loop walks a stack of pending batches depth first, the block's
+    roots first: a batch, up to AGREEMENT_BLOCK nodes of a level, is
+    charged n - 1 checks a node to `work`, evaluated with one masked AND
+    and `np.bitwise_count` over (nodes x n), and, with two or more members
+    left, pushes its children AGREEMENT_BLOCK to a batch, the first on top.
+    Memory stays O(AGREEMENT_BLOCK n words) a level, and covers come back
+    after the search, so the block's masks are freed before any is taken.
     """
     cs = np.asarray(cols, dtype=np.int64)
     masks, support = _agreement_masks(code, cs)
@@ -265,15 +266,14 @@ def _covers(code, cols, j: int, selective: bool, work: _Work, end=None):
     index = np.arange(n)
     found = [[] for _ in range(cs.size)]  # arrays of the covers completed by a last member
     families = [[] for _ in range(cs.size)]  # _completions' arguments
-    # the batch to evaluate: each node's column (its row of the block), members and uncovered
-    # rows, its parent's allowed and heavy columns ok[p] and strong[p], and its last member h
-    col = p = np.arange(cs.size)
-    chosen = np.zeros((cs.size, 0), dtype=np.int64)
-    resid = support if selective else masks[:, col, cs]
-    ok = strong = index != cs[:, None]
-    h = np.full(cs.size, -1)
-    stack = []  # per batch with 2 or more members left: its nodes, children and child batches
-    while True:
+    # pending batches, the next on top: each node's column (its row of the block), members,
+    # uncovered rows and last member h, and its parent's allowed and heavy columns ok[p], strong[p]
+    roots = np.arange(cs.size)
+    ok = index != cs[:, None]
+    resid = support if selective else masks[:, roots, cs]
+    stack = [(roots, np.zeros((cs.size, 0), dtype=np.int64), resid, np.full(cs.size, -1), roots, ok, ok)]
+    while stack:
+        col, chosen, resid, h, p, ok, strong = stack.pop()
         left = j - chosen.shape[1]
         work.add(n - 1, col.size, lambda x: (int(cs[col[x]]), chosen[x].tolist()))
         if left == 1:
@@ -289,36 +289,31 @@ def _covers(code, cols, j: int, selective: bool, work: _Work, end=None):
             owner = col[x]
             for b in np.flatnonzero(np.bincount(owner)).tolist():  # np.unique loads numpy.ma
                 found[b].append(rows[owner == b])
-        else:
-            allowed = ok[p] & ~(strong[p] & (index <= h[:, None]))
-            # per node, the heavy members of the rule that admits fewer: under R,
-            # to frame c under R & S, at a root given end the columns up to it
-            rules = resid[:, None]
-            if not selective:
-                rules = np.concatenate((rules, (resid & support[:, col])[:, None]), axis=1)
-            heavy = _heavy(masks[:, col][:, None] & rules[..., None], rules, left) & allowed
-            if end is not None and left == j:
-                heavy = np.concatenate((heavy, (allowed & (index <= end))[None]))
-            heavy = heavy[heavy.sum(axis=2).argmin(axis=0), np.arange(col.size)]
-            p, h = divmod(np.flatnonzero(heavy), n)  # a 2-d np.nonzero is several times slower
-            rest = resid[:, p] & ~masks[:, col[p], h]
-            live = rest.any(axis=0)
-            if not live.all():
-                ends = np.zeros_like(heavy)
-                ends[p[~live], h[~live]] = True
-                for x in np.flatnonzero(ends.any(axis=1)).tolist():
-                    families[col[x]].append((tuple(chosen[x].tolist()), allowed[x], heavy[x], ends[x], left))
-                p, h, rest = p[live], h[live], rest[:, live]
-            stack.append((col, chosen, allowed, heavy, p, h, rest, iter(range(0, p.size, block))))
-        # the next batch: the first children left of the deepest batch
-        while stack and (at := next(stack[-1][7], None)) is None:
-            stack.pop()
-        if not stack:
-            break
-        parent, members, ok, strong, p, h, rest, _ = stack[-1]
-        p, h = p[at : at + block], h[at : at + block]
-        col, resid = parent[p], rest[:, at : at + block]
-        chosen = np.concatenate((members[p], h[:, None]), axis=1)
+            continue
+        allowed = ok[p] & ~(strong[p] & (index <= h[:, None]))
+        # per node, the heavy members of the rule that admits fewer: under R,
+        # to frame c under R & S, at a root given end the columns up to it
+        rules = resid[:, None]
+        if not selective:
+            rules = np.concatenate((rules, (resid & support[:, col])[:, None]), axis=1)
+        heavy = _heavy(masks[:, col][:, None] & rules[..., None], rules, left) & allowed
+        if end is not None and left == j:
+            heavy = np.concatenate((heavy, (allowed & (index <= end))[None]))
+        heavy = heavy[heavy.sum(axis=2).argmin(axis=0), np.arange(col.size)]
+        p, h = divmod(np.flatnonzero(heavy), n)  # a 2-d np.nonzero is several times slower
+        rest = resid[:, p] & ~masks[:, col[p], h]
+        live = rest.any(axis=0)
+        if not live.all():
+            ends = np.zeros_like(heavy)
+            ends[p[~live], h[~live]] = True
+            for x in np.flatnonzero(ends.any(axis=1)).tolist():
+                families[col[x]].append((tuple(chosen[x].tolist()), allowed[x], heavy[x], ends[x], left))
+            p, h, rest = p[live], h[live], rest[:, live]
+        # the children, block nodes to a batch, the first batch on top
+        for at in reversed(range(0, p.size, block)):
+            x = slice(at, at + block)
+            members = np.concatenate((chosen[p[x]], h[x, None]), axis=1)
+            stack.append((col[p[x]], members, rest[:, x], h[x], p[x], allowed, heavy))
     covers = []
     for c, parts, fams in zip(cs.tolist(), found, families):
         runs = [_in_order(parts)] if parts else []

@@ -440,8 +440,9 @@ class TestReport:
         (lambda: expurgation_length(1, 2, 10), ParameterError, "q=1 must be at least 2"),
         (lambda: corollary_length(3, 3, 2), ParameterError, "need n >= k, got n=2, k=3"),
         (lambda: fp_bounds_theorem310(1, 2, 10), ParameterError, "q=1 must be at least 2"),
-        (lambda: fp_bounds_theorem310(3, 0, 10), ParameterError, "need k >= 1 and n >= 1, got k=0, n=10"),
-        (lambda: fp_bounds_theorem310(3, 2, 0), ParameterError, "need k >= 1 and n >= 1, got k=2, n=0"),
+        (lambda: fp_bounds_theorem310(3, 0, 10), ParameterError, "k=0 must be at least 2"),
+        (lambda: fp_bounds_theorem310(3, 1, 10), ParameterError, "k=1 must be at least 2"),
+        (lambda: fp_bounds_theorem310(3, 2, 0), ParameterError, "n=0 must be positive"),
         (lambda: stinson_41(3, 2, 1), ParameterError, "n=1 must be at least 2"),
         (lambda: shangguan_42(2, 1, 10), ParameterError, "k=1 must be at least 2"),
         (lambda: shangguan_42(1, 3, 10), ParameterError, "q=1 must be at least 2"),
@@ -457,7 +458,7 @@ class TestReport:
         (lambda: fp_bounds_theorem310(3, 2**1100, 10), ParameterError, "fp_bounds_theorem310 overflows"),
         (lambda: shangguan_42(2**1100, 2**1100, 10), ParameterError, "shangguan_42 overflows"),
     ], ids=["triple k<2", "lambda w<1", "length overflow", "expurgation q<2", "corollary n<k",
-            "diag q<2", "diag k<1", "diag n<1", "stinson n<2", "shangguan k<2", "shangguan q<2", "shangguan n<2",
+            "diag q<2", "diag k<1", "diag k=1", "diag n<1", "stinson n<2", "shangguan k<2", "shangguan q<2", "shangguan n<2",
             "core45", "core46", "relaxed45", "ceil inf", "ceil nan", "expurgation k>2^14",
             "corollary k>2^14", "length w=2^1100", "diag k=2^1100", "shangguan q=k=2^1100"])
     def test_refusals(self, call, error, message):

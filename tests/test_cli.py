@@ -437,6 +437,21 @@ class TestBench:
         assert "bench cell q=3 k=2 n=10: constructed t=" in err
         assert "below lower bound 1000000" in err
 
+    def test_row_reads_the_report(self, capsys, monkeypatch):
+        # the bound columns are the cell's bound_report entries
+        report = fpcodes.bounds.bound_report
+
+        def patched(q, k, n):
+            r = report(q, k, n)
+            r.entries.update(fp_theorem38=1.5, expurgation_43=7, fp_upper_diag=8, fp_lower_shann=1)
+            return r
+
+        monkeypatch.setattr(fpcodes.bounds, "bound_report", patched)
+        code, out, _ = run(capsys, "bench", "--grid", "q=3;k=2;n=10")
+        assert code == 0
+        row = out.split("\n")[1]
+        assert row == f"3 2 10 {row.split()[3]} 1.5 7 8 1"
+
     def test_empty_grid_term_skipped(self, capsys):
         expected = run(capsys, "bench", "--grid", "q=3;k=2;n=20")
         assert expected[0] == 0

@@ -267,11 +267,11 @@ class TestSymbolDistribution:
 
     @pytest.mark.parametrize("q,k,n,seed", [(3, 2, 10, 4), (2, 3, 9, 7), (16, 3, 20, 1)])
     def test_derived_fields(self, q, k, n, seed):
-        # ell and mu follow from (q, k, n): a hand-built record draws what the resolved one does
+        # ell follows from (q, k, n): a hand-built record draws what the resolved one does
         resolved = expurgation_params(q, k, n, seed)
         hand = ExpurgationParams(k, q, n, resolved.t, seed)
         assert hand == resolved
-        assert (hand.ell, hand.mu) == (n // k, symbol_distribution(q, k))
+        assert hand.ell == n // k
         for attempt in (0, 1):
             assert np.array_equal(draw_matrix(hand, attempt), draw_matrix(resolved, attempt))
 
@@ -280,7 +280,7 @@ def reference_draw_matrix(params, attempt):
     """`draw_matrix` as a loop of `random()` and `bisect_right` per symbol: the
     reference the word replay must match bit for bit."""
     rng = random.Random(params.seed + attempt)
-    cum = list(itertools.accumulate(params.mu))
+    cum = list(itertools.accumulate(symbol_distribution(params.q, params.k)))
     cum[-1] = 1.0
     width = params.n + params.ell
     flat = [bisect.bisect_right(cum, rng.random()) for _ in range(params.t * width)]
