@@ -7,8 +7,10 @@
 Runs `perfbench/run.py`, as it is in the checkout (this script's own by
 default), once for each workload its `BENCHMARK.json` lists and each seed,
 one run at a time and with `--trace 0`.  The file, written to the root of
-this script's checkout, holds the checkout's git sha and, for every run,
-its `run record` line and its result line, as perfbench printed them.
+this script's checkout, holds the checkout's commit and tree shas, whether
+its tracked files differed from that commit, and, for every run, its
+`run record` line and its result line, as perfbench printed them.  The
+tree sha still names what was measured when the commit is later rewritten.
 Compare two such files only when they come from the same seeds, seconds
 and machine.
 """
@@ -25,6 +27,12 @@ RECORD_PREFIX = "run record "
 
 def int_list(text):
     return [int(tok) for tok in text.split(",") if tok]
+
+
+def git(checkout, *args):
+    """The stripped output of `git <args>` in the checkout, or None when git fails."""
+    proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def perfbench_run(checkout, workload, seed, seconds):
@@ -48,15 +56,17 @@ def main(argv=None):
 
     checkout = args.checkout.resolve()
     workloads = [w["name"] for w in json.loads((checkout / "BENCHMARK.json").read_text())["workloads"]]
-    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True).stdout.strip()
+    status = git(checkout, "status", "--porcelain", "--untracked-files=no")
+    head = {"git_sha": git(checkout, "rev-parse", "HEAD") or "unavailable",
+            "tree_sha": git(checkout, "rev-parse", "HEAD^{tree}") or "unavailable",
+            "dirty": None if status is None else bool(status)}
     runs = []
     for workload in workloads:
         for seed in args.seeds:
             record, result = perfbench_run(checkout, workload, seed, args.seconds)
             runs.append({"workload": workload, "seed": seed, "record": record, "result": result})
             print(f"{workload} seed {seed}: correct {result['correct']}", file=sys.stderr)
-    bench = {"label": args.label, "git_sha": sha or "unavailable", "seeds": args.seeds,
-             "seconds": args.seconds, "runs": runs}
+    bench = {"label": args.label, **head, "seeds": args.seeds, "seconds": args.seconds, "runs": runs}
     out = HOME / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(out)

@@ -9,10 +9,12 @@ resolution reading), so transforms that touch the alphabet are explicit
 about how they treat it.
 
 The text format is read and written in row blocks of about IO_BLOCK
-symbols.  A block is formatted a digit column at a time as a grid of
-w + 1 bytes per symbol, w its widest symbol's width, and one mask drops
-the leading zeros of narrower symbols.  A one-width block (every block
-when q <= 10) is parsed as that grid, any other scanned token by token.
+symbols.  A block is formatted as a grid of w + 1 bytes per symbol, w
+its widest symbol's width (one uint16 token a symbol when w = 1), and
+one mask drops the leading zeros of narrower symbols.  A body of
+t n (w + 1) bytes is parsed as such grids at their offsets (every body
+when q <= 10); any other, or a grid that fails, by its line ends:
+one-width blocks as grids, any other token by token.
 """
 
 from __future__ import annotations
@@ -213,10 +215,20 @@ def _width(value: int) -> int:
     return len(str(value))
 
 
-def _write_grid(symbols: np.ndarray, width: int) -> np.ndarray:
+def _zero_tokens(n: int) -> np.ndarray:
+    """A row of n zeros as one-digit little-endian uint16 tokens, digit | separator << 8."""
+    zeros = np.full(n, ZERO | SPACE << 8, dtype="<u2")
+    zeros[-1:] = ZERO | NEWLINE << 8
+    return zeros
+
+
+def _write_grid(symbols: np.ndarray, width: int, zeros: np.ndarray) -> np.ndarray:
     """The text of `symbols`, a (rows, n) block whose entries have at most
     `width` digits, as a (rows, n, width + 1) uint8 grid: each token's
-    digits, zero-padded on the left to `width`, then its separator."""
+    digits, zero-padded on the left to `width`, then its separator; at
+    width 1 the same bytes as (rows, n) uint16s, the symbols plus `zeros`."""
+    if width == 1:
+        return (symbols + zeros).astype("<u2", copy=False)
     out = np.full(symbols.shape + (width + 1,), SPACE, dtype=np.uint8)
     out[:, -1, width] = NEWLINE
     for d in range(width - 1, 0, -1):
@@ -235,26 +247,27 @@ def write_code(matrix: CodeMatrix) -> bytes:
     a single newline.  The output is byte-exact: re-serializing a parsed
     code reproduces it.  Rows are formatted IO_BLOCK symbols at a time as
     a (rows, n, w + 1) byte grid, w the width of the block's largest
-    symbol, filled a digit column at a time.  When the smallest symbol is
-    narrower (never when q <= 10), one boolean mask then drops the leading
-    zeros of the shorter tokens.
+    symbol, filled a digit column at a time (at w = 1, as one uint16
+    token a symbol).  When the smallest symbol is narrower (never when
+    q <= 10), one boolean mask then drops the leading zeros of the
+    shorter tokens.
     """
     q, t, n = matrix.q, matrix.t, matrix.n
     header = f"{q} {t} {n}\n".encode("ascii")
     if n == 0:
         return header + b"\n" * t
     parts = [header]
-    step = max(1, IO_BLOCK // n)
+    step, zeros = max(1, IO_BLOCK // n), _zero_tokens(n)
     for r0 in range(0, t, step):
         symbols = matrix.entries[r0 : r0 + step]
-        lo, hi = _width(int(symbols.min())), _width(int(symbols.max()))
-        out = _write_grid(symbols, hi)
-        if lo < hi:
+        hi = _width(int(symbols.max()))
+        out = _write_grid(symbols, hi, zeros)
+        if hi > 1 and _width(int(symbols.min())) < hi:
             keep = np.ones(out.shape, dtype=bool)
             for d in range(hi - 1):  # digit d is a leading zero below 10 ** (hi - 1 - d)
                 keep[..., d] = symbols >= 10 ** (hi - 1 - d)
             out = out[keep]
-        parts.append(out.tobytes())
+        parts.append(out)
     return b"".join(parts)
 
 
@@ -287,16 +300,23 @@ def _parse_row(raw: str, n: int, q: int, line: int) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
-def _parse_grid(block: np.ndarray, rows: int, n: int, q: int) -> np.ndarray | None:
-    """The (rows, n) symbols of `block` read as a grid of tokens that all
-    have one width w, or None when it is not one.  Only a block of exactly
-    rows * n * (w + 1) bytes, 1 <= w <= the width of q - 1, can be; it
-    is one when every (w + 1)-th byte is the right separator and every
-    token is w digits, with no leading zero when w > 1, below q."""
+def _parse_grid(block: np.ndarray, q: int, zeros: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+    """`out` filled with the (rows, n) symbols of `block` read as a grid of
+    tokens that all have one width w, or None when it is not one.  Only a
+    block of exactly rows * n * (w + 1) bytes, 1 <= w <= the width of
+    q - 1, can be; it is one when every (w + 1)-th byte is the right
+    separator and every token is w digits, with no leading zero when
+    w > 1, below q.  At w = 1 a token is one uint16 less `zeros`."""
+    rows, n = out.shape
     width, rest = divmod(block.size, rows * n)
     width -= 1
     if rest or not 1 <= width <= _width(q - 1):
         return None
+    if width == 1:
+        # below 10 just when the digit is one and the separator right: a byte
+        # below '0' borrows (wrapping round), a wrong separator leaves a high byte
+        np.subtract(block.view("<u2").reshape(rows, n), zeros, out=out)
+        return out if out.max() < min(q, 10) else None
     base = np.full((n, width + 1), ZERO, dtype=np.uint8)  # the byte each position is read against
     base[:, width] = SPACE
     base[-1, width] = NEWLINE
@@ -310,26 +330,27 @@ def _parse_grid(block: np.ndarray, rows: int, n: int, q: int) -> np.ndarray | No
     values = rel[:, :, 0].astype(np.uint32)
     for d in range(1, width):
         values = values * 10 + rel[:, :, d]
-    if values.max() >= q or (width > 1 and values.min() < 10 ** (width - 1)):
+    if values.max() >= q or values.min() < 10 ** (width - 1):
         return None
-    return values
+    out[...] = values
+    return out
 
 
-def _parse_block(block: np.ndarray, rows: int, n: int, q: int) -> np.ndarray | None:
-    """The (rows, n) symbols of `block`, the bytes of `rows` whole lines, or
-    None when any of those lines breaks the format (the caller then re-reads
-    them with `_parse_row` for the error).
+def _parse_block(block: np.ndarray, q: int, zeros: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+    """`out` filled with the (rows, n) symbols of `block`, the bytes of
+    `rows` whole lines, or None when any of those lines breaks the format
+    (the caller then re-reads them with `_parse_row` for the error).
 
     A well-formed block is n canonical integers below q per line, each
     followed by one separator: a space, or a newline after the n-th.  A
     block that `_parse_grid` reads as one-width tokens is taken from the
     grid; any other is scanned for its separators.
     """
+    rows, n = out.shape
     if n == 0:
-        return np.zeros((rows, 0), dtype=np.uint16) if block.size == rows else None
-    values = _parse_grid(block, rows, n, q)
-    if values is not None:
-        return values
+        return out if block.size == rows else None
+    if _parse_grid(block, q, zeros, out) is not None:
+        return out
     seps = np.flatnonzero(block - np.uint8(ZERO) >= 10)  # every byte but a digit
     if seps.size != rows * n:
         return None
@@ -349,7 +370,8 @@ def _parse_block(block: np.ndarray, rows: int, n: int, q: int) -> np.ndarray | N
         values += digits.astype(np.uint32) * 10**d
     if values.max() >= q:
         return None
-    return values.reshape(rows, n)
+    out[...] = values.reshape(rows, n)
+    return out
 
 
 def read_code(data: bytes) -> CodeMatrix:
@@ -360,12 +382,14 @@ def read_code(data: bytes) -> CodeMatrix:
     symbols, an alphabet above MAX_Q) raises CodeFormatError with the
     offending 1-based line number; so does a codeword count above MAX_N
     in a code with no rows.  Rows are checked and converted IO_BLOCK
-    symbols at a time on the byte buffer: a block of exactly
-    rows * n * (w + 1) bytes is first tried as a grid of w-digit symbols,
-    and any other, or one that is no such grid, is scanned for its
-    separators.  A block that fails both is re-read line by line by
-    `_parse_row`, so the first bad line and its message are those of a
-    plain token-by-token reader.
+    symbols at a time on the byte buffer.  A body of exactly
+    t * n * (w + 1) bytes is first read as grids of w-digit symbols, each
+    row block sliced at its offset, with no newline located.  Otherwise,
+    or when a block is no such grid, the line ends are found: a block of
+    exactly rows * n * (w + 1) bytes is tried as a grid, and any other,
+    or one that is no such grid, is scanned for its separators.  A block
+    that fails both is re-read line by line by `_parse_row`, so the first
+    bad line and its message are those of a plain token-by-token reader.
     """
     if not data.isascii():
         try:
@@ -377,17 +401,10 @@ def read_code(data: bytes) -> CodeMatrix:
         raise CodeFormatError("carriage returns are not allowed", data.count(b"\n", 0, cr) + 1)
     if not data.endswith(b"\n"):
         raise CodeFormatError("missing trailing newline", data.count(b"\n") + 1)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # ends[i]: the newline closing line i + 1, found in cache-sized slices, not via a file-sized mask
-    ends = np.concatenate([np.flatnonzero(buf[i : i + 4 * IO_BLOCK] == NEWLINE) + i
-                           for i in range(0, buf.size, 4 * IO_BLOCK)])
-
-    def line(i: int) -> str:
-        return data[ends[i - 2] + 1 if i > 1 else 0 : ends[i - 1]].decode("ascii")
-
-    header = line(1).split(" ")
+    head = data[: data.find(b"\n")].decode("ascii")
+    header = head.split(" ")
     if len(header) != 3 or "" in header:
-        raise CodeFormatError(f"header must be 'q t n', got {line(1)!r}", 1)
+        raise CodeFormatError(f"header must be 'q t n', got {head!r}", 1)
     q_text = _canonical(header[0], "alphabet size", 1)
     t_text = _canonical(header[1], "length", 1)
     n_text = _canonical(header[2], "codeword count", 1)
@@ -396,6 +413,21 @@ def read_code(data: bytes) -> CodeMatrix:
     q = int(q_text)
     if q < 2:
         raise CodeFormatError(f"alphabet size {q} must be at least 2", 1)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    body = buf[len(head) + 1 :]
+    if _at_most(t_text, body.size) and _at_most(n_text, body.size) and int(t_text) * int(n_text):
+        t, n = int(t_text), int(n_text)
+        size, rest = divmod(body.size, t * n)
+        entries, zeros, step = np.empty((t, n), dtype=np.uint16), _zero_tokens(n), max(1, IO_BLOCK // n)
+        if not rest and all(_parse_grid(body[r0 * n * size : (r0 + step) * n * size], q, zeros, entries[r0 : r0 + step])
+                            is not None for r0 in range(0, t, step)):
+            return CodeMatrix(q, entries)
+    # ends[i]: the newline closing line i + 1, found in cache-sized slices, not via a file-sized mask
+    ends = np.concatenate([np.flatnonzero(buf[i : i + 4 * IO_BLOCK] == NEWLINE) + i
+                           for i in range(0, buf.size, 4 * IO_BLOCK)])
+
+    def line(i: int) -> str:
+        return data[ends[i - 2] + 1 : ends[i - 1]].decode("ascii")
 
     found = ends.size - 1
     if not _at_most(t_text, found):
@@ -412,14 +444,12 @@ def read_code(data: bytes) -> CodeMatrix:
         # it before sizing an array by the header
         for i in range(2, t + 2):
             _parse_row(line(i), n, q, i)
-    entries = np.empty((t, n), dtype=np.uint16)
+    entries, zeros = np.empty((t, n), dtype=np.uint16), _zero_tokens(n)
     step = max(1, IO_BLOCK // max(n, 1))
     for r0 in range(0, t, step):
         r1 = min(r0 + step, t)
-        values = _parse_block(buf[ends[r0] + 1 : ends[r1] + 1], r1 - r0, n, q)
-        if values is None:
-            values = [_parse_row(line(i), n, q, i) for i in range(r0 + 2, r1 + 2)]
-        entries[r0:r1] = values
+        if _parse_block(buf[ends[r0] + 1 : ends[r1] + 1], q, zeros, entries[r0:r1]) is None:
+            entries[r0:r1] = [_parse_row(line(i), n, q, i) for i in range(r0 + 2, r1 + 2)]
     if found > t:
         raise CodeFormatError(f"expected {t} symbol rows, found {found}", t + 2)
     return CodeMatrix(q, entries)

@@ -418,16 +418,6 @@ def is_lambda_matrix(matrix: CodeMatrix, lam: int, w: int) -> VerificationReport
     return VerificationReport("lambda_matrix", params, True, None)
 
 
-def check_reduction_ss_to_fp(matrix: CodeMatrix, k: int) -> bool:
-    """(k+1)-strong-selectivity forces k-frameproofness on the same matrix.
-
-    Vacuously true when the matrix is not (k+1)-strongly selective.
-    """
-    if not is_strongly_selective(matrix, k + 1).passed:
-        return True
-    return is_frameproof(matrix, k).passed
-
-
 def check_reduction_fp_to_ss(matrix: CodeMatrix, k: int) -> bool:
     """A k-frameproof matrix stacked over its complement is (k+1)-strongly
     selective.  Vacuously true when the matrix is not k-frameproof."""

@@ -14,11 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fpcodes.bounds import (
-    bound_report,
-    fp_bounds_theorem310,
-    relaxed_inequality_45,
-)
+from fpcodes.bounds import bound_report, fp_bounds_theorem310
 from fpcodes.conflict import simulate
 from fpcodes.core import CodeMatrix
 from fpcodes.diagonal import build_diagonal
@@ -27,11 +23,11 @@ from fpcodes.lll import build_frameproof, build_strongly_selective, derive_lengt
 from fpcodes.verify import (
     check_binary_expansion,
     check_reduction_fp_to_ss,
-    check_reduction_ss_to_fp,
     is_frameproof,
     is_strongly_selective,
     selective_row_exists,
 )
+from paper_checks import check_reduction_ss_to_fp, relaxed_inequality_45
 
 mp.mp.dps = 50
 

@@ -284,6 +284,40 @@ def substituted_files(draw):
     return bytes(data)
 
 
+@st.composite
+def regridded_files(draw):
+    """A valid code file whose symbols all have one width w, after one to
+    three edits that keep its body at exactly t * n * (w + 1) bytes but
+    break its row layout: a row's newline swapped with a space of the next
+    row, or one token widened by a digit and another narrowed by one."""
+    q = draw(st.sampled_from([2, 3, 10, 11, 100, 101, 1000, 65535, 65536]))
+    w = draw(st.integers(1, len(str(q - 1))))
+    t, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    low = 10 ** (w - 1) if w > 1 else 0
+    flat = draw(st.lists(st.integers(low, min(q, 10**w) - 1), min_size=t * n, max_size=t * n))
+    data = bytearray(write_code(CodeMatrix(q, np.array(flat, dtype=np.uint16).reshape(t, n))))
+    start = data.index(b"\n") + 1
+    kinds = (["newline"] if t > 1 and n > 1 else []) + (["widen"] if t * n > 1 else [])
+    for _ in range(draw(st.integers(1, 3)) if kinds else 0):
+        if draw(st.sampled_from(kinds)) == "newline":
+            ends = [i for i in range(start, len(data)) if data[i] == ord("\n")]
+            swaps = [(end, i) for end, after in zip(ends, ends[1:]) for i in range(end + 1, after) if data[i] == ord(" ")]
+            if swaps:
+                end, i = draw(st.sampled_from(swaps))
+                data[end], data[i] = data[i], data[end]
+        else:
+            # token starts: the body's first byte and every byte after a separator
+            starts = [start] + [i + 1 for i in range(start, len(data) - 1) if data[i] in b" \n"]
+            if len(starts) > 1:
+                wide, narrow = draw(st.permutations(starts))[:2]
+                for at in sorted((wide, narrow), reverse=True):  # the later edit first
+                    if at == narrow:
+                        del data[at]
+                    else:
+                        data[at:at] = draw(st.sampled_from([b"0", b"1", b"9"]))
+    return bytes(data)
+
+
 WIDE = b"1" * 5000  # past the 4300 digits Python converts with int()
 
 # input -> (line, message) of the CodeFormatError read_code raises
@@ -382,7 +416,7 @@ class TestTextFormat:
                 parsed = calls(mp, "_parse_grid")
                 assert write_code(m) == data
                 assert read_code(data) == m
-            mixed = [len(str(symbols.min())) < width for (symbols, width), _ in grids]
+            mixed = [len(str(symbols.min())) < width for (symbols, width, _), _ in grids]
             assert any(mixed) and not all(mixed)
             assert any(p is None for _, p in parsed) and any(p is not None for _, p in parsed)
 
@@ -440,3 +474,50 @@ class TestTextFormat:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "IO_BLOCK", block)
             assert outcome(read_code, data) == outcome(reference_read_code, data)
+
+    @given(regridded_files())
+    def test_regridded_matches_reference_reader(self, data):
+        # the body has a grid's length, so it is first read at fixed offsets
+        assert outcome(read_code, data) == outcome(reference_read_code, data)
+
+    @given(regridded_files(), st.integers(1, 12))
+    def test_regridded_matches_reference_reader_small_blocks(self, data, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "IO_BLOCK", block)
+            assert outcome(read_code, data) == outcome(reference_read_code, data)
+
+    @pytest.mark.parametrize("tail", [b"\n", b"1\n", b"11\n"])
+    def test_grid_rows_then_a_short_tail(self, tail):
+        # t * n * (w + 1) bytes of valid rows, then fewer than t * n more:
+        # at one row a block, the rows alone would read as grids
+        data = b"3 2 2\n0 1\n1 0\n" + tail
+        for block in (1, 2, 4, core.IO_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "IO_BLOCK", block)
+                assert outcome(read_code, data) == outcome(reference_read_code, data)
+                assert outcome(read_code, data)[0] == 4
+
+    @pytest.mark.parametrize("q,low", [(2, 0), (3, 0), (10, 0), (100, 10)])
+    @pytest.mark.parametrize("block", [7, core.IO_BLOCK])
+    def test_one_width_file_locates_no_line_end(self, q, low, block):
+        # a valid one-width body is read at its rows' offsets: neither the
+        # separator scan nor the token-by-token reader is reached
+        m = CodeMatrix(q, np.random.default_rng(q).integers(low, q, size=(40, 3000 if block > 7 else 5)))
+        data = write_code(m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "IO_BLOCK", block)
+            for name in ("_parse_block", "_parse_row"):
+                mp.setattr(core, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+            parsed = calls(mp, "_parse_grid")
+            assert read_code(data) == m
+        assert len(parsed) >= 2 and all(p is not None for _, p in parsed)
+
+    @pytest.mark.parametrize("q", [2, 3, 10, 11, 256, 65536])
+    def test_round_trip_one_digit_tokens(self, q):
+        # symbols 0-9 only, whatever q: every block is written and read as
+        # uint16 tokens, over two row blocks, from an odd or even offset
+        m = CodeMatrix(q, np.random.default_rng(q).integers(0, min(q, 10), size=(40, 3000)))
+        data = write_code(m)
+        assert data == reference_write_code(m)
+        assert read_code(data) == m
+        assert write_code(read_code(data)) == data

@@ -47,11 +47,13 @@ def test_bench_record_writes_each_runs_lines(tmp_path, monkeypatch):
     bench = load("bench_record")
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "w1"}, {"name": "w2"}]}))
     calls = []
+    git = {("rev-parse", "HEAD"): "abc123\n", ("rev-parse", "HEAD^{tree}"): "def456\n",
+           ("status", "--porcelain", "--untracked-files=no"): ""}
 
     def run(cmd, cwd, **kwargs):
         calls.append((cmd, cwd))
         if cmd[0] == "git":
-            return subprocess.CompletedProcess(cmd, 0, "abc123\n", "")
+            return subprocess.CompletedProcess(cmd, 0, git[tuple(cmd[1:])], "")
         workload, seed = cmd[cmd.index("--workload") + 1], int(cmd[cmd.index("--seed") + 1])
         record = {"workload": workload, "seed": seed}
         result = {"correct": True, "metrics": {"m": {"value": seed / 2, "unit": "s"}}}
@@ -63,6 +65,7 @@ def test_bench_record_writes_each_runs_lines(tmp_path, monkeypatch):
     assert bench.main(["--label", "x", "--seeds", "3,4", "--seconds", "2"]) == 0
     written = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert (written["label"], written["git_sha"], written["seeds"], written["seconds"]) == ("x", "abc123", [3, 4], 2)
+    assert (written["tree_sha"], written["dirty"]) == ("def456", False)
     assert [(r["workload"], r["seed"]) for r in written["runs"]] == [("w1", 3), ("w1", 4), ("w2", 3), ("w2", 4)]
     for r in written["runs"]:
         assert r["record"] == {"workload": r["workload"], "seed": r["seed"]}
@@ -71,6 +74,10 @@ def test_bench_record_writes_each_runs_lines(tmp_path, monkeypatch):
     assert all(cwd == tmp_path for _, cwd in calls)
     assert all(cmd[1:3] == ["perfbench/run.py", "--workload"] and cmd[-2:] == ["--trace", "0"] for cmd in perf)
     assert all(cmd[cmd.index("--seconds") + 1] == "2.0" for cmd in perf)
+    # a tracked file changed since the commit: the file says so
+    git["status", "--porcelain", "--untracked-files=no"] = " M src/fpcodes/core.py\n"
+    bench.main(["--label", "x", "--seeds", "3"])
+    assert json.loads((tmp_path / "BENCH_x.json").read_text())["dirty"] is True
 
 
 def test_bench_record_refuses_a_failed_run(tmp_path, monkeypatch):

@@ -29,7 +29,6 @@ from fpcodes.verify import (
     _bit_planes,
     check_binary_expansion,
     check_reduction_fp_to_ss,
-    check_reduction_ss_to_fp,
     coalition_covers,
     is_frameproof,
     is_lambda_matrix,
@@ -37,6 +36,7 @@ from fpcodes.verify import (
     nonzero_agreement_rows,
     selective_row_exists,
 )
+from paper_checks import check_reduction_ss_to_fp
 from strategies import code_matrices, fan, kautz_singleton, wide_codes
 
 
