@@ -13,8 +13,8 @@ symbols.  A block is formatted as a grid of w + 1 bytes per symbol, w
 its widest symbol's width (one uint16 token a symbol when w = 1), and
 one mask drops the leading zeros of narrower symbols.  A body of
 t n (w + 1) bytes is parsed as such grids at their offsets (every body
-when q <= 10); any other, or a grid that fails, by its line ends:
-one-width blocks as grids, any other token by token.
+when q <= 10); any other body, or one with a grid that fails, is cut at
+its line ends and scanned for its separators.
 """
 
 from __future__ import annotations
@@ -301,17 +301,14 @@ def _parse_row(raw: str, n: int, q: int, line: int) -> list[int]:
 
 
 def _parse_grid(block: np.ndarray, q: int, zeros: np.ndarray, out: np.ndarray) -> np.ndarray | None:
-    """`out` filled with the (rows, n) symbols of `block` read as a grid of
-    tokens that all have one width w, or None when it is not one.  Only a
-    block of exactly rows * n * (w + 1) bytes, 1 <= w <= the width of
-    q - 1, can be; it is one when every (w + 1)-th byte is the right
-    separator and every token is w digits, with no leading zero when
-    w > 1, below q.  At w = 1 a token is one uint16 less `zeros`."""
+    """`out` filled with the (rows, n) symbols of `block`, exactly
+    rows * n * (w + 1) bytes with 1 <= w <= the width of q - 1, read as a
+    grid of w-digit tokens, or None when it is not one.  It is one when
+    every (w + 1)-th byte is the right separator and every token is w
+    digits, with no leading zero when w > 1, below q.  At w = 1 a token is
+    one uint16 less `zeros`."""
     rows, n = out.shape
-    width, rest = divmod(block.size, rows * n)
-    width -= 1
-    if rest or not 1 <= width <= _width(q - 1):
-        return None
+    width = block.size // out.size - 1
     if width == 1:
         # below 10 just when the digit is one and the separator right: a byte
         # below '0' borrows (wrapping round), a wrong separator leaves a high byte
@@ -336,21 +333,18 @@ def _parse_grid(block: np.ndarray, q: int, zeros: np.ndarray, out: np.ndarray) -
     return out
 
 
-def _parse_block(block: np.ndarray, q: int, zeros: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+def _parse_block(block: np.ndarray, q: int, out: np.ndarray) -> np.ndarray | None:
     """`out` filled with the (rows, n) symbols of `block`, the bytes of
     `rows` whole lines, or None when any of those lines breaks the format
     (the caller then re-reads them with `_parse_row` for the error).
 
     A well-formed block is n canonical integers below q per line, each
-    followed by one separator: a space, or a newline after the n-th.  A
-    block that `_parse_grid` reads as one-width tokens is taken from the
-    grid; any other is scanned for its separators.
+    followed by one separator: a space, or a newline after the n-th.  The
+    block is scanned for its separators.
     """
     rows, n = out.shape
     if n == 0:
         return out if block.size == rows else None
-    if _parse_grid(block, q, zeros, out) is not None:
-        return out
     seps = np.flatnonzero(block - np.uint8(ZERO) >= 10)  # every byte but a digit
     if seps.size != rows * n:
         return None
@@ -385,11 +379,10 @@ def read_code(data: bytes) -> CodeMatrix:
     symbols at a time on the byte buffer.  A body of exactly
     t * n * (w + 1) bytes is first read as grids of w-digit symbols, each
     row block sliced at its offset, with no newline located.  Otherwise,
-    or when a block is no such grid, the line ends are found: a block of
-    exactly rows * n * (w + 1) bytes is tried as a grid, and any other,
-    or one that is no such grid, is scanned for its separators.  A block
-    that fails both is re-read line by line by `_parse_row`, so the first
-    bad line and its message are those of a plain token-by-token reader.
+    or when a block is no such grid, the line ends are found and each row
+    block is scanned for its separators.  A block that fails the scan is
+    re-read line by line by `_parse_row`, so the first bad line and its
+    message are those of a plain token-by-token reader.
     """
     if not data.isascii():
         try:
@@ -418,10 +411,11 @@ def read_code(data: bytes) -> CodeMatrix:
     if _at_most(t_text, body.size) and _at_most(n_text, body.size) and int(t_text) * int(n_text):
         t, n = int(t_text), int(n_text)
         size, rest = divmod(body.size, t * n)
-        entries, zeros, step = np.empty((t, n), dtype=np.uint16), _zero_tokens(n), max(1, IO_BLOCK // n)
-        if not rest and all(_parse_grid(body[r0 * n * size : (r0 + step) * n * size], q, zeros, entries[r0 : r0 + step])
-                            is not None for r0 in range(0, t, step)):
-            return CodeMatrix(q, entries)
+        if not rest and 2 <= size <= _width(q - 1) + 1:  # so `entries` takes at most the body's bytes
+            entries, zeros, step = np.empty((t, n), dtype=np.uint16), _zero_tokens(n), max(1, IO_BLOCK // n)
+            if all(_parse_grid(body[r0 * n * size : (r0 + step) * n * size], q, zeros, entries[r0 : r0 + step])
+                   is not None for r0 in range(0, t, step)):
+                return CodeMatrix(q, entries)
     # ends[i]: the newline closing line i + 1, found in cache-sized slices, not via a file-sized mask
     ends = np.concatenate([np.flatnonzero(buf[i : i + 4 * IO_BLOCK] == NEWLINE) + i
                            for i in range(0, buf.size, 4 * IO_BLOCK)])
@@ -444,11 +438,11 @@ def read_code(data: bytes) -> CodeMatrix:
         # it before sizing an array by the header
         for i in range(2, t + 2):
             _parse_row(line(i), n, q, i)
-    entries, zeros = np.empty((t, n), dtype=np.uint16), _zero_tokens(n)
+    entries = np.empty((t, n), dtype=np.uint16)
     step = max(1, IO_BLOCK // max(n, 1))
     for r0 in range(0, t, step):
         r1 = min(r0 + step, t)
-        if _parse_block(buf[ends[r0] + 1 : ends[r1] + 1], q, zeros, entries[r0:r1]) is None:
+        if _parse_block(buf[ends[r0] + 1 : ends[r1] + 1], q, entries[r0:r1]) is None:
             entries[r0:r1] = [_parse_row(line(i), n, q, i) for i in range(r0 + 2, r1 + 2)]
     if found > t:
         raise CodeFormatError(f"expected {t} symbol rows, found {found}", t + 2)

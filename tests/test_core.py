@@ -401,9 +401,10 @@ class TestTextFormat:
     @pytest.mark.parametrize("q", UNIFORM_Q)
     def test_grid_and_scatter_blocks_in_one_file(self, q):
         # rows 4 and 9 mix widths, the others are one width, so a few
-        # symbols per row block give one-width blocks, written and parsed as
-        # grids, and mixed blocks, whose leading zeros are masked out on
-        # writing and which are scanned for separators on reading
+        # symbols per row block give one-width blocks, written as grids,
+        # and mixed blocks, whose leading zeros are masked out on writing;
+        # the body is no grid's length, so every block is scanned for its
+        # separators on reading
         entries = uniform_code(q, 12, 3, q).entries.copy()
         entries[4, 1] = 1
         entries[9, 0] = 0
@@ -414,11 +415,12 @@ class TestTextFormat:
                 mp.setattr(core, "IO_BLOCK", block)
                 grids = calls(mp, "_write_grid")
                 parsed = calls(mp, "_parse_grid")
+                scanned = calls(mp, "_parse_block")
                 assert write_code(m) == data
                 assert read_code(data) == m
             mixed = [len(str(symbols.min())) < width for (symbols, width, _), _ in grids]
             assert any(mixed) and not all(mixed)
-            assert any(p is None for _, p in parsed) and any(p is not None for _, p in parsed)
+            assert not parsed and scanned and all(p is not None for _, p in scanned)
 
     @pytest.mark.parametrize("q", [11, 101, 1001, 10001, 65536])
     def test_width_boundaries(self, q):
@@ -457,6 +459,14 @@ class TestTextFormat:
             read_code(data)
         assert err.value.line == line
         assert str(err.value) == f"line {line}: {MALFORMED[data][1]}"
+
+    def test_header_far_past_the_body(self):
+        # t and n each within the body's length, t * n symbols (80 GB as
+        # uint16s) far past it: the error is found before an array is sized
+        with pytest.raises(CodeFormatError) as err:
+            read_code(b"2 200000 200000\n" + b"0\n" * 100000)
+        assert err.value.line == 100002
+        assert str(err.value) == "line 100002: expected 200000 symbol rows, found 100000"
 
     def test_non_ascii_rejected(self):
         with pytest.raises(CodeFormatError):
